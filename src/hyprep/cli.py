@@ -77,7 +77,6 @@ def _config_from_args(args) -> Config:
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with Config overrides")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     for name in ("tol-root", "tol-pt", "tol-noether", "tol-pencil",
                  "tol-pattern", "tol-final"):
         p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float)
@@ -168,7 +167,7 @@ def _run(args, cfg: Config) -> int:
 
     if cmd == "forward":
         W = _load_shift(args.input)
-        forward_interpolate(W, cfg)    # fatal on any two-oracle disagreement
+        forward_interpolate(W)    # fatal on any two-oracle disagreement
         _emit(forward_matching(W).to_json())
         return EXIT_OK
 
@@ -194,7 +193,7 @@ def _run(args, cfg: Config) -> int:
 
     if cmd == "numrange":
         W = _load_shift(args.input)
-        sample = boundary_sample(W, args.angles, cfg)
+        sample = boundary_sample(W, args.angles)
         if args.csv:
             write_boundary_csv(sample, args.csv)
         if args.svg:
@@ -204,7 +203,7 @@ def _run(args, cfg: Config) -> int:
                "h_min": min(sample.support), "h_max": max(sample.support)}
         if args.against:
             other = _load_shift(args.against)
-            out["range_equal"] = range_equal(W, other, args.angles, args.tol, cfg)
+            out["range_equal"] = range_equal(W, other, args.angles, args.tol)
         _emit(out)
         if args.against and not out["range_equal"]:
             return EXIT_VERIFY

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import os
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,7 +32,6 @@ class Config:
     eps_max_steps: int = 12
     conv_tol: float = 1e-5        # successive gauge-data difference
     max_retries: int = 5
-    threads: int = 0              # 0 = available parallelism
 
     def __post_init__(self):
         for name in ("tol_root", "cluster_radius", "tol_pt", "tol_sep", "tol_van",
@@ -45,11 +43,6 @@ class Config:
             raise ValueError("eps_ratio must lie in (0, 1)")
         if self.eps_max_steps < 1 or self.max_retries < 1:
             raise ValueError("step counts must be at least 1")
-
-    def effective_threads(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        return os.cpu_count() or 1
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "Config":

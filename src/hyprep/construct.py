@@ -22,10 +22,10 @@ import numpy as np
 
 from .config import Config, DEFAULT_CONFIG
 from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
-                     IndefiniteDiagonal, NoetherResidual, NotHyperbolic,
-                     NoVanishingForm, PatternViolation, PerturbationFailed)
+                     IndefiniteDiagonal, NoetherResidual, NoVanishingForm,
+                     PatternViolation, PerturbationFailed)
 from .forward import _matching_sums, verify
-from .hyperbolicity import classify, is_hyperbolic, smooth_neighbor
+from .hyperbolicity import classify, smooth_neighbor
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
 from .poly import TrivariatePoly, conj_involution
@@ -542,9 +542,7 @@ def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatr
     conjugate halves); everything else falls back to the perturbation
     schedule with gauge-invariant convergence.
     """
-    if not is_hyperbolic(form, config):
-        raise NotHyperbolic("represent requires a hyperbolic form")
-    cls = classify(form, config)
+    cls = classify(form, config)    # raises NotHyperbolic
     rng = np.random.default_rng(config.seed)
     scale = max(1.0, form.coefficient_scale())
     if cls.s > config.drop_tol * scale:

@@ -8,9 +8,9 @@ two full cycles contribute the u^n / v^n terms through the weight product,
     c_r = (-1/4)^r * sum over r-matchings of prod |a_j|^2,
     c0 + i ct0 = (-1)^(n-1) * 2^(1-n) * a_1 a_2 ... a_n.
 
-That closed form is the combinatorial oracle; the second oracle evaluates
-the determinant numerically and solves for the invariant coefficients by
-interpolation.  The two are compared on every call of the latter.
+That closed form is the combinatorial oracle; the second oracle reads the
+same coefficients off the spectra of the Hermitian slices H(theta) of
+shift.py at four phases.  The two are compared on every call of the latter.
 """
 
 import cmath
@@ -21,8 +21,8 @@ import numpy as np
 from .config import Config, DEFAULT_CONFIG
 from .errors import NotDihedral, OracleDisagreement
 from .hyperbolicity import is_hyperbolic
-from .invariants import InvariantForm, invariant_dim
-from .shift import ShiftMatrix
+from .invariants import InvariantForm
+from .shift import ShiftMatrix, hermitian_slices
 
 
 def _matching_sums(xs: list[float]) -> list[float]:
@@ -64,43 +64,25 @@ def forward_matching(W: ShiftMatrix) -> InvariantForm:
     return InvariantForm(n, c, top.real, top.imag)
 
 
-def _pencil_value(W: ShiftMatrix, t: float, x: float, y: float) -> float:
-    u = x + 1j * y
-    A = W.matrix()
-    B = t * np.eye(W.n) + (u / 2) * A.conj().T + (u.conjugate() / 2) * A
-    return float(np.linalg.det(B).real)
+def forward_interpolate(W: ShiftMatrix) -> InvariantForm:
+    """Eigenvalue oracle, cross-checked against the matching oracle.
 
-
-def forward_interpolate(W: ShiftMatrix, config: Config = DEFAULT_CONFIG) -> InvariantForm:
-    """Determinant-interpolation oracle, cross-checked against the matching oracle.
-
-    Evaluates the pencil determinant at real sample points and solves for
-    the coefficients in the invariant basis.  Disagreement with the
-    combinatorial oracle is fatal: it can only mean an implementation bug.
+    Four phases: at theta = 0, pi/n, pi/(2n) and 3 pi/(2n) the pair
+    (cos n theta, sin n theta) is (1, 0), (-1, 0), (0, 1) and (0, -1), so the
+    characteristic polynomials np.poly(-eigvalsh(H(theta))) are p + c0,
+    p - c0, p + ct0 and p - ct0, with c0 and ct0 in the constant term.
+    Their mean is p, whose even coefficients are the c_r (for even n the
+    constant term is c_(n/2)); half the constant-term differences of the
+    two pairs are c0 and ct0.  Disagreement with the combinatorial oracle
+    is fatal: it can only mean an implementation bug.
     """
     n = W.n
-    m = n // 2
-    dim = invariant_dim(n)
-    rng = np.random.default_rng(config.seed ^ 0x666F7277)
-    npts = dim + 4
-    rows, vals = [], []
-    radius = 1.0 + max(W.moduli())
-    for _ in range(npts):
-        t = radius * rng.uniform(-1.5, 1.5)
-        x, y = radius * rng.uniform(-1.0, 1.0, size=2)
-        rho2 = x * x + y * y
-        z = complex(x, y) ** n
-        row = [t ** n]
-        row += [t ** (n - 2 * r) * rho2 ** r for r in range(1, m + 1)]
-        row += [z.real, z.imag]   # (u^n+v^n)/2 and (u^n-v^n)/(2i) at v = conj(u)
-        rows.append(row)
-        vals.append(_pencil_value(W, t, x, y))
-    sol, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(vals), rcond=None)
-    lead, cs, c0, ct0 = sol[0], sol[1:m + 1], sol[m + 1], sol[m + 2]
-    scale = max(1.0, float(np.max(np.abs(sol))))
-    if abs(lead - 1.0) > 1e-8 * scale:
-        raise OracleDisagreement(f"monic coefficient came out {lead}")
-    got = InvariantForm(n, cs, c0, ct0)
+    thetas = np.pi / n * np.array([0.0, 1.0, 0.5, 1.5])
+    spectra = np.linalg.eigvalsh(hermitian_slices(W.matrix(), thetas))
+    polys = [np.poly(-lam) for lam in spectra]
+    p = np.mean(polys, axis=0)
+    d = [q[-1] for q in polys]
+    got = InvariantForm(n, p[2::2], (d[0] - d[1]) / 2, (d[2] - d[3]) / 2)
     want = forward_matching(W)
     err = _form_distance(got, want)
     if err > 1e-9 * max(1.0, want.coefficient_scale()):

@@ -21,11 +21,6 @@ from .errors import (AmbiguousOrbit, LeadingZero, NonrealCircle,
 from .hyperbolicity import cluster_roots
 from .invariants import InvariantForm
 
-# Which side of each conjugate orbit pair is called S is a convention; the
-# published worked examples correspond to keeping the lexicographically
-# smaller canonical representative.
-_KEEP_LEX_SMALLER = True
-
 
 @dataclasses.dataclass(frozen=True)
 class Point:
@@ -341,9 +336,10 @@ def split_conjugate(points: list[tuple[Point, int]], n: int,
             other = orbits[j]
             if o.mult != other.mult:
                 raise AmbiguousOrbit("conjugate orbits with unequal multiplicity")
-            smaller_first = _lex_key(o.rep) <= _lex_key(other.rep)
-            pick = o if smaller_first == _KEEP_LEX_SMALLER else other
-            chosen.append(pick)
+            # which side of a conjugate pair is called S is a convention; the
+            # published worked examples keep the lexicographically smaller
+            # canonical representative
+            chosen.append(o if _lex_key(o.rep) <= _lex_key(other.rep) else other)
             seen.update((i, j))
 
     chosen.sort(key=lambda o: (o.at_infinity, _lex_key(o.rep)))

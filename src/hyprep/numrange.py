@@ -9,7 +9,6 @@ separately in the t = 1 chart: along each ray the curve restricts to a
 real univariate polynomial in the radius.
 """
 
-import concurrent.futures
 import dataclasses
 import math
 
@@ -18,7 +17,7 @@ import numpy as np
 from .config import Config, DEFAULT_CONFIG
 from .hyperbolicity import real_roots
 from .invariants import InvariantForm
-from .shift import ShiftMatrix
+from .shift import ShiftMatrix, hermitian_slices
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,45 +33,43 @@ def _as_matrix(W) -> np.ndarray:
     return np.asarray(W, dtype=complex)
 
 
+def _support_batch(W, thetas) -> tuple[np.ndarray, np.ndarray]:
+    """Support values and complex touch points x* A x, one eigh for all angles.
+
+    x* A x does not depend on the phase of the eigenvector x.
+    """
+    A = _as_matrix(W)
+    vals, vecs = np.linalg.eigh(hermitian_slices(A, thetas))
+    x = vecs[:, :, -1]
+    # one matrix-vector product per angle, so that support(W, theta) repeats
+    # the matching entry of boundary_sample bit for bit
+    touch = np.sum(x.conj() * (A @ x[:, :, None])[:, :, 0], axis=1)
+    return vals[:, -1], touch
+
+
 def support(W, theta: float) -> tuple[float, tuple[float, float]]:
     """Support value and a boundary touch point in direction theta."""
-    A = _as_matrix(W)
-    ReA = (A + A.conj().T) / 2
-    ImA = (A - A.conj().T) / 2j
-    H = math.cos(theta) * ReA + math.sin(theta) * ImA
-    vals, vecs = np.linalg.eigh(H)
-    x = vecs[:, -1]
-    # deterministic eigenvector phase: first significant component positive real
-    idx = int(np.argmax(np.abs(x) > 1e-12))
-    phase = x[idx] / abs(x[idx])
-    x = x / phase
-    z = complex(x.conj() @ (A @ x))
-    return float(vals[-1]), (z.real, z.imag)
+    h, z = _support_batch(W, [theta])
+    return float(h[0]), (float(z[0].real), float(z[0].imag))
 
 
-def boundary_sample(W, m: int = 720, config: Config = DEFAULT_CONFIG) -> BoundarySample:
+def boundary_sample(W, m: int = 720) -> BoundarySample:
     """Support function and touch points on a uniform angle grid."""
     if m < 8:
         raise ValueError("need at least 8 angles")
     thetas = [2 * math.pi * k / m for k in range(m)]
-    workers = config.effective_threads()
-    if workers > 1 and m >= 64:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda th: support(W, th), thetas))
-    else:
-        results = [support(W, th) for th in thetas]
+    h, z = _support_batch(W, thetas)
     return BoundarySample(
         angles=tuple(thetas),
-        support=tuple(h for h, _ in results),
-        points=tuple(p for _, p in results),
+        support=tuple(h.tolist()),
+        points=tuple(zip(z.real.tolist(), z.imag.tolist())),
     )
 
 
-def range_equal(W1, W2, m: int = 720, tol: float = 1e-9,
-                config: Config = DEFAULT_CONFIG) -> bool:
+def range_equal(W1, W2, m: int = 720, tol: float = 1e-9) -> bool:
     """Numerical ranges agree iff the sampled support functions agree."""
-    s1 = boundary_sample(W1, m, config)
-    s2 = boundary_sample(W2, m, config)
+    s1 = boundary_sample(W1, m)
+    s2 = boundary_sample(W2, m)
     return max(abs(a - b) for a, b in zip(s1.support, s2.support)) <= tol
 
 

@@ -4,6 +4,15 @@ S(a_1, ..., a_n) carries a_j on the superdiagonal at (j, j+1) and a_n in
 the corner at (n, 1); all other entries vanish.  Conjugating by a diagonal
 unitary moves phase between the weights while preserving every |a_j| and
 the total product, which is the gauge freedom used for dephasing.
+
+On the unit circle u = e^(i theta) the pencil tI + (u/2) A* + (v/2) A is
+tI + H(theta) with H(theta) = cos(theta) Re(A) + sin(theta) Im(A), so
+
+    det(tI + H(theta)) = p(t) + c0 cos(n theta) + ct0 sin(n theta),
+
+and the top eigenvalue of H(theta) is the support function of the
+numerical range of A.  Both the numerical range and the eigenvalue forward
+oracle are built on hermitian_slices.
 """
 
 import dataclasses
@@ -56,3 +65,11 @@ class ShiftMatrix:
         if "n" in data and int(data["n"]) != len(ws):
             raise ValueError("weight count does not match n")
         return cls(ws)
+
+
+def hermitian_slices(A: np.ndarray, thetas) -> np.ndarray:
+    """The stack H(theta_k) = cos(theta_k) Re(A) + sin(theta_k) Im(A)."""
+    ReA = (A + A.conj().T) / 2
+    ImA = (A - A.conj().T) / 2j
+    thetas = np.asarray(thetas, dtype=float)[:, None, None]
+    return np.cos(thetas) * ReA + np.sin(thetas) * ImA

@@ -1,6 +1,8 @@
 """Command line surface: subcommands, exit codes, determinism."""
 
 import json
+import math
+import pathlib
 
 import pytest
 
@@ -144,9 +146,10 @@ def test_config_file_and_flag_override(capsys, tmp_path, quartic_file):
     cfg = write_json(tmp_path / "cfg.json", {"seed": 11, "tol_final": 1e-5})
     code, _ = run_cli(capsys, "represent", "--input", quartic_file, "--config", cfg)
     assert code == 0
-    bad = write_json(tmp_path / "bad_cfg.json", {"sneed": 11})
-    code, _ = run_cli(capsys, "represent", "--input", quartic_file, "--config", bad)
-    assert code == 2
+    for key in ("sneed", "threads"):     # threads: a removed knob
+        bad = write_json(tmp_path / "bad_cfg.json", {key: 11})
+        code, _ = run_cli(capsys, "represent", "--input", quartic_file, "--config", bad)
+        assert code == 2
 
 
 def test_seventeen_digit_floats(capsys, tmp_path):
@@ -168,3 +171,42 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
                       {"n": 3, "weights": [[1, 0], [1, 0], [0, 1]]})
     code, _ = run_cli(capsys, "realize", "--input", path)
     assert code == 1
+
+
+# stdout recorded before the numerical range and the interpolation oracle were
+# rebuilt on the Hermitian slice H(theta); the CLI must still print it byte for byte
+GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
+S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
+GOLDEN_INPUTS = {
+    "quartic_form": {"n": 4, "c": [-26.0, 72.0], "c0": -72.0, "ct0": 0.0},
+    "quintic_form": {"n": 5, "c": [-12.5, 33.75],
+                     "c0": 3 * (S6 + S3), "ct0": 3 * (S6 - S3)},
+    "quartic_shift": {"n": 4, "weights": [[4.0, 0.0], [4.0, 0.0], [6.0, 0.0], [6.0, 0.0]]},
+    "quintic_shift": {"n": 5, "weights": [[2.0, 0.0], [3.0, 3.0], [S6, 0.0],
+                                          [S2, 2.0], [0.0, -4.0]]},
+}
+GOLDEN_RUNS = {     # name: (command, input, extra arguments)
+    "check quartic": ("check", "quartic_form"),
+    "check quintic": ("check", "quintic_form"),
+    "represent quartic": ("represent", "quartic_form"),
+    "represent quintic": ("represent", "quintic_form"),
+    "forward quartic": ("forward", "quartic_shift"),
+    "forward quintic": ("forward", "quintic_shift"),
+    "numrange quartic": ("numrange", "quartic_shift", "--angles", "720"),
+    "numrange quintic": ("numrange", "quintic_shift", "--angles", "720"),
+}
+
+
+def golden_argv(tmp_path, name):
+    """The argument list of one golden run, with its input file written out."""
+    command, key, *extra = GOLDEN_RUNS[name]
+    path = write_json(tmp_path / f"{key}.json", GOLDEN_INPUTS[key])
+    return [command, "--input", path, *extra]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_stdout(capsys, tmp_path, name):
+    want = json.loads(GOLDEN_PATH.read_text())[name]
+    code, out = run_cli(capsys, *golden_argv(tmp_path, name))
+    assert code == 0
+    assert out == want

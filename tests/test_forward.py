@@ -44,17 +44,29 @@ def test_matching_zero_shift():
     assert form.c0 == form.ct0 == 0.0
 
 
+def assert_oracles_agree(W):
+    got = forward_interpolate(W)     # raises OracleDisagreement on mismatch
+    want = forward_matching(W)
+    scale = max(1.0, want.coefficient_scale())
+    assert max(abs(a - b) for a, b in zip(got.c, want.c)) < 1e-9 * scale
+    assert abs(got.c0 - want.c0) < 1e-9 * scale
+    assert abs(got.ct0 - want.ct0) < 1e-9 * scale
+
+
 def test_interpolate_agrees_with_matching():
     rng = np.random.default_rng(51)
     for _ in range(40):
         n = int(rng.integers(3, 11))
-        W = random_shift(rng, n)
-        got = forward_interpolate(W)     # raises OracleDisagreement on mismatch
-        want = forward_matching(W)
-        scale = max(1.0, want.coefficient_scale())
-        assert max(abs(a - b) for a, b in zip(got.c, want.c)) < 1e-9 * scale
-        assert abs(got.c0 - want.c0) < 1e-9 * scale
-        assert abs(got.ct0 - want.ct0) < 1e-9 * scale
+        assert_oracles_agree(random_shift(rng, n))
+
+
+@pytest.mark.parametrize("n", [19, 20, 24, 30])
+def test_interpolate_agrees_with_matching_high_degree(n):
+    # a monomial least-squares fit of sampled determinants raised false
+    # OracleDisagreement from n = 19 on
+    rng = np.random.default_rng(1900 + n)
+    for _ in range(10):
+        assert_oracles_agree(random_shift(rng, n))
 
 
 def test_interpolate_quartic(quartic_shift):

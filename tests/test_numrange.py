@@ -29,6 +29,22 @@ def test_support_touch_point_consistency(quartic_shift):
         assert abs(x * math.cos(theta) + y * math.sin(theta) - h) < 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_boundary_sample_matches_per_angle_reference(n):
+    rng = np.random.default_rng(4100 + n)
+    W = random_shift(rng, n)
+    A = W.matrix()
+    s = boundary_sample(W, 96)
+    ReA, ImA = (A + A.conj().T) / 2, (A - A.conj().T) / 2j
+    tol = 1e-14 * max(1.0, max(W.moduli()))
+    for k, theta in enumerate(s.angles):
+        top = np.linalg.eigh(math.cos(theta) * ReA + math.sin(theta) * ImA)[0][-1]
+        x, y = s.points[k]
+        assert abs(s.support[k] - top) <= tol
+        assert abs(x * math.cos(theta) + y * math.sin(theta) - s.support[k]) <= tol
+        assert support(W, theta) == (s.support[k], s.points[k])
+
+
 def test_unitary_gauge_preserves_range(quartic_shift, quartic_shift_phased):
     assert range_equal(quartic_shift, quartic_shift_phased, 180, 1e-9)
 
