@@ -18,7 +18,7 @@ from .forward import forward_interpolate, forward_matching, realize_real, verify
 from .hyperbolicity import classify, is_hyperbolic
 from .intersection import compute_intersections
 from .invariants import InvariantForm, eigenspace_dim_formula, invariant_dim
-from .numrange import (boundary_sample, curve_sample, range_equal,
+from .numrange import (boundary_sample, curve_sample, samples_agree,
                        write_boundary_csv, write_curve_csv, write_svg)
 from .shift import ShiftMatrix
 
@@ -202,8 +202,8 @@ def _run(args, cfg: Config) -> int:
         out = {"angles": args.angles,
                "h_min": min(sample.support), "h_max": max(sample.support)}
         if args.against:
-            other = _load_shift(args.against)
-            out["range_equal"] = range_equal(W, other, args.angles, args.tol)
+            other = boundary_sample(_load_shift(args.against), args.angles)
+            out["range_equal"] = samples_agree(sample, other, args.tol)
         _emit(out)
         if args.against and not out["range_equal"]:
             return EXIT_VERIFY

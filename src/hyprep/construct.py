@@ -11,11 +11,16 @@ off-diagonal coefficients yields the shift weights.
 Entries never get adjugated symbolically: the pencil is recovered by
 evaluating adj at sample points and fitting the three coefficient matrices
 of a linear pencil, which is exact in exact arithmetic since the target is
-linear.
+linear.  All n^2 entries and f are evaluated at all fit and holdout points
+in one batched pass (poly._evaluate_many), bit for bit as the scalar
+TrivariatePoly.evaluate would give them.  The curve divisions of one form
+matrix share one least-squares matrix per eigenspace class, written
+straight from the coefficients of f and df/dt by index arithmetic.
 """
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -24,11 +29,12 @@ from .config import Config, DEFAULT_CONFIG
 from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                      IndefiniteDiagonal, NoetherResidual, NoVanishingForm,
                      PatternViolation, PerturbationFailed)
-from .forward import _matching_sums, verify
+from .forward import (_coefficient_deltas, _matching_sums, forward_matching,
+                      verify)
 from .hyperbolicity import classify, smooth_neighbor
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
-from .poly import TrivariatePoly, conj_involution
+from .poly import TrivariatePoly, _evaluate_many, conj_involution
 from .shift import ShiftMatrix
 
 
@@ -123,8 +129,60 @@ def nullspace_dim(iset: IntersectionSet, ell: int,
     return null.shape[1]
 
 
-def _class_basis_upto(n: int, degree: int, ell: int):
-    return eigenspace_basis(n, degree, ell).monomials
+@functools.lru_cache(maxsize=256)
+def _division_layout(n: int, ell: int):
+    """Class-ell monomials of the two cofactors (degrees n-2 and n-1), the
+    number of class-ell target monomials (degree 2(n-1)), and the row table:
+    rows[i, j] is the target row of t^i u^j v^(2n-2-i-j), or -1 outside the
+    class."""
+    mon_a = eigenspace_basis(n, n - 2, ell).monomials
+    mon_b = eigenspace_basis(n, n - 1, ell).monomials
+    mon_rows = eigenspace_basis(n, 2 * (n - 1), ell).monomials
+    rows = np.full((2 * n - 1, 2 * n - 1), -1, dtype=np.intp)
+    for r, e in enumerate(mon_rows):
+        rows[e[0], e[1]] = r
+    rows.flags.writeable = False
+    return mon_a, mon_b, len(mon_rows), rows
+
+
+class _DivisionMemo:
+    """The division matrices of one (f, g11) pair, built once per class.
+
+    Column e of the class-ell matrix holds the coefficients of the monomial
+    multiple e*f (or e*g11).  Every monomial multiple of g has the
+    coefficients of the product 1*g, shifted, and keeps the same terms under
+    the DROP_TOL cut of the product, so those two products are all the
+    polynomial arithmetic the matrices need; the rest is index arithmetic.
+    """
+
+    def __init__(self, f: TrivariatePoly, g11: TrivariatePoly, n: int):
+        if f.degree != n or g11.degree != n - 1:
+            raise ValueError("division needs deg f = n and deg g11 = n - 1")
+        self.f, self.g11, self.n = f, g11, n
+        one = TrivariatePoly.monomial((0, 0, 0))
+        self.parts = [(one * g).terms for g in (f, g11)]
+        self.systems = {}
+
+    def system(self, ell: int):
+        """The class-ell matrix A, its column norms, and A scaled by them."""
+        if ell not in self.systems:
+            mon_a, mon_b, nrows, rows = _division_layout(self.n, ell)
+            A = np.zeros((nrows, len(mon_a) + len(mon_b)), dtype=complex)
+            start = 0
+            for mons, terms in zip((mon_a, mon_b), self.parts):
+                mon = np.array(mons, dtype=np.intp).reshape(-1, 3)
+                exp = np.array(list(terms), dtype=np.intp).reshape(-1, 3)
+                where = rows[mon[:, None, 0] + exp[None, :, 0],
+                             mon[:, None, 1] + exp[None, :, 1]]
+                if np.any(where < 0):
+                    raise ValueError(f"cofactor products leave class {ell}")
+                A[where, start + np.arange(len(mons))[:, None]] = list(terms.values())
+                start += len(mons)
+            # column equilibration: the system is consistent in exact
+            # arithmetic, so rescaling only improves the conditioning of the solve
+            col = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
+            self.systems[ell] = (A, col, A / col)
+        return self.systems[ell]
 
 
 def _poly_from_vec(vec, monomials, degree) -> TrivariatePoly:
@@ -133,40 +191,34 @@ def _poly_from_vec(vec, monomials, degree) -> TrivariatePoly:
 
 
 def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
-                     ell: int, n: int,
-                     config: Config = DEFAULT_CONFIG) -> tuple[TrivariatePoly, TrivariatePoly]:
+                     ell: int, n: int, config: Config = DEFAULT_CONFIG, *,
+                     memo: _DivisionMemo | None = None,
+                     ) -> tuple[TrivariatePoly, TrivariatePoly]:
     """Write h = a*f + b*g11 with both cofactors confined to class ell.
 
     Group-averaging the classical cofactors lands them in the same
     eigenspace as h, so the unknowns can be restricted structurally to the
-    class-ell monomials and solved as one least-squares system.
+    class-ell monomials and solved as one least-squares system.  A caller
+    dividing many targets by the same f and g11 passes one
+    _DivisionMemo(f, g11, n) as `memo`, so each class's matrix is built once.
     """
-    deg_h = 2 * (n - 1)
-    if h.degree != deg_h:
+    if h.degree != 2 * (n - 1):
         raise ValueError("division target must have degree 2(n-1)")
-    mon_a = _class_basis_upto(n, n - 2, ell)
-    mon_b = _class_basis_upto(n, n - 1, ell)
-    mon_rows = _class_basis_upto(n, deg_h, ell)
-    row_index = {e: i for i, e in enumerate(mon_rows)}
-    cols = []
-    for e in mon_a:
-        prod = TrivariatePoly.monomial(e) * f
-        cols.append(prod)
-    for e in mon_b:
-        cols.append(TrivariatePoly.monomial(e) * g11)
-    A = np.zeros((len(mon_rows), len(cols)), dtype=complex)
-    for jcol, prod in enumerate(cols):
-        for e, c in prod.terms.items():
-            A[row_index[e], jcol] = c
-    rhs = np.zeros(len(mon_rows), dtype=complex)
-    for e, c in h.terms.items():
-        if e not in row_index:
-            raise ValueError(f"target monomial {e} outside class {ell}")
-        rhs[row_index[e]] = c
-    # column equilibration: the system is consistent in exact arithmetic,
-    # so rescaling only improves the conditioning of the solve
-    col = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
-    sol, *_ = np.linalg.lstsq(A / col, rhs, rcond=None)
+    if memo is None:
+        memo = _DivisionMemo(f, g11, n)
+    elif memo.f is not f or memo.g11 is not g11 or memo.n != n:
+        raise ValueError("division memo belongs to another (f, g11, n)")
+    A, col, scaled = memo.system(ell)
+    mon_a, mon_b, nrows, rows = _division_layout(n, ell)
+    targets = list(h.terms)
+    exp = np.array(targets, dtype=np.intp).reshape(-1, 3)
+    where = rows[exp[:, 0], exp[:, 1]]
+    if np.any(where < 0):
+        e = targets[int(np.argmax(where < 0))]
+        raise ValueError(f"target monomial {e} outside class {ell}")
+    rhs = np.zeros(nrows, dtype=complex)
+    rhs[where] = list(h.terms.values())
+    sol, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
     sol = sol / col
     resid = np.linalg.norm(A @ sol - rhs)
     hnorm = max(np.linalg.norm(rhs), 1e-300)
@@ -196,11 +248,12 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet,
         combo = (combos or {}).get(j)
         g[0][j] = vanishing_form(iset, ell, config, combo)
         g[j][0] = conj_involution(g[0][j])
+    memo = _DivisionMemo(f, g[0][0], n)
     for i in range(1, n):
         for j in range(i, n):
             ell = (i - j) % n
             h = g[i][0] * g[0][j]
-            _, b = noether_division(f, g[0][0], h, ell, n, config)
+            _, b = noether_division(f, g[0][0], h, ell, n, config, memo=memo)
             if i == j:
                 b = 0.5 * (b + conj_involution(b))
             g[i][j] = b
@@ -260,35 +313,28 @@ def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
     """
     rng = rng if rng is not None else np.random.default_rng(config.seed)
     n = G.n
-    f = form.expand()
     n_fit, n_hold = max(8, n + 4), 3
-    pts = _sample_points(form, n_fit + n_hold, rng, config)
-    fit_pts, hold_pts = pts[:n_fit], pts[n_fit:]
+    pts = [(t, complex(x, y), complex(x, -y))
+           for t, x, y in _sample_points(form, n_fit + n_hold, rng, config)]
+    entries = [G.entry(i, j) for i in range(n) for j in range(n)]
+    vals = _evaluate_many(entries + [form.expand()], pts)
+    Gvals = vals[:-1].T.reshape(len(pts), n, n)
 
-    def quotient(t, x, y):
-        u = complex(x, y)
-        Gval = np.array([[G.entry(i, j).evaluate(t, u, u.conjugate())
-                          for j in range(n)] for i in range(n)])
-        return _adjugate(Gval) / f.evaluate(t, u, u.conjugate()) ** (n - 2)
+    def quotient(k):
+        return _adjugate(Gvals[k]) / complex(vals[-1, k]) ** (n - 2)
 
-    rows, rhs = [], []
-    for t, x, y in fit_pts:
-        u = complex(x, y)
-        rows.append((t, u, u.conjugate()))
-        rhs.append(quotient(t, x, y))
-    Amat = np.asarray(rows)                      # (npts, 3)
-    B = np.asarray(rhs).reshape(len(rows), -1)   # (npts, n*n)
+    Amat = np.asarray(pts[:n_fit])                                # (npts, 3)
+    B = np.asarray([quotient(k) for k in range(n_fit)]).reshape(n_fit, -1)
     sol, *_ = np.linalg.lstsq(Amat, B, rcond=None)
     Mt = sol[0].reshape(n, n)
     Mu = sol[1].reshape(n, n)
     Mv = sol[2].reshape(n, n)
 
     mscale = max(np.max(np.abs(sol)), 1e-300)
-    for t, x, y in hold_pts:
-        u = complex(x, y)
-        pred = t * Mt + u * Mu + u.conjugate() * Mv
-        got = quotient(t, x, y)
-        if np.max(np.abs(pred - got)) > config.tol_pencil * mscale * 100:
+    for k in range(n_fit, n_fit + n_hold):
+        t, u, v = pts[k]
+        pred = t * Mt + u * Mu + v * Mv
+        if np.max(np.abs(pred - quotient(k))) > config.tol_pencil * mscale * 100:
             raise AdjugateMismatch("holdout residual above tolerance")
 
     # Hermitian pairing and the cyclic sparsity pattern
@@ -356,7 +402,8 @@ def extract_shift(P: HermitianPencil, config: Config = DEFAULT_CONFIG) -> ShiftM
 
 
 def _represent_smooth(form: InvariantForm, config: Config,
-                      rng: np.random.Generator) -> ShiftMatrix:
+                      rng: np.random.Generator) -> tuple[ShiftMatrix, float]:
+    """The direct construction, with its verified coefficient error."""
     iset = compute_intersections(form, config)
     last_error: HyprepError | None = None
     for attempt in range(config.max_retries):
@@ -378,7 +425,7 @@ def _represent_smooth(form: InvariantForm, config: Config,
             continue
         report = verify(form, W, config)
         if report.max_abs_err <= config.tol_final * max(1.0, form.coefficient_scale()):
-            return W
+            return W, report.max_abs_err
         last_error = AdjugateMismatch(
             f"verification error {report.max_abs_err:.2e} after extraction")
     raise last_error if last_error else ConvergenceFailed("smooth pipeline failed")
@@ -412,8 +459,7 @@ def _rebuild_with_product_phase(W: ShiftMatrix, moduli: np.ndarray,
     return ShiftMatrix([mj * cmath.exp(1j * p) for mj, p in zip(moduli, phases)])
 
 
-def _polish_weights(form: InvariantForm, W: ShiftMatrix,
-                    config: Config) -> ShiftMatrix:
+def _polish_weights(form: InvariantForm, W: ShiftMatrix) -> ShiftMatrix:
     """Gauss-Newton refinement of the weights against the target coefficients.
 
     The forward invariants depend only on the |a_j| and the weight product.
@@ -438,7 +484,7 @@ def _polish_weights(form: InvariantForm, W: ShiftMatrix,
 
     def true_error(m):
         cand = _rebuild_with_product_phase(W, np.sqrt(np.maximum(m, 0.0)), phi_star)
-        return verify(form, cand, config).max_abs_err, cand
+        return max(_coefficient_deltas(form, forward_matching(cand)).values()), cand
 
     x = np.array([abs(w) ** 2 for w in W.weights])
     best_err, best = true_error(x)
@@ -512,7 +558,7 @@ def _represent_limit(form: InvariantForm, config: Config,
         if smooth_form is None:
             continue
         try:
-            W = _represent_smooth(smooth_form, config, rng)
+            W, _ = _represent_smooth(smooth_form, config, rng)
         except HyprepError:
             continue
         data = _gauge_data(W)
@@ -523,7 +569,7 @@ def _represent_limit(form: InvariantForm, config: Config,
         prev = data
     if W is None:
         raise ConvergenceFailed("no perturbation step produced a representation")
-    W = _polish_weights(form, W, config)
+    W = _polish_weights(form, W)
     report = verify(form, W, config)
     tol = config.tol_final * max(1.0, form.coefficient_scale())
     if report.max_abs_err > tol:
@@ -547,10 +593,9 @@ def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatr
     scale = max(1.0, form.coefficient_scale())
     if cls.s > config.drop_tol * scale:
         try:
-            W = _represent_smooth(form, config, rng)
-            report = verify(form, W, config)
-            if report.max_abs_err > 1e-8 * scale:
-                W = _polish_weights(form, W, config)
+            W, err = _represent_smooth(form, config, rng)
+            if err > 1e-8 * scale:
+                W = _polish_weights(form, W)
             return W
         except HyprepError:
             # real or repeated intersection points, or a numerically

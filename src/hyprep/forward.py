@@ -112,13 +112,19 @@ class VerifyReport:
                 "zero_weight": self.zero_weight}
 
 
+def _coefficient_deltas(form: InvariantForm, got: InvariantForm) -> dict:
+    """Absolute differences of the real coefficients, by name."""
+    deltas = {f"c{r}": abs(x - y) for r, (x, y) in enumerate(zip(got.c, form.c), start=1)}
+    deltas["c0"] = abs(got.c0 - form.c0)
+    deltas["ct0"] = abs(got.ct0 - form.ct0)
+    return deltas
+
+
 def verify(form: InvariantForm, W: ShiftMatrix,
            config: Config = DEFAULT_CONFIG) -> VerifyReport:
     """Coefficient-level comparison of a form against the forward image of W."""
     got = forward_matching(W)
-    deltas = {f"c{r}": abs(x - y) for r, (x, y) in enumerate(zip(got.c, form.c), start=1)}
-    deltas["c0"] = abs(got.c0 - form.c0)
-    deltas["ct0"] = abs(got.ct0 - form.ct0)
+    deltas = _coefficient_deltas(form, got)
     scale = max(1.0, got.coefficient_scale())
     return VerifyReport(
         max_abs_err=max(deltas.values()),

@@ -20,6 +20,7 @@ from .errors import (AmbiguousOrbit, LeadingZero, NonrealCircle,
                      RealSimplePoint, SolveFailed)
 from .hyperbolicity import cluster_roots
 from .invariants import InvariantForm
+from .poly import _evaluate_many
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,12 +197,10 @@ def circle_intersect(form: InvariantForm, s_j: float,
     budget = config.tol_pt * scale * 100
 
     def to_points(roots):
-        pts, worst = [], 0.0
-        for u in roots:
-            v = 1.0 / (s_j * u)
-            worst = max(worst, abs(f.evaluate(1.0, u, v)))
-            pts.append(Point(1.0 + 0j, u, v))
-        return pts, worst
+        pts = [Point(1.0 + 0j, u, 1.0 / (s_j * u)) for u in roots]
+        residuals = _evaluate_many([f], [p.coords() for p in pts])[0]
+        # a running max from zero, so a NaN residual is passed over
+        return pts, max([0.0] + [abs(r) for r in residuals.tolist()])
 
     pts, worst = to_points(_trinomial_roots(A, B, C, 2 * n, n))
     if worst > budget:
@@ -386,13 +385,11 @@ def compute_intersections(form: InvariantForm,
 
 def _check_residuals(form: InvariantForm, iset: IntersectionSet, config: Config):
     f = form.expand()
-    df = f.dt()
     tol = config.tol_pt * (1.0 + form.coefficient_scale()) * 100
-    for p, _ in iset.S + iset.Sbar:
-        for g in (f, df):
-            res = abs(g.evaluate(*p.coords()))
-            if res > tol:
-                raise SolveFailed(f"stored point residual {res:.2e} above budget")
+    values = _evaluate_many([f, f.dt()], [p.coords() for p, _ in iset.S + iset.Sbar])
+    for res in map(abs, values.T.ravel().tolist()):    # point by point, f first
+        if res > tol:
+            raise SolveFailed(f"stored point residual {res:.2e} above budget")
 
 
 def validate_distinct(iset: IntersectionSet,

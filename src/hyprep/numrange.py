@@ -66,11 +66,14 @@ def boundary_sample(W, m: int = 720) -> BoundarySample:
     )
 
 
+def samples_agree(s1: BoundarySample, s2: BoundarySample, tol: float) -> bool:
+    """Two boundary samples on the same angle grid agree within tol."""
+    return max(abs(a - b) for a, b in zip(s1.support, s2.support)) <= tol
+
+
 def range_equal(W1, W2, m: int = 720, tol: float = 1e-9) -> bool:
     """Numerical ranges agree iff the sampled support functions agree."""
-    s1 = boundary_sample(W1, m)
-    s2 = boundary_sample(W2, m)
-    return max(abs(a - b) for a, b in zip(s1.support, s2.support)) <= tol
+    return samples_agree(boundary_sample(W1, m), boundary_sample(W2, m), tol)
 
 
 def curve_sample(form: InvariantForm, m: int = 720, r_max: float | None = None,

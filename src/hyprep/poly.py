@@ -15,6 +15,8 @@ of variables between (t, x, y) and (t, u, v) = (t, x+iy, x-iy).
 import cmath
 import math
 
+import numpy as np
+
 DROP_TOL = 1e-12
 
 
@@ -158,6 +160,59 @@ def _powers(z: complex, upto: int) -> list[complex]:
     out = [1.0 + 0.0j]
     for _ in range(upto):
         out.append(out[-1] * z)
+    return out
+
+
+def _cmul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) on split float arrays, rounded as Python rounds
+    a complex product; numpy's complex multiply may fuse a multiply-add."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _evaluate_many(polys, points) -> np.ndarray:
+    """Values of the polynomials at the (t, u, v) points, one row per
+    polynomial, equal bit for bit to TrivariatePoly.evaluate.
+
+    The arithmetic is the same: the power recursion of _powers, each term
+    ((c * t^i) * u^j) * v^k in dict order, and the terms added left to
+    right from zero.  Polynomials with fewer terms skip the missing ones
+    rather than add zeros, which keeps the sign of a zero sum.  This relies
+    on `sum` adding complex numbers left to right and on `complex * float`
+    promoting the float to a complex number, as CPython 3.11 does.
+    """
+    # terms in dict order, one row per polynomial, padded to the longest
+    counts = np.array([len(p.terms) for p in polys], dtype=np.intp)
+    owner = np.repeat(np.arange(len(polys)), counts)
+    slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    coef = np.zeros((len(polys), int(counts.max(initial=0))), dtype=complex)
+    expo = np.zeros(coef.shape + (3,), dtype=np.intp)
+    coef[owner, slot] = [c for p in polys for c in p.terms.values()]
+    expo[owner, slot] = np.array([e for p in polys for e in p.terms],
+                                 dtype=np.intp).reshape(-1, 3)
+    z = np.array(points, dtype=complex).reshape(-1, 3).T     # (3, points)
+    degree = max((p.degree for p in polys), default=0)
+    pr = np.empty((degree + 1,) + z.shape)                  # powers of t, u, v
+    pi = np.empty_like(pr)
+    pr[0], pi[0] = 1.0, 0.0
+    # Python's complex arithmetic overflows to inf and nan without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(degree):
+            pr[k + 1], pi[k + 1] = _cmul(pr[k], pi[k], z.real, z.imag)
+        tr, ti = coef.real[:, :, None], coef.imag[:, :, None]
+        for var in range(3):
+            tr, ti = _cmul(tr, ti, pr[expo[:, :, var], var], pi[expo[:, :, var], var])
+        sr = np.zeros((len(polys), z.shape[1]))
+        si = np.zeros_like(sr)
+        for k in range(coef.shape[1]):
+            has = counts > k
+            if has.all():
+                sr += tr[:, k]
+                si += ti[:, k]
+            else:
+                sr[has] += tr[has, k]
+                si[has] += ti[has, k]
+    out = np.empty(sr.shape, dtype=complex)
+    out.real, out.imag = sr, si
     return out
 
 

@@ -114,6 +114,28 @@ def test_numrange_csv_and_equality(capsys, tmp_path, shift_file):
     assert csv_path.read_text().splitlines()[0] == "theta,h,x,y"
 
 
+def test_numrange_against_samples_each_matrix_once(capsys, monkeypatch, tmp_path,
+                                                   shift_file):
+    import hyprep.cli
+    import hyprep.numrange
+    original = hyprep.numrange.boundary_sample
+    sampled = []
+
+    def counting(W, m=720):
+        sampled.append(W.weights)
+        return original(W, m)
+
+    for module in (hyprep.cli, hyprep.numrange):
+        monkeypatch.setattr(module, "boundary_sample", counting)
+    other = write_json(tmp_path / "other.json",
+                       {"n": 4, "weights": [[6, 0], [6, 0], [4, 0], [4, 0]]})
+    code, out = run_cli(capsys, "numrange", "--input", shift_file,
+                        "--angles", "90", "--against", other)
+    assert code == 0
+    assert json.loads(out)["range_equal"] is True
+    assert sampled == [(4, 4, 6, 6), (6, 6, 4, 4)]
+
+
 def test_curve(capsys, tmp_path, quartic_file):
     csv_path = tmp_path / "curve.csv"
     svg_path = tmp_path / "curve.svg"

@@ -1,15 +1,19 @@
 """The construction pipeline: vanishing forms, curve division, pencil, weights."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
 from hyprep import (Config, InvariantForm, ShiftMatrix, compute_intersections,
                     extract_shift, noether_division, normalize_pencil,
                     represent, vanishing_form, verify)
-from hyprep.construct import assemble_form_matrix, pencil_from_adjugate
+from hyprep.construct import _DivisionMemo, assemble_form_matrix, pencil_from_adjugate
 from hyprep.errors import PatternViolation
 from hyprep.forward import forward_matching, realize_real
-from hyprep.poly import TrivariatePoly, conj_involution
+from hyprep.invariants import eigenspace_basis
+from hyprep.poly import DROP_TOL, TrivariatePoly, conj_involution
 from tests.conftest import random_shift
 
 PUBLISHED_G12_QUARTIC = TrivariatePoly(3, {(2, 0, 1): -4.0, (0, 3, 0): -36.0, (0, 1, 2): 36.0})
@@ -88,6 +92,41 @@ def test_noether_division_trivial_multiple(quintic_form):
     a_hat, b_hat = noether_division(f, g11, h, 0, 5)
     assert a_hat.distance(q) < 1e-9
     assert b_hat.max_abs_coeff() < 1e-9
+
+
+def division_matrix_from_products(f, g11, ell, n):
+    """The class-ell division matrix built column by column from the
+    products monomial * f and monomial * g11."""
+    mon_rows = eigenspace_basis(n, 2 * (n - 1), ell).monomials
+    cols = [TrivariatePoly.monomial(e) * f for e in eigenspace_basis(n, n - 2, ell).monomials]
+    cols += [TrivariatePoly.monomial(e) * g11 for e in eigenspace_basis(n, n - 1, ell).monomials]
+    A = np.zeros((len(mon_rows), len(cols)), dtype=complex)
+    for jcol, prod in enumerate(cols):
+        for e, c in prod.terms.items():
+            A[mon_rows.index(e), jcol] = c
+    return A
+
+
+def test_division_matrix_equals_the_product_built_one(quintic_form):
+    rng = np.random.default_rng(41)
+    tiny = InvariantForm(6, [-3.0, 1e-13, 2.0], 5.0, 1.0)      # c2 falls below the cut
+    forms = [quintic_form, tiny] + [forward_matching(random_shift(rng, n)) for n in (4, 7, 8)]
+    for form in forms:
+        n = form.n
+        f = form.expand()
+        memo = _DivisionMemo(f, f.dt(), n)
+        for ell in range(n):
+            want = division_matrix_from_products(f, f.dt(), ell, n)
+            got = memo.system(ell)[0]
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(float), want.view(float))
+    # the coefficient of t^2 (uv)^2 in f and of t (uv)^2 in df/dt is cut
+    f = tiny.expand()
+    assert abs(f.coeff((2, 2, 2))) < DROP_TOL * f.max_abs_coeff()
+    A = _DivisionMemo(f, f.dt(), 6).system(0)[0]
+    assert np.count_nonzero(A[:, 0]) == len(f.terms) - 1
+    with pytest.raises(ValueError):       # a memo of another form
+        noether_division(f, f.dt(), f * f.dt().dt(), 0, 6, memo=memo)
 
 
 def test_form_matrix_invariants(quartic_form):
@@ -234,3 +273,21 @@ def test_represent_is_deterministic(quintic_form):
     W1 = represent(quintic_form, Config(seed=123))
     W2 = represent(quintic_form, Config(seed=123))
     assert W1.weights == W2.weights
+
+
+GOLDEN_WEIGHTS = pathlib.Path(__file__).with_name("represent_golden.json")
+
+
+@pytest.mark.parametrize("case", json.loads(GOLDEN_WEIGHTS.read_text()),
+                         ids=lambda case: f"{case['kind']}-n{case['n']}-seed{case['seed']}")
+def test_represent_golden_weights(case):
+    # weights pinned as repr strings, so that any change to the arithmetic
+    # of the construction shows; the input is the forward image of a seeded
+    # shift, or (zero_weight) of one with its second weight set to zero,
+    # which takes the perturbation route and the polish
+    rng = np.random.default_rng(case["seed"])
+    W = random_shift(rng, case["n"])
+    if case["kind"] == "zero_weight":
+        W = ShiftMatrix(W.weights[:1] + (0j,) + W.weights[2:])
+    W = represent(forward_matching(W))
+    assert [repr(w) for w in W.weights] == case["weights"]

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from hyprep.poly import (TrivariatePoly, conj_involution, monomials_of_degree,
-                         rotate, uv_to_xy, xy_to_uv)
+from hyprep.poly import (TrivariatePoly, _evaluate_many, conj_involution,
+                         monomials_of_degree, rotate, uv_to_xy, xy_to_uv)
 
 
 def test_homogeneity_enforced():
@@ -105,3 +105,33 @@ def test_json_roundtrip():
     p = TrivariatePoly(2, {(0, 1, 1): 1.5 - 2.0j, (2, 0, 0): 1.0})
     q = TrivariatePoly.from_json(p.to_json())
     assert q.distance(p) == 0.0 and q.degree == 2
+
+
+def test_evaluate_many_is_bit_identical_to_evaluate():
+    # random sparse polynomials of mixed degrees and term counts, each built
+    # from its terms in shuffled order, at real and complex t and |u| up to
+    # 1e3; repr equality also pins the sign of every zero
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        polys = [TrivariatePoly.zero(int(rng.integers(0, 23)))]
+        for _ in range(int(rng.integers(1, 7))):
+            deg = int(rng.integers(0, 23))
+            mons = monomials_of_degree(deg)
+            take = rng.permutation(len(mons))[: int(rng.integers(0, 16))]
+            scales = 10.0 ** rng.integers(-3, 4, size=len(take))
+            polys.append(TrivariatePoly(deg, {
+                mons[k]: complex(*rng.normal(size=2)) * s for k, s in zip(take, scales)}))
+        points = []
+        for _ in range(int(rng.integers(1, 9))):
+            t = float(rng.uniform(-2, 2))
+            if rng.random() < 0.5:
+                t = complex(t, rng.uniform(-2, 2))
+            u = complex(*rng.uniform(-1, 1, size=2)) * 10.0 ** rng.uniform(-3, 3)
+            v = u.conjugate() if rng.random() < 0.5 else complex(*rng.normal(size=2))
+            points.append((t, u, v))
+        got = _evaluate_many(polys, points)
+        assert got.shape == (len(polys), len(points))
+        for p, row in zip(polys, got):
+            for pt, value in zip(points, row.tolist()):
+                want = complex(p.evaluate(*pt))
+                assert value == want and repr(value) == repr(want)
