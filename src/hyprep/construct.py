@@ -321,7 +321,15 @@ def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
     Gvals = vals[:-1].T.reshape(len(pts), n, n)
 
     def quotient(k):
-        return _adjugate(Gvals[k]) / complex(vals[-1, k]) ** (n - 2)
+        # an overflowing or non-finite quotient is a failed fit, not a crash
+        try:
+            with np.errstate(all="ignore"):
+                q = _adjugate(Gvals[k]) / complex(vals[-1, k]) ** (n - 2)
+        except OverflowError:
+            raise AdjugateMismatch("adjugate quotient overflows") from None
+        if not np.all(np.isfinite(q)):
+            raise AdjugateMismatch("adjugate quotient is not finite")
+        return q
 
     Amat = np.asarray(pts[:n_fit])                                # (npts, 3)
     B = np.asarray([quotient(k) for k in range(n_fit)]).reshape(n_fit, -1)

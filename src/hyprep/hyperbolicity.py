@@ -5,11 +5,13 @@ of univariate checks: with p(t) = t^n + sum_r c_r t^(n-2r) and
 s = sqrt(c0^2 + ct0^2), the form is hyperbolic iff p + s and p - s have
 all real roots.  Repeated roots of either polynomial (or s = 0) flag the
 singular pipeline route; the perturbation below produces a nearby strictly
-smooth form from a singular one.
+smooth form from a singular one.  Multiplicities come from single-linkage
+clustering: two roots a, b merge when |a - b| <= cluster_radius (1 + max(|a|, |b|)).
 """
 
 import dataclasses
 import enum
+import functools
 import math
 
 import numpy as np
@@ -21,10 +23,9 @@ from .invariants import InvariantForm
 
 @dataclasses.dataclass(frozen=True)
 class RootProfile:
-    """Real roots with multiplicities, plus what was left over."""
+    """Real roots with multiplicities, and the count of non-real ones."""
 
     roots: tuple            # ((value, multiplicity), ...) sorted ascending
-    residual: float         # max |p(root)| over reported roots
     n_complex: int          # count of root clusters judged non-real
 
     @property
@@ -50,9 +51,28 @@ class Classification:
     witnesses: dict  # {"plus": bool, "minus": bool} repeated-root flags
 
 
-def _cluster(points: np.ndarray, radius_fn) -> list[list[int]]:
-    """Single-linkage clustering of complex points, O(m^2) union-find."""
-    m = len(points)
+@functools.lru_cache(maxsize=None)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-triangle index pairs (a, b), a < b, in row-major order."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.setflags(write=False)     # shared by every caller
+    return pairs
+
+
+def cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
+    """Cluster raw solver output into (centroid, multiplicity) pairs.
+
+    Single linkage: a and b are close when |a - b| <= radius (1 + max(|a|, |b|)).
+    Moduli come from np.hypot, which equals Python's abs bit for bit (numpy's
+    array abs of a complex array does not).
+    """
+    m = len(roots)
+    z = np.asarray(roots, dtype=complex)
+    ia, ib = _pairs(m)
+    mod = np.hypot(z.real, z.imag)
+    d = z[ia] - z[ib]
+    close = np.hypot(d.real, d.imag) <= radius * (1.0 + np.maximum(mod[ia], mod[ib]))
     parent = list(range(m))
 
     def find(a):
@@ -61,26 +81,16 @@ def _cluster(points: np.ndarray, radius_fn) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for a in range(m):
-        for b in range(a + 1, m):
-            if abs(points[a] - points[b]) <= radius_fn(points[a], points[b]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
+    # union-find over the close pairs only, in the order the pairs were tested
+    for a, b in zip(ia[close].tolist(), ib[close].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
     groups: dict = {}
     for a in range(m):
         groups.setdefault(find(a), []).append(a)
-    return list(groups.values())
-
-
-def cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
-    """Cluster raw solver output into (centroid, multiplicity) pairs."""
-    if len(roots) == 0:
-        return []
-    groups = _cluster(np.asarray(roots, dtype=complex),
-                      lambda a, b: radius * (1.0 + max(abs(a), abs(b))))
     out = []
-    for g in groups:
+    for g in groups.values():
         pts = [roots[i] for i in g]
         out.append((sum(pts) / len(pts), len(pts)))
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
@@ -94,9 +104,9 @@ def real_roots(coeffs, config: Config = DEFAULT_CONFIG) -> RootProfile:
     its centroid satisfies |Im| <= tol_root * (1 + |root|).
     """
     arr = np.asarray(list(coeffs), dtype=complex)
-    if len(arr) == 0 or not np.all(np.isfinite(arr)):
+    if len(arr) == 0 or not np.isfinite(arr).all():
         raise DegenerateInput("empty or non-finite coefficient list")
-    biggest = np.max(np.abs(arr))
+    biggest = np.abs(arr).max()
     if biggest == 0.0:
         raise DegenerateInput("all coefficients vanish")
     # strip negligible leading coefficients so the companion matrix is sane
@@ -106,8 +116,15 @@ def real_roots(coeffs, config: Config = DEFAULT_CONFIG) -> RootProfile:
     arr = arr[start:]
     if len(arr) <= 1:
         raise DegenerateInput("polynomial is constant after stripping")
-    raw = np.roots(arr)
-    if np.any(~np.isfinite(raw)):
+    # np.roots' recipe: exact zero roots for the trailing zero coefficients,
+    # the eigenvalues of the companion matrix of the rest
+    k = int(np.flatnonzero(arr)[-1])
+    trailing = len(arr) - 1 - k
+    companion = np.zeros((k, k), dtype=complex)
+    companion.flat[k::k + 1] = 1.0
+    companion[:1, :] = -arr[1:k + 1] / arr[0]    # k = 0: all roots are zero
+    raw = np.concatenate((np.linalg.eigvals(companion), np.zeros(trailing, dtype=complex)))
+    if not np.isfinite(raw).all():
         raise DegenerateInput("root solve returned non-finite values")
 
     clusters = cluster_roots(raw, config.cluster_radius)
@@ -117,10 +134,7 @@ def real_roots(coeffs, config: Config = DEFAULT_CONFIG) -> RootProfile:
             reals.append((z.real, m))
         else:
             n_complex += 1
-    residual = 0.0
-    for r, _ in reals:
-        residual = max(residual, abs(np.polyval(arr, r)))
-    return RootProfile(tuple(reals), residual, n_complex)
+    return RootProfile(tuple(reals), n_complex)
 
 
 def _p_plus_const(form: InvariantForm, const: float) -> list:
@@ -164,14 +178,17 @@ def classify(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> Classifica
     intersection point discovered downstream) is handled by the
     representation pipeline, not here.
     """
-    if not is_hyperbolic(form, config):
-        raise NotHyperbolic("form is not hyperbolic")
     s = form.s
-    scale = form.coefficient_scale()
-    witnesses = {}
+    endpoints = []
     for name, sign in (("plus", +1.0), ("minus", -1.0)):
         coeffs = _p_plus_const(form, sign * s)
         profile = real_roots(coeffs, config)
+        if not profile.all_real:
+            raise NotHyperbolic("form is not hyperbolic")
+        endpoints.append((name, coeffs, profile))
+    scale = form.coefficient_scale()
+    witnesses = {}
+    for name, coeffs, profile in endpoints:
         repeated = profile.max_multiplicity() > 1
         repeated = repeated or _discriminant_small(coeffs, 1e-10)
         witnesses[name] = bool(repeated)

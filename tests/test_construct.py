@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hyprep import (Config, InvariantForm, ShiftMatrix, compute_intersections,
                     extract_shift, noether_division, normalize_pencil,
                     represent, vanishing_form, verify)
 from hyprep.construct import _DivisionMemo, assemble_form_matrix, pencil_from_adjugate
-from hyprep.errors import PatternViolation
+from hyprep.errors import HyprepError, PatternViolation
 from hyprep.forward import forward_matching, realize_real
 from hyprep.invariants import eigenspace_basis
 from hyprep.poly import DROP_TOL, TrivariatePoly, conj_involution
@@ -251,6 +252,20 @@ def test_represent_roundtrip_random():
             form = forward_matching(random_shift(rng, n))
             W = represent(form)
             assert verify(form, W).max_abs_err < 1e-6
+
+
+@pytest.mark.parametrize("k", range(10))
+def test_represent_degree_16_fails_typed_and_quietly(k):
+    # at n = 16 the adjugate quotient overflows or turns non-finite; that
+    # must end in a HyprepError, with no numpy RuntimeWarning on the way
+    form = forward_matching(random_shift(np.random.default_rng(1760 + k), 16))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            represent(form)
+        except HyprepError:
+            pass
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_represent_zero_weight_cubic():

@@ -1,6 +1,9 @@
 """Numerical range sampling and real curve sampling."""
 
+import hashlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -142,3 +145,20 @@ def test_csv_and_svg_writers(tmp_path, quartic_shift, quartic_form):
     write_svg([list(s.points), pts], str(svg_path))
     body = svg_path.read_text()
     assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
+
+
+GOLDEN_CURVES = pathlib.Path(__file__).with_name("curve_golden.json")
+
+
+@pytest.mark.parametrize("case", json.loads(GOLDEN_CURVES.read_text()),
+                         ids=lambda case: f"{case['kind']}-n{case['n']}")
+def test_curve_sample_golden(case, quartic_form, quintic_form):
+    # sha256 of repr(curve_sample(form, 720)), so that any change to the
+    # arithmetic of the root solver shows; the input is the forward image of
+    # a seeded shift, or one of the two worked examples
+    if case["kind"] == "forward":
+        form = forward_matching(random_shift(np.random.default_rng(case["seed"]), case["n"]))
+    else:
+        form = {"quartic": quartic_form, "quintic": quintic_form}[case["kind"]]
+    digest = hashlib.sha256(repr(curve_sample(form, 720)).encode()).hexdigest()
+    assert digest == case["sha256"]
