@@ -7,7 +7,7 @@ from .construct import (FormMatrix, HermitianPencil, assemble_form_matrix,
 from .forward import (VerifyReport, forward_interpolate, forward_matching,
                       realize_real, verify)
 from .hyperbolicity import (Classification, Kind, RootProfile, classify,
-                            interlace_check, is_hyperbolic, perturb, real_roots)
+                            interlace_check, is_hyperbolic, real_roots)
 from .intersection import (CircleFactorization, IntersectionSet, Point,
                            circle_factors, circle_intersect,
                            compute_intersections, infinity_points,
@@ -27,7 +27,7 @@ __all__ = [
     "InvariantForm", "MonomialBasis", "eigenspace_basis",
     "eigenspace_dim_formula", "invariant_dim",
     "RootProfile", "Classification", "Kind", "real_roots", "is_hyperbolic",
-    "classify", "interlace_check", "perturb",
+    "classify", "interlace_check",
     "ShiftMatrix",
     "CircleFactorization", "IntersectionSet", "Point", "circle_factors",
     "circle_intersect", "infinity_points", "split_conjugate",

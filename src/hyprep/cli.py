@@ -13,9 +13,9 @@ import sys
 
 from .config import Config
 from .construct import represent
-from .errors import HyprepError, NotDihedral
+from .errors import HyprepError, NotDihedral, NotHyperbolic
 from .forward import forward_interpolate, forward_matching, realize_real, verify
-from .hyperbolicity import classify, is_hyperbolic
+from .hyperbolicity import classify
 from .intersection import compute_intersections
 from .invariants import InvariantForm, eigenspace_dim_formula, invariant_dim
 from .numrange import (boundary_sample, curve_sample, samples_agree,
@@ -77,10 +77,7 @@ def _config_from_args(args) -> Config:
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON file with Config overrides")
     p.add_argument("--seed", type=int)
-    for name in ("tol-root", "tol-pt", "tol-noether", "tol-pencil",
-                 "tol-pattern", "tol-final"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float)
-    p.add_argument("--max-retries", dest="max_retries", type=int)
+    p.add_argument("--tol-final", dest="tol_final", type=float)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,7 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _run(args, cfg: Config) -> int:
+def _run(args) -> int:
+    cfg = _config_from_args(args)
     cmd = args.command
     if cmd == "dims":
         _emit({"invariant_dim": invariant_dim(args.n),
@@ -145,19 +143,19 @@ def _run(args, cfg: Config) -> int:
 
     if cmd == "check":
         form = _load_form(args.input)
-        hyp = is_hyperbolic(form, cfg)
-        out = {"hyperbolic": hyp}
-        if hyp:
-            cls = classify(form, cfg)
-            out.update({"kind": cls.kind.value, "s": cls.s,
-                        "witnesses": cls.witnesses})
-        _emit(out)
-        return EXIT_OK if hyp else EXIT_VERIFY
+        try:
+            cls = classify(form)
+        except NotHyperbolic:
+            _emit({"hyperbolic": False})
+            return EXIT_VERIFY
+        _emit({"hyperbolic": True, "kind": cls.kind.value, "s": cls.s,
+               "witnesses": cls.witnesses})
+        return EXIT_OK
 
     if cmd == "represent":
         form = _load_form(args.input)
         W = represent(form, cfg)
-        report = verify(form, W, cfg)
+        report = verify(form, W)
         if args.output:
             with open(args.output, "w", newline="\n") as fh:
                 fh.write(_format_json(W.to_json()) + "\n")
@@ -174,7 +172,7 @@ def _run(args, cfg: Config) -> int:
     if cmd == "verify":
         form = _load_form(args.form)
         W = _load_shift(args.shift)
-        report = verify(form, W, cfg)
+        report = verify(form, W)
         _emit(report.to_json())
         ok = report.max_abs_err <= cfg.tol_final * max(1.0, form.coefficient_scale())
         return EXIT_OK if ok else EXIT_VERIFY
@@ -187,7 +185,7 @@ def _run(args, cfg: Config) -> int:
 
     if cmd == "points":
         form = _load_form(args.input)
-        iset = compute_intersections(form, cfg)
+        iset = compute_intersections(form)
         _emit(iset.to_json())
         return EXIT_OK
 
@@ -211,7 +209,7 @@ def _run(args, cfg: Config) -> int:
 
     if cmd == "curve":
         form = _load_form(args.input)
-        pts = curve_sample(form, args.angles, config=cfg)
+        pts = curve_sample(form, args.angles)
         if args.csv:
             write_curve_csv(pts, args.csv)
         if args.svg:
@@ -225,12 +223,7 @@ def _run(args, cfg: Config) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return _run(args, cfg)
+        return _run(args)
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

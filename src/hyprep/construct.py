@@ -25,12 +25,13 @@ import math
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import (CONV_TOL, DEFAULT_CONFIG, DROP_TOL, EPS0, EPS_MAX_STEPS,
+                     EPS_RATIO, MAX_RETRIES, TOL_NOETHER, TOL_PATTERN,
+                     TOL_PENCIL, TOL_VAN, Config)
 from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                      IndefiniteDiagonal, NoetherResidual, NoVanishingForm,
                      PatternViolation, PerturbationFailed)
-from .forward import (_coefficient_deltas, _matching_sums, forward_matching,
-                      verify)
+from .forward import _matching_sums, coefficient_error
 from .hyperbolicity import classify, smooth_neighbor
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
@@ -65,7 +66,7 @@ class HermitianPencil:
         return t * self.M_t + u * self.M_u + v * self.M_u.conj().T
 
 
-def _eigclass_vectors(iset: IntersectionSet, ell: int, config: Config):
+def _eigclass_vectors(iset: IntersectionSet, ell: int):
     """Evaluation matrix of the class-ell monomials on the working points,
     its numerical nullspace, and the monomial basis."""
     n = iset.n
@@ -88,7 +89,7 @@ def _eigclass_vectors(iset: IntersectionSet, ell: int, config: Config):
     E = E / norms[:, None]
     _, sing, Vh = np.linalg.svd(E)
     smax = sing[0] if len(sing) else 1.0
-    tolerance = max(config.tol_van, config.tol_van * smax)
+    tolerance = max(TOL_VAN, TOL_VAN * smax)
     null_idx = [i for i in range(Vh.shape[0])
                 if i >= len(sing) or sing[i] <= tolerance]
     if not null_idx:
@@ -98,7 +99,6 @@ def _eigclass_vectors(iset: IntersectionSet, ell: int, config: Config):
 
 
 def vanishing_form(iset: IntersectionSet, ell: int,
-                   config: Config = DEFAULT_CONFIG,
                    combo: np.ndarray | None = None) -> TrivariatePoly:
     """A nonzero class-ell form of degree n-1 vanishing on the kept points.
 
@@ -109,7 +109,7 @@ def vanishing_form(iset: IntersectionSet, ell: int,
     whole numerical nullspace.  The output is normalized to leading
     coefficient one in the global monomial order.
     """
-    basis, null = _eigclass_vectors(iset, ell, config)
+    basis, null = _eigclass_vectors(iset, ell)
     if combo is None:
         vec = null[:, -1]          # right vector of the smallest singular value
     else:
@@ -123,9 +123,8 @@ def vanishing_form(iset: IntersectionSet, ell: int,
     return p.monic()
 
 
-def nullspace_dim(iset: IntersectionSet, ell: int,
-                  config: Config = DEFAULT_CONFIG) -> int:
-    _, null = _eigclass_vectors(iset, ell, config)
+def nullspace_dim(iset: IntersectionSet, ell: int) -> int:
+    _, null = _eigclass_vectors(iset, ell)
     return null.shape[1]
 
 
@@ -191,8 +190,7 @@ def _poly_from_vec(vec, monomials, degree) -> TrivariatePoly:
 
 
 def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
-                     ell: int, n: int, config: Config = DEFAULT_CONFIG, *,
-                     memo: _DivisionMemo | None = None,
+                     ell: int, n: int, *, memo: _DivisionMemo | None = None,
                      ) -> tuple[TrivariatePoly, TrivariatePoly]:
     """Write h = a*f + b*g11 with both cofactors confined to class ell.
 
@@ -222,7 +220,7 @@ def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
     sol = sol / col
     resid = np.linalg.norm(A @ sol - rhs)
     hnorm = max(np.linalg.norm(rhs), 1e-300)
-    if resid > config.tol_noether * hnorm:
+    if resid > TOL_NOETHER * hnorm:
         raise NoetherResidual(f"division residual {resid / hnorm:.2e}")
     a_hat = _poly_from_vec(sol[: len(mon_a)], mon_a, n - 2)
     b_hat = _poly_from_vec(sol[len(mon_a):], mon_b, n - 1)
@@ -230,7 +228,6 @@ def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
 
 
 def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet,
-                         config: Config = DEFAULT_CONFIG,
                          combos: dict | None = None) -> FormMatrix:
     """Build the full Hermitian grid of degree n-1 forms.
 
@@ -246,14 +243,14 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet,
     for j in range(1, n):
         ell = (0 - j) % n
         combo = (combos or {}).get(j)
-        g[0][j] = vanishing_form(iset, ell, config, combo)
+        g[0][j] = vanishing_form(iset, ell, combo)
         g[j][0] = conj_involution(g[0][j])
     memo = _DivisionMemo(f, g[0][0], n)
     for i in range(1, n):
         for j in range(i, n):
             ell = (i - j) % n
             h = g[i][0] * g[0][j]
-            _, b = noether_division(f, g[0][0], h, ell, n, config, memo=memo)
+            _, b = noether_division(f, g[0][0], h, ell, n, memo=memo)
             if i == j:
                 b = 0.5 * (b + conj_involution(b))
             g[i][j] = b
@@ -281,8 +278,8 @@ def _adjugate(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sample_points(form: InvariantForm, count: int, rng: np.random.Generator,
-                   config: Config) -> list[tuple[float, float, float]]:
+def _sample_points(form: InvariantForm, count: int,
+                   rng: np.random.Generator) -> list[tuple[float, float, float]]:
     """Deterministic real sample points where |f| is comfortably large."""
     f = form.expand()
     scale = form.coefficient_scale()
@@ -302,7 +299,6 @@ def _sample_points(form: InvariantForm, count: int, rng: np.random.Generator,
 
 
 def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
-                         config: Config = DEFAULT_CONFIG,
                          rng: np.random.Generator | None = None) -> HermitianPencil:
     """Fit the linear pencil adj(G)/f^(n-2) from point evaluations.
 
@@ -311,11 +307,11 @@ def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
     up to roundoff; holdout points and the shift sparsity pattern are then
     checked before anything is returned.
     """
-    rng = rng if rng is not None else np.random.default_rng(config.seed)
+    rng = rng if rng is not None else np.random.default_rng(DEFAULT_CONFIG.seed)
     n = G.n
     n_fit, n_hold = max(8, n + 4), 3
     pts = [(t, complex(x, y), complex(x, -y))
-           for t, x, y in _sample_points(form, n_fit + n_hold, rng, config)]
+           for t, x, y in _sample_points(form, n_fit + n_hold, rng)]
     entries = [G.entry(i, j) for i in range(n) for j in range(n)]
     vals = _evaluate_many(entries + [form.expand()], pts)
     Gvals = vals[:-1].T.reshape(len(pts), n, n)
@@ -342,11 +338,11 @@ def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
     for k in range(n_fit, n_fit + n_hold):
         t, u, v = pts[k]
         pred = t * Mt + u * Mu + v * Mv
-        if np.max(np.abs(pred - quotient(k))) > config.tol_pencil * mscale * 100:
+        if np.max(np.abs(pred - quotient(k))) > TOL_PENCIL * mscale * 100:
             raise AdjugateMismatch("holdout residual above tolerance")
 
     # Hermitian pairing and the cyclic sparsity pattern
-    if np.max(np.abs(Mv - Mu.conj().T)) > config.tol_pattern * mscale:
+    if np.max(np.abs(Mv - Mu.conj().T)) > TOL_PATTERN * mscale:
         raise PatternViolation("u and v coefficient matrices are not adjoint")
     Mu = 0.5 * (Mu + Mv.conj().T)
     Mt = 0.5 * (Mt + Mt.conj().T)
@@ -361,7 +357,7 @@ def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
                 bad = max(abs(Mu[i, j]), abs(Mt[i, j]))
             else:
                 bad = max(abs(Mt[i, j]), abs(Mu[i, j]))
-            if bad > config.tol_pattern * mscale:
+            if bad > TOL_PATTERN * mscale:
                 raise PatternViolation(f"entry ({i + 1},{j + 1}) outside shift pattern")
     Mt_clean = np.diag(np.diag(Mt).real.astype(complex))
     Mu_clean = np.zeros_like(Mu)
@@ -371,8 +367,7 @@ def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
     return HermitianPencil(Mt_clean, Mu_clean)
 
 
-def normalize_pencil(P: HermitianPencil,
-                     config: Config = DEFAULT_CONFIG) -> HermitianPencil:
+def normalize_pencil(P: HermitianPencil) -> HermitianPencil:
     """Scale by diag(1/sqrt(c_i)) so the diagonal becomes exactly t."""
     diag = np.diag(P.M_t).real.copy()
     Mu = P.M_u
@@ -385,21 +380,21 @@ def normalize_pencil(P: HermitianPencil,
     return HermitianPencil(np.eye(P.n, dtype=complex), Mu2)
 
 
-def extract_shift(P: HermitianPencil, config: Config = DEFAULT_CONFIG) -> ShiftMatrix:
+def extract_shift(P: HermitianPencil) -> ShiftMatrix:
     """Read the weights off a normalized pencil.
 
     The v-coefficient matrix is the upper half of the shift pattern with
     entries a_j / 2; its adjoint must match the u side.
     """
     n = P.n
-    if np.max(np.abs(P.M_t - np.eye(n))) > config.tol_pattern:
+    if np.max(np.abs(P.M_t - np.eye(n))) > TOL_PATTERN:
         raise PatternViolation("pencil is not normalized")
     Mv = P.M_u.conj().T
     weights = []
     for j in range(n):
         jn = (j + 1) % n
         a = 2.0 * Mv[j, jn]
-        if abs(P.M_u[jn, j] - a.conjugate() / 2) > config.tol_pattern * (1 + abs(a)):
+        if abs(P.M_u[jn, j] - a.conjugate() / 2) > TOL_PATTERN * (1 + abs(a)):
             raise PatternViolation(f"weight {j + 1} fails the adjoint pairing")
         weights.append(a)
     return ShiftMatrix(weights)
@@ -409,33 +404,32 @@ def extract_shift(P: HermitianPencil, config: Config = DEFAULT_CONFIG) -> ShiftM
 # end-to-end pipeline
 
 
-def _represent_smooth(form: InvariantForm, config: Config,
+def _represent_smooth(form: InvariantForm, tol_final: float,
                       rng: np.random.Generator) -> tuple[ShiftMatrix, float]:
-    """The direct construction, with its verified coefficient error."""
-    iset = compute_intersections(form, config)
+    """The direct construction, with its certified coefficient error."""
+    iset = compute_intersections(form)
     last_error: HyprepError | None = None
-    for attempt in range(config.max_retries):
+    for attempt in range(MAX_RETRIES):
         combos = None
         if attempt > 0:
             combos = {}
             for j in range(1, form.n):
-                dim = nullspace_dim(iset, (0 - j) % form.n, config)
+                dim = nullspace_dim(iset, (0 - j) % form.n)
                 raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                 combos[j] = raw
         try:
-            G = assemble_form_matrix(form, iset, config, combos)
-            P = pencil_from_adjugate(G, form, config, rng)
-            P = normalize_pencil(P, config)
-            W = extract_shift(P, config)
+            G = assemble_form_matrix(form, iset, combos)
+            P = pencil_from_adjugate(G, form, rng)
+            P = normalize_pencil(P)
+            W = extract_shift(P)
         except (NoetherResidual, AdjugateMismatch, PatternViolation,
                 IndefiniteDiagonal, NoVanishingForm) as exc:
             last_error = exc
             continue
-        report = verify(form, W, config)
-        if report.max_abs_err <= config.tol_final * max(1.0, form.coefficient_scale()):
-            return W, report.max_abs_err
-        last_error = AdjugateMismatch(
-            f"verification error {report.max_abs_err:.2e} after extraction")
+        err = coefficient_error(form, W)
+        if err <= tol_final * max(1.0, form.coefficient_scale()):
+            return W, err
+        last_error = AdjugateMismatch(f"verification error {err:.2e} after extraction")
     raise last_error if last_error else ConvergenceFailed("smooth pipeline failed")
 
 
@@ -492,7 +486,7 @@ def _polish_weights(form: InvariantForm, W: ShiftMatrix) -> ShiftMatrix:
 
     def true_error(m):
         cand = _rebuild_with_product_phase(W, np.sqrt(np.maximum(m, 0.0)), phi_star)
-        return max(_coefficient_deltas(form, forward_matching(cand)).values()), cand
+        return coefficient_error(form, cand), cand
 
     x = np.array([abs(w) ** 2 for w in W.weights])
     best_err, best = true_error(x)
@@ -547,30 +541,30 @@ def _polish_weights(form: InvariantForm, W: ShiftMatrix) -> ShiftMatrix:
     return best
 
 
-def _represent_limit(form: InvariantForm, config: Config,
+def _represent_limit(form: InvariantForm, tol_final: float,
                      rng: np.random.Generator) -> ShiftMatrix:
     """Perturbation route: run the smooth pipeline down an eps schedule and
     polish the limit against the original coefficients."""
     prev = None
     W = None
     converged = False
-    for k in range(config.eps_max_steps):
-        eps = config.eps0 * config.eps_ratio ** k
+    for k in range(EPS_MAX_STEPS):
+        eps = EPS0 * EPS_RATIO ** k
         smooth_form = None
         for _ in range(8):
             try:
-                smooth_form = smooth_neighbor(form, eps, config)
+                smooth_form = smooth_neighbor(form, eps)
                 break
             except PerturbationFailed:
                 eps *= 0.5
         if smooth_form is None:
             continue
         try:
-            W, _ = _represent_smooth(smooth_form, config, rng)
+            W, _ = _represent_smooth(smooth_form, tol_final, rng)
         except HyprepError:
             continue
         data = _gauge_data(W)
-        if prev is not None and _gauge_distance(data, prev) < config.conv_tol:
+        if prev is not None and _gauge_distance(data, prev) < CONV_TOL:
             converged = True
             prev = data
             break
@@ -578,11 +572,10 @@ def _represent_limit(form: InvariantForm, config: Config,
     if W is None:
         raise ConvergenceFailed("no perturbation step produced a representation")
     W = _polish_weights(form, W)
-    report = verify(form, W, config)
-    tol = config.tol_final * max(1.0, form.coefficient_scale())
-    if report.max_abs_err > tol:
+    err = coefficient_error(form, W)
+    if err > tol_final * max(1.0, form.coefficient_scale()):
         raise ConvergenceFailed(
-            f"perturbation limit verify error {report.max_abs_err:.2e}"
+            f"perturbation limit verify error {err:.2e}"
             + ("" if converged else " (schedule did not converge)"))
     return W
 
@@ -596,12 +589,12 @@ def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatr
     conjugate halves); everything else falls back to the perturbation
     schedule with gauge-invariant convergence.
     """
-    cls = classify(form, config)    # raises NotHyperbolic
+    cls = classify(form)    # raises NotHyperbolic
     rng = np.random.default_rng(config.seed)
     scale = max(1.0, form.coefficient_scale())
-    if cls.s > config.drop_tol * scale:
+    if cls.s > DROP_TOL * scale:
         try:
-            W, err = _represent_smooth(form, config, rng)
+            W, err = _represent_smooth(form, config.tol_final, rng)
             if err > 1e-8 * scale:
                 W = _polish_weights(form, W)
             return W
@@ -609,4 +602,4 @@ def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatr
             # real or repeated intersection points, or a numerically
             # marginal smooth form: the perturbation schedule still applies
             pass
-    return _represent_limit(form, config, rng)
+    return _represent_limit(form, config.tol_final, rng)

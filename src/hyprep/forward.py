@@ -120,16 +120,20 @@ def _coefficient_deltas(form: InvariantForm, got: InvariantForm) -> dict:
     return deltas
 
 
-def verify(form: InvariantForm, W: ShiftMatrix,
-           config: Config = DEFAULT_CONFIG) -> VerifyReport:
+def coefficient_error(form: InvariantForm, W: ShiftMatrix) -> float:
+    """Largest absolute coefficient difference between a form and the
+    forward image of W: the error that certifies a representation."""
+    return max(_coefficient_deltas(form, forward_matching(W)).values())
+
+
+def verify(form: InvariantForm, W: ShiftMatrix) -> VerifyReport:
     """Coefficient-level comparison of a form against the forward image of W."""
     got = forward_matching(W)
-    deltas = _coefficient_deltas(form, got)
     scale = max(1.0, got.coefficient_scale())
     return VerifyReport(
-        max_abs_err=max(deltas.values()),
-        deltas=deltas,
-        hyperbolic=is_hyperbolic(got, config),
+        max_abs_err=coefficient_error(form, W),
+        deltas=_coefficient_deltas(form, got),
+        hyperbolic=is_hyperbolic(got),
         dihedral=abs(got.ct0) <= 1e-9 * scale,
         zero_weight=any(w == 0 for w in W.weights),
     )

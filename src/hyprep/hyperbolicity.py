@@ -6,7 +6,7 @@ s = sqrt(c0^2 + ct0^2), the form is hyperbolic iff p + s and p - s have
 all real roots.  Repeated roots of either polynomial (or s = 0) flag the
 singular pipeline route; the perturbation below produces a nearby strictly
 smooth form from a singular one.  Multiplicities come from single-linkage
-clustering: two roots a, b merge when |a - b| <= cluster_radius (1 + max(|a|, |b|)).
+clustering: two roots a, b merge when |a - b| <= CLUSTER_RADIUS (1 + max(|a|, |b|)).
 """
 
 import dataclasses
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import CLUSTER_RADIUS, DROP_TOL, TOL_ROOT
 from .errors import DegenerateInput, HypothesisViolated, NotHyperbolic, PerturbationFailed
 from .invariants import InvariantForm
 
@@ -97,11 +97,11 @@ def cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]
     return out
 
 
-def real_roots(coeffs, config: Config = DEFAULT_CONFIG) -> RootProfile:
+def real_roots(coeffs) -> RootProfile:
     """Roots of a univariate polynomial via its companion matrix.
 
     Roots are clustered into multiplicities; a cluster counts as real when
-    its centroid satisfies |Im| <= tol_root * (1 + |root|).
+    its centroid satisfies |Im| <= TOL_ROOT * (1 + |root|).
     """
     arr = np.asarray(list(coeffs), dtype=complex)
     if len(arr) == 0 or not np.isfinite(arr).all():
@@ -127,10 +127,10 @@ def real_roots(coeffs, config: Config = DEFAULT_CONFIG) -> RootProfile:
     if not np.isfinite(raw).all():
         raise DegenerateInput("root solve returned non-finite values")
 
-    clusters = cluster_roots(raw, config.cluster_radius)
+    clusters = cluster_roots(raw, CLUSTER_RADIUS)
     reals, n_complex = [], 0
     for z, m in clusters:
-        if abs(z.imag) <= config.tol_root * (1.0 + abs(z)):
+        if abs(z.imag) <= TOL_ROOT * (1.0 + abs(z)):
             reals.append((z.real, m))
         else:
             n_complex += 1
@@ -143,13 +143,19 @@ def _p_plus_const(form: InvariantForm, const: float) -> list:
     return coeffs
 
 
-def is_hyperbolic(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> bool:
-    """True iff both p(t) + s and p(t) - s have all real roots."""
-    s = form.s
+def _endpoints(form: InvariantForm):
+    """(sign, coefficients, root profile) of p + s, then of p - s.
+
+    Lazy: a caller that stops after p + s never solves p - s.
+    """
     for sign in (+1.0, -1.0):
-        if not real_roots(_p_plus_const(form, sign * s), config).all_real:
-            return False
-    return True
+        coeffs = _p_plus_const(form, sign * form.s)
+        yield sign, coeffs, real_roots(coeffs)
+
+
+def is_hyperbolic(form: InvariantForm) -> bool:
+    """True iff both p(t) + s and p(t) - s have all real roots."""
+    return all(profile.all_real for _, _, profile in _endpoints(form))
 
 
 def _discriminant_small(coeffs, threshold_scale: float) -> bool:
@@ -170,7 +176,7 @@ def _discriminant_small(coeffs, threshold_scale: float) -> bool:
     return abs(res) < threshold_scale * scale ** (2 * n - 2)
 
 
-def classify(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> Classification:
+def classify(form: InvariantForm) -> Classification:
     """Smooth/singular routing decision.
 
     Singular when either endpoint polynomial p +/- s has a repeated root,
@@ -180,19 +186,17 @@ def classify(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> Classifica
     """
     s = form.s
     endpoints = []
-    for name, sign in (("plus", +1.0), ("minus", -1.0)):
-        coeffs = _p_plus_const(form, sign * s)
-        profile = real_roots(coeffs, config)
+    for sign, coeffs, profile in _endpoints(form):
         if not profile.all_real:
             raise NotHyperbolic("form is not hyperbolic")
-        endpoints.append((name, coeffs, profile))
+        endpoints.append(("plus" if sign > 0 else "minus", coeffs, profile))
     scale = form.coefficient_scale()
     witnesses = {}
     for name, coeffs, profile in endpoints:
         repeated = profile.max_multiplicity() > 1
         repeated = repeated or _discriminant_small(coeffs, 1e-10)
         witnesses[name] = bool(repeated)
-    if s <= config.drop_tol * scale:
+    if s <= DROP_TOL * scale:
         kind = Kind.SINGULAR
     elif witnesses["plus"] or witnesses["minus"]:
         kind = Kind.SINGULAR
@@ -201,8 +205,7 @@ def classify(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> Classifica
     return Classification(kind, s, witnesses)
 
 
-def interlace_check(coeffs, a: float, b: float, c: float,
-                    config: Config = DEFAULT_CONFIG) -> bool:
+def interlace_check(coeffs, a: float, b: float, c: float) -> bool:
     """Check that p + c has all real distinct roots for c strictly between
     endpoints a < b at which p + a and p + b are real rooted."""
     if not (a < c < b):
@@ -211,15 +214,15 @@ def interlace_check(coeffs, a: float, b: float, c: float,
     for endpoint in (a, b):
         shifted = list(base)
         shifted[-1] += endpoint
-        if not real_roots(shifted, config).all_real:
+        if not real_roots(shifted).all_real:
             raise HypothesisViolated(f"p + {endpoint} is not real rooted")
     shifted = list(base)
     shifted[-1] += c
-    profile = real_roots(shifted, config)
+    profile = real_roots(shifted)
     return profile.all_real and profile.max_multiplicity() == 1
 
 
-def _squared_roots(form: InvariantForm, config: Config) -> list[float]:
+def _squared_roots(form: InvariantForm) -> list[float]:
     """Roots of p viewed through T = t^2, clamped to be nonnegative.
 
     p(t) is t^k * P(t^2) with P monic of degree floor(n/2); for hyperbolic
@@ -231,7 +234,7 @@ def _squared_roots(form: InvariantForm, config: Config) -> list[float]:
     P = [1.0] + [0.0] * m
     for r, cr in enumerate(form.c, start=1):
         P[r] = cr
-    prof = real_roots(P, config)
+    prof = real_roots(P)
     if not prof.all_real:
         raise PerturbationFailed("even-part roots are not all real")
     mu = []
@@ -241,15 +244,14 @@ def _squared_roots(form: InvariantForm, config: Config) -> list[float]:
     return mu
 
 
-def _zero_top_candidate(form: InvariantForm, eps: float,
-                        config: Config) -> InvariantForm:
+def _zero_top_candidate(form: InvariantForm, eps: float) -> InvariantForm:
     """s = 0 branch: separate the squared roots, switch on a small top pair.
 
     The top coefficient must fit strictly beneath the extrema of the spread
     polynomial, which shrink much faster than the spread when roots were
     repeated, so it is chosen adaptively from the actual critical values.
     """
-    mu = _squared_roots(form, config)
+    mu = _squared_roots(form)
     scale = max([1.0] + mu)
     shifted = [x + (i + 1) * eps * scale for i, x in enumerate(mu)]
     coeffs = np.poly(shifted) if shifted else np.array([1.0])
@@ -265,7 +267,7 @@ def _zero_top_candidate(form: InvariantForm, eps: float,
     return InvariantForm(form.n, c, eta, 0.0)
 
 
-def _is_strictly_smooth(form: InvariantForm, config: Config) -> bool:
+def _is_strictly_smooth(form: InvariantForm) -> bool:
     """Validation for perturbation output: real rooted with simple roots.
 
     Deliberately uses only root clustering (not the discriminant heuristic
@@ -275,40 +277,28 @@ def _is_strictly_smooth(form: InvariantForm, config: Config) -> bool:
     if form.s <= 0.0:
         return False
     try:
-        for sign in (+1.0, -1.0):
-            profile = real_roots(_p_plus_const(form, sign * form.s), config)
-            if not profile.all_real or profile.max_multiplicity() > 1:
-                return False
+        return all(profile.all_real and profile.max_multiplicity() <= 1
+                   for _, _, profile in _endpoints(form))
     except DegenerateInput:
         return False
-    return True
 
 
-def perturb(form: InvariantForm, eps: float,
-            config: Config = DEFAULT_CONFIG) -> InvariantForm:
+def smooth_neighbor(form: InvariantForm, eps: float) -> InvariantForm:
     """Nearby strictly smooth hyperbolic form at distance O(eps).
 
-    Requires a singular classification; raises PerturbationFailed when no
-    candidate comes out strictly smooth (the caller halves eps and retries).
+    Meant for singular forms; raises PerturbationFailed when no candidate
+    comes out strictly smooth (the caller halves eps and retries).
     """
-    if classify(form, config).kind is not Kind.SINGULAR:
-        raise ValueError("perturb requires a singular form")
-    return smooth_neighbor(form, eps, config)
-
-
-def smooth_neighbor(form: InvariantForm, eps: float,
-                    config: Config = DEFAULT_CONFIG) -> InvariantForm:
-    """The perturbation step itself, without the classification guard."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     if form.s > 0.0:
         c0 = form.c0 - math.copysign(eps, form.c0) if form.c0 != 0.0 else 0.0
         ct0 = form.ct0 - math.copysign(eps, form.ct0) if form.ct0 != 0.0 else 0.0
         out = InvariantForm(form.n, form.c, c0, ct0)
-        if _is_strictly_smooth(out, config):
+        if _is_strictly_smooth(out):
             return out
         raise PerturbationFailed(f"eps={eps} did not produce a smooth form")
-    out = _zero_top_candidate(form, eps, config)
-    if _is_strictly_smooth(out, config):
+    out = _zero_top_candidate(form, eps)
+    if _is_strictly_smooth(out):
         return out
     raise PerturbationFailed(f"eps={eps} did not produce a smooth form")

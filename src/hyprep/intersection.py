@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
+from .config import CLUSTER_RADIUS, TOL_PT, TOL_ROOT, TOL_SEP
 from .errors import (AmbiguousOrbit, LeadingZero, NonrealCircle,
                      RealSimplePoint, SolveFailed)
 from .hyperbolicity import cluster_roots
@@ -104,7 +104,7 @@ class IntersectionSet:
         }
 
 
-def circle_factors(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> CircleFactorization:
+def circle_factors(form: InvariantForm) -> CircleFactorization:
     """Factor df/dt into circles by solving its even part in T = t^2."""
     n = form.n
     k = 0 if n % 2 == 1 else 1
@@ -116,11 +116,11 @@ def circle_factors(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> Circ
     if m == 0:
         return CircleFactorization(k, ())
     raw = np.roots(coeffs)
-    clusters = cluster_roots(raw, config.cluster_radius)
+    clusters = cluster_roots(raw, CLUSTER_RADIUS)
     scale = max(1.0, form.coefficient_scale())
     svals = []
     for z, mult in clusters:
-        if abs(z.imag) > config.tol_root * (1.0 + abs(z)) * scale:
+        if abs(z.imag) > TOL_ROOT * (1.0 + abs(z)) * scale:
             raise NonrealCircle(f"nonreal circle parameter {z}")
         svals.extend([max(z.real, 0.0)] * mult)
     svals.sort(reverse=True)
@@ -177,8 +177,7 @@ def _trinomial_roots_structured(A: complex, B: complex, C: complex,
     return np.asarray(out)
 
 
-def circle_intersect(form: InvariantForm, s_j: float,
-                     config: Config = DEFAULT_CONFIG) -> list[Point]:
+def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:
     """The 2n common zeros of the form and one circle t^2 = s_j uv.
 
     In the chart t = 1 the circle forces v = 1/(s_j u), and clearing
@@ -194,7 +193,7 @@ def circle_intersect(form: InvariantForm, s_j: float,
         raise LeadingZero("circle solve needs a nonzero top coefficient")
     f = form.expand()
     scale = max(1.0, form.coefficient_scale())
-    budget = config.tol_pt * scale * 100
+    budget = TOL_PT * scale * 100
 
     def to_points(roots):
         pts = [Point(1.0 + 0j, u, 1.0 / (s_j * u)) for u in roots]
@@ -212,8 +211,7 @@ def circle_intersect(form: InvariantForm, s_j: float,
     return pts
 
 
-def infinity_points(form: InvariantForm,
-                    config: Config = DEFAULT_CONFIG) -> list[tuple[Point, int]]:
+def infinity_points(form: InvariantForm) -> list[tuple[Point, int]]:
     """Zeros of the form on the line t = 0, with multiplicities (n even)."""
     n = form.n
     if n % 2 == 1:
@@ -225,7 +223,7 @@ def infinity_points(form: InvariantForm,
     coeffs[0] = A
     coeffs[n // 2] = form.c[-1]  # coefficient of (uv)^(n/2)
     coeffs[n] = A.conjugate()
-    clusters = cluster_roots(np.roots(coeffs), config.cluster_radius)
+    clusters = cluster_roots(np.roots(coeffs), CLUSTER_RADIUS)
     out = []
     for u, mult in clusters:
         out.append((_normalize(0j, u, 1.0 + 0j), mult))
@@ -277,8 +275,7 @@ def _lex_key(p: Point) -> tuple:
     return (p.u.real, p.u.imag, p.v.real, p.v.imag)
 
 
-def split_conjugate(points: list[tuple[Point, int]], n: int,
-                    config: Config = DEFAULT_CONFIG) -> IntersectionSet:
+def split_conjugate(points: list[tuple[Point, int]], n: int) -> IntersectionSet:
     """Group points into rotation orbits and split them into conjugate halves.
 
     Self-conjugate orbits of even multiplicity 2m contribute m copies to
@@ -290,7 +287,7 @@ def split_conjugate(points: list[tuple[Point, int]], n: int,
     for p, mult in points:
         key = _orbit_key(p, n)
         for b in buckets:
-            if _keys_match(b["key"], key, config.tol_sep * n):
+            if _keys_match(b["key"], key, TOL_SEP * n):
                 b["members"].append(p)
                 b["mult"] += mult
                 break
@@ -313,7 +310,7 @@ def split_conjugate(points: list[tuple[Point, int]], n: int,
     paired: list[int | None] = [None] * len(orbits)
     for i in range(len(orbits)):
         for j in range(len(orbits)):
-            if _keys_match(keys[j], conj_keys[i], config.tol_sep * n * 10):
+            if _keys_match(keys[j], conj_keys[i], TOL_SEP * n * 10):
                 paired[i] = j
                 break
         if paired[i] is None:
@@ -355,45 +352,43 @@ def split_conjugate(points: list[tuple[Point, int]], n: int,
     )
 
 
-def compute_intersections(form: InvariantForm,
-                          config: Config = DEFAULT_CONFIG) -> IntersectionSet:
+def compute_intersections(form: InvariantForm) -> IntersectionSet:
     """Full intersection pipeline: circles, infinity points, conjugate split.
 
     Validates the total count n(n-1) and the residuals of every stored point.
     """
     n = form.n
-    fac = circle_factors(form, config)
+    fac = circle_factors(form)
     zero_circles = sum(1 for s in fac.s if s == 0.0)
     pts: list[tuple[Point, int]] = []
     for s in fac.s:
         if s > 0.0:
-            pts.extend((p, 1) for p in circle_intersect(form, s, config))
+            pts.extend((p, 1) for p in circle_intersect(form, s))
     inf_weight = fac.k + 2 * zero_circles
     if inf_weight > 0:
         if n % 2 == 1:
             # a circle degenerated to t^2 on an odd-degree form: the
             # affine-points guarantee failed, so reroute
             raise AmbiguousOrbit("degenerate circle on odd-degree form")
-        pts.extend((p, m * inf_weight) for p, m in infinity_points(form, config))
+        pts.extend((p, m * inf_weight) for p, m in infinity_points(form))
     total = sum(m for _, m in pts)
     if total != n * (n - 1):
         raise AmbiguousOrbit(f"found {total} points, expected {n * (n - 1)}")
-    iset = split_conjugate(pts, n, config)
-    _check_residuals(form, iset, config)
+    iset = split_conjugate(pts, n)
+    _check_residuals(form, iset)
     return iset
 
 
-def _check_residuals(form: InvariantForm, iset: IntersectionSet, config: Config):
+def _check_residuals(form: InvariantForm, iset: IntersectionSet):
     f = form.expand()
-    tol = config.tol_pt * (1.0 + form.coefficient_scale()) * 100
+    tol = TOL_PT * (1.0 + form.coefficient_scale()) * 100
     values = _evaluate_many([f, f.dt()], [p.coords() for p, _ in iset.S + iset.Sbar])
     for res in map(abs, values.T.ravel().tolist()):    # point by point, f first
         if res > tol:
             raise SolveFailed(f"stored point residual {res:.2e} above budget")
 
 
-def validate_distinct(iset: IntersectionSet,
-                      config: Config = DEFAULT_CONFIG) -> bool:
+def validate_distinct(iset: IntersectionSet) -> bool:
     """True when the intersection is simple: all orbits multiplicity one,
     no self-conjugate orbits, all points pairwise separated."""
     if any(m != 1 for m in iset.orbit_mult):
@@ -405,6 +400,6 @@ def validate_distinct(iset: IntersectionSet,
             if a.at_infinity != b.at_infinity:
                 continue
             d = max(abs(a.u - b.u), abs(a.v - b.v))
-            if d <= config.tol_sep:
+            if d <= TOL_SEP:
                 return False
     return True

@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .config import Config, DEFAULT_CONFIG
 from .hyperbolicity import real_roots
 from .invariants import InvariantForm
 from .shift import ShiftMatrix, hermitian_slices
@@ -76,8 +75,8 @@ def range_equal(W1, W2, m: int = 720, tol: float = 1e-9) -> bool:
     return samples_agree(boundary_sample(W1, m), boundary_sample(W2, m), tol)
 
 
-def curve_sample(form: InvariantForm, m: int = 720, r_max: float | None = None,
-                 config: Config = DEFAULT_CONFIG) -> list[tuple[float, float]]:
+def curve_sample(form: InvariantForm, m: int = 720,
+                 r_max: float | None = None) -> list[tuple[float, float]]:
     """Real points of the curve in the t = 1 chart, sampled by angle.
 
     Restricting to the ray (1, rho e^(i theta), rho e^(-i theta)) gives the
@@ -96,7 +95,7 @@ def curve_sample(form: InvariantForm, m: int = 720, r_max: float | None = None,
         coeffs[n] = 1.0
         if max(abs(c) for c in coeffs[:-1]) == 0.0:
             continue
-        profile = real_roots(coeffs, config)
+        profile = real_roots(coeffs)
         for rho, mult in profile.roots:
             if r_max is not None and abs(rho) > r_max:
                 continue

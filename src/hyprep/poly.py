@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-DROP_TOL = 1e-12
+from .config import DROP_TOL
 
 
 def _binom(n: int, k: int) -> int:

@@ -1,12 +1,15 @@
 """Command line surface: subcommands, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import pathlib
 
 import pytest
 
+from hyprep import Config
 from hyprep.cli import main
+from hyprep.hyperbolicity import real_roots
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +54,20 @@ def test_check_nonhyperbolic(capsys, tmp_path):
     code, out = run_cli(capsys, "check", "--input", path)
     assert code == 1
     assert json.loads(out) == {"hyperbolic": False}
+
+
+def test_check_solves_each_endpoint_once(capsys, monkeypatch, quartic_file):
+    seen = []
+
+    def counting(coeffs):
+        seen.append(list(coeffs))
+        return real_roots(coeffs)
+
+    monkeypatch.setattr("hyprep.hyperbolicity.real_roots", counting)
+    code, out = run_cli(capsys, "check", "--input", quartic_file)
+    assert code == 0
+    assert json.loads(out)["hyperbolic"] is True
+    assert len(seen) == 2     # p + s and p - s, one solve each
 
 
 def test_represent_verify_realize_flow(capsys, tmp_path, quartic_file):
@@ -168,10 +185,22 @@ def test_config_file_and_flag_override(capsys, tmp_path, quartic_file):
     cfg = write_json(tmp_path / "cfg.json", {"seed": 11, "tol_final": 1e-5})
     code, _ = run_cli(capsys, "represent", "--input", quartic_file, "--config", cfg)
     assert code == 0
-    for key in ("sneed", "threads"):     # threads: a removed knob
+    # threads, tol_root, max_retries, eps0: removed knobs
+    for key in ("sneed", "threads", "tol_root", "max_retries", "eps0"):
         bad = write_json(tmp_path / "bad_cfg.json", {key: 11})
         code, _ = run_cli(capsys, "represent", "--input", quartic_file, "--config", bad)
         assert code == 2
+    # the tolerances are constants now: their flags are gone
+    with pytest.raises(SystemExit) as exited:
+        main(["represent", "--input", quartic_file, "--tol-root", "1e-8"])
+    assert exited.value.code == 2
+    assert [f.name for f in dataclasses.fields(Config)] == ["seed", "tol_final"]
+
+
+def test_config_value_of_the_wrong_type_is_input_error(capsys, tmp_path, quartic_file):
+    bad = write_json(tmp_path / "bad_cfg.json", {"tol_final": "small"})
+    code, _ = run_cli(capsys, "check", "--input", quartic_file, "--config", bad)
+    assert code == 2
 
 
 def test_seventeen_digit_floats(capsys, tmp_path):

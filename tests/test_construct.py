@@ -161,11 +161,10 @@ def test_form_matrix_quartic_g22(quartic_form):
 
 
 def test_fitted_pencil_determinant_reproduces_form(quartic_form):
-    cfg = Config()
     iset = compute_intersections(quartic_form)
     G = assemble_form_matrix(quartic_form, iset)
-    rng = np.random.default_rng(cfg.seed)
-    P = normalize_pencil(pencil_from_adjugate(G, quartic_form, cfg, rng), cfg)
+    rng = np.random.default_rng(Config().seed)
+    P = normalize_pencil(pencil_from_adjugate(G, quartic_form, rng))
     f = quartic_form.expand()
     check = np.random.default_rng(1)
     for _ in range(10):
@@ -177,11 +176,10 @@ def test_fitted_pencil_determinant_reproduces_form(quartic_form):
 
 
 def test_pencil_rotation_covariance(quartic_form):
-    cfg = Config()
     iset = compute_intersections(quartic_form)
     G = assemble_form_matrix(quartic_form, iset)
-    rng = np.random.default_rng(cfg.seed)
-    P = normalize_pencil(pencil_from_adjugate(G, quartic_form, cfg, rng), cfg)
+    rng = np.random.default_rng(Config().seed)
+    P = normalize_pencil(pencil_from_adjugate(G, quartic_form, rng))
     n = quartic_form.n
     w = np.exp(2j * np.pi / n)
     Om = np.diag([w ** k for k in range(n)])

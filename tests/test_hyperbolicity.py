@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from hyprep import (Config, InvariantForm, Kind, classify, interlace_check,
-                    is_hyperbolic, perturb, real_roots)
+from hyprep import (InvariantForm, Kind, classify, interlace_check,
+                    is_hyperbolic, real_roots)
+from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
 from hyprep.errors import DegenerateInput, HypothesisViolated, NotHyperbolic
 from hyprep.forward import forward_matching
-from hyprep.hyperbolicity import cluster_roots
+from hyprep.hyperbolicity import cluster_roots, smooth_neighbor
 from tests.conftest import random_shift
 
 
@@ -96,7 +97,7 @@ def test_interlace_check_examples():
 
 
 def test_perturb_quartic_shrinks_top_pair(quartic_form):
-    out = perturb(quartic_form, 1e-2)
+    out = smooth_neighbor(quartic_form, 1e-2)
     assert out.c == quartic_form.c
     assert out.c0 == pytest.approx(-71.99)
     assert out.ct0 == 0.0        # sign(0) = 0: zero coefficients never move
@@ -105,21 +106,16 @@ def test_perturb_quartic_shrinks_top_pair(quartic_form):
 
 def test_perturb_zero_top_branch():
     form = InvariantForm(4, [-2.0, 1.0], 0.0, 0.0)
-    out = perturb(form, 1e-2)
+    out = smooth_neighbor(form, 1e-2)
     assert out.c0 > 0.0
     assert classify(out).kind is Kind.SMOOTH
     prof = real_roots(out.univariate())
     assert prof.all_real and prof.max_multiplicity() == 1
 
 
-def test_perturb_rejects_smooth_input(quintic_form):
-    with pytest.raises(ValueError):
-        perturb(quintic_form, 1e-3)
-
-
 def test_perturb_converges_linearly_in_s_branch(quartic_form):
     for eps in (1e-2, 1e-4, 1e-6):
-        out = perturb(quartic_form, eps)
+        out = smooth_neighbor(quartic_form, eps)
         assert abs(out.c0 - quartic_form.c0) == pytest.approx(eps)
 
 
@@ -186,7 +182,7 @@ def _reference_cluster_roots(roots, radius):
     return out
 
 
-def _reference_real_roots(coeffs, config=Config()):
+def _reference_real_roots(coeffs):
     arr = np.asarray(list(coeffs), dtype=complex)
     if len(arr) == 0 or not np.all(np.isfinite(arr)):
         raise DegenerateInput("empty or non-finite coefficient list")
@@ -203,8 +199,8 @@ def _reference_real_roots(coeffs, config=Config()):
     if np.any(~np.isfinite(raw)):
         raise DegenerateInput("root solve returned non-finite values")
     reals, n_complex = [], 0
-    for z, m in _reference_cluster_roots(raw, config.cluster_radius):
-        if abs(z.imag) <= config.tol_root * (1.0 + abs(z)):
+    for z, m in _reference_cluster_roots(raw, CLUSTER_RADIUS):
+        if abs(z.imag) <= TOL_ROOT * (1.0 + abs(z)):
             reals.append((z.real, m))
         else:
             n_complex += 1
@@ -274,7 +270,7 @@ def test_real_roots_matches_the_reference_on_edge_cases():
 
 def test_cluster_roots_is_bit_identical_to_the_scalar_reference():
     rng = np.random.default_rng(2025)
-    radius = Config().cluster_radius
+    radius = CLUSTER_RADIUS
     for m in range(0, 25):
         for _ in range(10):
             pts = np.asarray(_clustered_roots(rng, m) if m else [], dtype=complex)
@@ -315,9 +311,9 @@ def test_hypot_equals_python_abs_on_complex_values():
 def test_classify_solves_each_endpoint_once(monkeypatch, quintic_form):
     seen = []
 
-    def counting(coeffs, config=Config()):
+    def counting(coeffs):
         seen.append(list(coeffs))
-        return real_roots(coeffs, config)
+        return real_roots(coeffs)
 
     monkeypatch.setattr("hyprep.hyperbolicity.real_roots", counting)
     classify(quintic_form)
