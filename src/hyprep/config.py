@@ -20,12 +20,11 @@ TOL_NOETHER = 1e-8
 TOL_PENCIL = 1e-7
 TOL_PATTERN = 1e-6
 DROP_TOL = 1e-12        # sparse polynomial coefficient cleanup; s below it is zero
-# perturbation schedule: eps_k = EPS0 * EPS_RATIO**k
-EPS0 = 1e-1
-EPS_RATIO = 10.0 ** -0.5
-EPS_MAX_STEPS = 12
-CONV_TOL = 1e-5         # successive gauge-data difference
-MAX_RETRIES = 5
+MAX_RETRIES = 5         # direct-route attempts; spectral-route starts
+# spectral route, in units of the equal moduli
+LM_STEPS = 100          # Levenberg-Marquardt steps per start
+LM_CONVERGED = 1e-10    # residual norm below which a rejected step ends a start
+LM_STALL = 1e-3         # above it, a start ends when a step shrinks the residual less
 
 
 @dataclasses.dataclass(frozen=True)

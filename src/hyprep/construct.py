@@ -16,6 +16,11 @@ in one batched pass (poly._evaluate_many), bit for bit as the scalar
 TrivariatePoly.evaluate would give them.  The curve divisions of one form
 matrix share one least-squares matrix per eigenspace class, written
 straight from the coefficients of f and df/dt by index arithmetic.
+
+Forms with s = 0, and forms the direct construction cannot certify, take
+the spectral route instead: the weights of a Hermitian slice H(theta*)
+whose spectrum is the root set of p, from a least-norm Levenberg-Marquardt
+solve for the moduli (s > 0) or from Lanczos on the spectrum (s = 0).
 """
 
 import cmath
@@ -25,14 +30,14 @@ import math
 
 import numpy as np
 
-from .config import (CONV_TOL, DEFAULT_CONFIG, DROP_TOL, EPS0, EPS_MAX_STEPS,
-                     EPS_RATIO, MAX_RETRIES, TOL_NOETHER, TOL_PATTERN,
-                     TOL_PENCIL, TOL_VAN, Config)
+from .config import (CLUSTER_RADIUS, DEFAULT_CONFIG, DROP_TOL, LM_CONVERGED,
+                     LM_STALL, LM_STEPS, MAX_RETRIES, TOL_NOETHER,
+                     TOL_PATTERN, TOL_PENCIL, TOL_ROOT, TOL_VAN, Config)
 from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                      IndefiniteDiagonal, NoetherResidual, NoVanishingForm,
-                     PatternViolation, PerturbationFailed)
+                     PatternViolation)
 from .forward import _matching_sums, coefficient_error
-from .hyperbolicity import classify, smooth_neighbor
+from .hyperbolicity import classify, cluster_roots
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
 from .poly import TrivariatePoly, _evaluate_many, conj_involution
@@ -189,6 +194,28 @@ def _poly_from_vec(vec, monomials, degree) -> TrivariatePoly:
     return TrivariatePoly(degree, terms)
 
 
+def _cofactor_solution(memo: _DivisionMemo, h: TrivariatePoly, ell: int):
+    """The coefficient vectors of the class-ell cofactors a and b of
+    h = a*f + b*g11, by least squares on memo's matrix, residual checked."""
+    A, col, scaled = memo.system(ell)
+    mon_a, _, nrows, rows = _division_layout(memo.n, ell)
+    targets = list(h.terms)
+    exp = np.array(targets, dtype=np.intp).reshape(-1, 3)
+    where = rows[exp[:, 0], exp[:, 1]]
+    if np.any(where < 0):
+        e = targets[int(np.argmax(where < 0))]
+        raise ValueError(f"target monomial {e} outside class {ell}")
+    rhs = np.zeros(nrows, dtype=complex)
+    rhs[where] = list(h.terms.values())
+    sol, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
+    sol = sol / col
+    resid = np.linalg.norm(A @ sol - rhs)
+    hnorm = max(np.linalg.norm(rhs), 1e-300)
+    if resid > TOL_NOETHER * hnorm:
+        raise NoetherResidual(f"division residual {resid / hnorm:.2e}")
+    return sol[: len(mon_a)], sol[len(mon_a):]
+
+
 def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
                      ell: int, n: int, *, memo: _DivisionMemo | None = None,
                      ) -> tuple[TrivariatePoly, TrivariatePoly]:
@@ -206,25 +233,9 @@ def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
         memo = _DivisionMemo(f, g11, n)
     elif memo.f is not f or memo.g11 is not g11 or memo.n != n:
         raise ValueError("division memo belongs to another (f, g11, n)")
-    A, col, scaled = memo.system(ell)
-    mon_a, mon_b, nrows, rows = _division_layout(n, ell)
-    targets = list(h.terms)
-    exp = np.array(targets, dtype=np.intp).reshape(-1, 3)
-    where = rows[exp[:, 0], exp[:, 1]]
-    if np.any(where < 0):
-        e = targets[int(np.argmax(where < 0))]
-        raise ValueError(f"target monomial {e} outside class {ell}")
-    rhs = np.zeros(nrows, dtype=complex)
-    rhs[where] = list(h.terms.values())
-    sol, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    sol = sol / col
-    resid = np.linalg.norm(A @ sol - rhs)
-    hnorm = max(np.linalg.norm(rhs), 1e-300)
-    if resid > TOL_NOETHER * hnorm:
-        raise NoetherResidual(f"division residual {resid / hnorm:.2e}")
-    a_hat = _poly_from_vec(sol[: len(mon_a)], mon_a, n - 2)
-    b_hat = _poly_from_vec(sol[len(mon_a):], mon_b, n - 1)
-    return a_hat, b_hat
+    a_vec, b_vec = _cofactor_solution(memo, h, ell)
+    mon_a, mon_b, _, _ = _division_layout(n, ell)
+    return _poly_from_vec(a_vec, mon_a, n - 2), _poly_from_vec(b_vec, mon_b, n - 1)
 
 
 def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet,
@@ -232,9 +243,9 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet,
     """Build the full Hermitian grid of degree n-1 forms.
 
     Row one holds df/dt and the vanishing forms; the remaining upper
-    triangle is filled by curve division, diagonals symmetrized to
-    conjugation-fixed form (the averaging preserves the residual because
-    the division target is itself conjugation fixed).
+    triangle is filled by curve division (its df/dt cofactor), diagonals
+    symmetrized to conjugation-fixed form (the averaging preserves the
+    residual because the division target is itself conjugation fixed).
     """
     n = form.n
     f = form.expand()
@@ -249,8 +260,8 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet,
     for i in range(1, n):
         for j in range(i, n):
             ell = (i - j) % n
-            h = g[i][0] * g[0][j]
-            _, b = noether_division(f, g[0][0], h, ell, n, memo=memo)
+            _, b_vec = _cofactor_solution(memo, g[i][0] * g[0][j], ell)
+            b = _poly_from_vec(b_vec, _division_layout(n, ell)[1], n - 1)
             if i == j:
                 b = 0.5 * (b + conj_involution(b))
             g[i][j] = b
@@ -433,23 +444,6 @@ def _represent_smooth(form: InvariantForm, tol_final: float,
     raise last_error if last_error else ConvergenceFailed("smooth pipeline failed")
 
 
-def _gauge_data(W: ShiftMatrix) -> tuple[np.ndarray, float]:
-    return np.array(W.moduli()), cmath.phase(W.product())
-
-
-def _gauge_distance(a, b) -> float:
-    ma, pa = a
-    mb, pb = b
-    n = len(ma)
-    best = math.inf
-    for order in (mb, mb[::-1]):
-        for k in range(n):
-            rolled = np.roll(order, k)
-            best = min(best, float(np.max(np.abs(ma - rolled))))
-    dphi = abs((pa - pb + math.pi) % (2 * math.pi) - math.pi)
-    return best + dphi
-
-
 def _rebuild_with_product_phase(W: ShiftMatrix, moduli: np.ndarray,
                                 phi: float | None) -> ShiftMatrix:
     """New weights with the given moduli, keeping the phases of W except for
@@ -541,53 +535,178 @@ def _polish_weights(form: InvariantForm, W: ShiftMatrix) -> ShiftMatrix:
     return best
 
 
-def _represent_limit(form: InvariantForm, tol_final: float,
-                     rng: np.random.Generator) -> ShiftMatrix:
-    """Perturbation route: run the smooth pipeline down an eps schedule and
-    polish the limit against the original coefficients."""
-    prev = None
-    W = None
-    converged = False
-    for k in range(EPS_MAX_STEPS):
-        eps = EPS0 * EPS_RATIO ** k
-        smooth_form = None
-        for _ in range(8):
-            try:
-                smooth_form = smooth_neighbor(form, eps)
+# ---------------------------------------------------------------------------
+# spectral route
+#
+# At an angle theta* with c0 cos(n theta*) + ct0 sin(n theta*) = 0 the
+# identity of shift.py reads det(tI + H(theta*)) = p(t), so the spectrum of
+# H(theta*) must be the root set of p, which is symmetric about zero.  The
+# forward map sees only the moduli |a_j| and the weight product, so the
+# unknowns are the moduli, with the product phase put on a_n.
+
+
+def _squared_spectrum(form: InvariantForm) -> tuple[list, int]:
+    """The positive roots mu of P, where p(t) = t^(n mod 2) P(t^2), with
+    their multiplicities, ascending, and the multiplicity of the root t = 0
+    of p.
+
+    P of a hyperbolic form is real rooted, so a conjugate pair is a
+    multiple root that roundoff split; it counts as one real root, at its
+    real part, with the multiplicity of both halves.  The solve runs in
+    real arithmetic, so the two halves are exact conjugates.
+    """
+    mult = {}
+    for z, m in cluster_roots(np.roots([1.0, *form.c]), CLUSTER_RADIUS):
+        if abs(z.imag) > TOL_ROOT * (1.0 + abs(z)):
+            if z.imag < 0.0:
+                continue
+            m *= 2
+        mu = max(z.real, 0.0)
+        mult[mu] = mult.get(mu, 0) + m
+    zeros = form.n % 2 + 2 * mult.pop(0.0, 0)
+    positive = sorted(mult.items())
+    if zeros + 2 * sum(m for _, m in positive) != form.n:
+        raise ConvergenceFailed("the even part has unpaired non-real roots")
+    return positive, zeros
+
+
+def _persymmetric_jacobi(spectrum: np.ndarray) -> np.ndarray:
+    """Off-diagonal of the zero-diagonal persymmetric Jacobi matrix with a
+    simple spectrum symmetric about zero, given ascending.
+
+    Lanczos on diag(spectrum) from the norming weights w_i proportional to
+    1 / prod_(j != i) |lambda_i - lambda_j| (de Boor & Golub, 1978).  The
+    weights are mirror symmetric, so every diagonal entry vanishes and is
+    never formed; full reorthogonalization keeps the basis orthonormal.
+    """
+    k = len(spectrum)
+    gaps = np.abs(spectrum[:, None] - spectrum[None, :]) + np.eye(k)
+    logw = -np.log(gaps).sum(axis=1)
+    q = np.exp(0.5 * (logw - logw.max()))
+    Q = np.zeros((k, k))
+    Q[:, 0] = q / np.linalg.norm(q)
+    off = np.zeros(k - 1)
+    for j in range(k - 1):
+        v = spectrum * Q[:, j]
+        for _ in range(2):
+            v -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ v)
+        off[j] = np.linalg.norm(v)
+        Q[:, j + 1] = v / off[j]
+    return off
+
+
+def _path_weights(form: InvariantForm) -> ShiftMatrix:
+    """s = 0: real weights, with exact zeros that cut H into path blocks.
+
+    A root sigma^2 of P of multiplicity m puts +/- sigma into m blocks, so
+    each block has a simple spectrum, symmetric about zero, and is rebuilt
+    by Lanczos; a zero weight closes every block, so the weight product,
+    and with it c0 and ct0, vanish exactly.
+    """
+    positive, zeros = _squared_spectrum(form)
+    sigmas = [(math.sqrt(mu), m) for mu, m in positive]
+    weights = []
+    for layer in range(max([zeros] + [m for _, m in sigmas])):
+        half = [sigma for sigma, m in sigmas if m > layer]
+        middle = [0.0] if zeros > layer else []
+        spectrum = np.array([-x for x in reversed(half)] + middle + half)
+        weights.extend(2.0 * _persymmetric_jacobi(spectrum))
+        weights.append(0.0)
+    return ShiftMatrix(weights)
+
+
+def _modulus_weights(form: InvariantForm, rng: np.random.Generator):
+    """s > 0: moduli r with spec H(theta*) = roots of p and prod r = |T|,
+    one candidate shift per start.
+
+    The n + 1 residuals are the eigenvalue errors and the product error
+    (prod r - |T|) / max(1, |T|); Hellmann-Feynman gives the eigenvalue
+    rows of the Jacobian from one eigh.  The system is underdetermined
+    (representations are not unique), so the steps are least-norm
+    Levenberg-Marquardt steps (Friedland, Nocedal & Overton, 1987), from
+    equal moduli and then from seeded random restarts.
+    """
+    n = form.n
+    top = complex(form.c0, form.ct0) / ((-1.0) ** (n - 1) * 2.0 ** (1 - n))
+    unit = top / abs(top)  # exactly +1 or -1 when ct0 = 0: the weights come out real
+    theta = (math.atan2(form.ct0, form.c0) + 0.5 * math.pi) / n
+    positive, zeros = _squared_spectrum(form)
+    half = [math.sqrt(mu) for mu, m in positive for _ in range(m)]
+    target = np.array([-x for x in reversed(half)] + [0.0] * zeros + half)
+    # sum r_j^2 = 2 sum lambda_k^2 = -4 c_1, so the equal moduli are
+    # kappa = sqrt(-4 c_1 / n).  The solve runs in units of kappa, where the
+    # residual rows are of one size at every coefficient scale, and where
+    # |T| becomes size = |T| / kappa^n <= 1 (the geometric mean of the
+    # moduli is at most their quadratic mean), so max(1, |T|) is 1.
+    kappa = math.sqrt(2.0 * float(target @ target) / n)
+    target /= kappa
+    size = math.exp(math.log(abs(top)) - n * math.log(kappa))
+    nxt = np.roll(np.arange(n), -1)
+    rot = np.full(n, cmath.exp(-1j * theta))
+    rot[-1] *= unit
+
+    def system(r):
+        H = np.zeros((n, n), dtype=complex)
+        H[np.arange(n), nxt] = 0.5 * r * rot
+        lam, V = np.linalg.eigh(H + H.conj().T)
+        others = (np.concatenate(([1.0], np.cumprod(r[:-1])))
+                  * np.concatenate((np.cumprod(r[:0:-1])[::-1], [1.0])))
+        F = np.append(lam - target, np.prod(r) - size)
+        J = np.vstack(((rot[:, None] * V.conj() * V[nxt]).real.T, others))
+        return F, J
+
+    for attempt in range(MAX_RETRIES):
+        r = np.ones(n) if attempt == 0 else rng.uniform(0.5, 1.5, n)
+        F, J = system(r)
+        damp, svd = 1e-4, None
+        for _ in range(LM_STEPS):
+            if svd is None:
+                svd = np.linalg.svd(J, full_matrices=False)
+            U, sv, Vt = svd
+            keep = sv > 1e-12 * sv[0]
+            gain = sv[keep] / (sv[keep] ** 2 + damp * sv[0] ** 2)
+            step = -Vt[keep].T @ (gain * (U[:, keep].T @ F))
+            F_new, J_new = system(r + step)
+            res, res_new = np.linalg.norm(F), np.linalg.norm(F_new)
+            if res_new < res:
+                r, F, J, svd = r + step, F_new, J_new, None
+                damp = max(0.1 * damp, 1e-12)
+                if res_new > LM_CONVERGED and res_new > (1.0 - LM_STALL) * res:
+                    break       # a local minimum: restart
+            elif res <= LM_CONVERGED or damp > 1e8:
                 break
-            except PerturbationFailed:
-                eps *= 0.5
-        if smooth_form is None:
-            continue
-        try:
-            W, _ = _represent_smooth(smooth_form, tol_final, rng)
-        except HyprepError:
-            continue
-        data = _gauge_data(W)
-        if prev is not None and _gauge_distance(data, prev) < CONV_TOL:
-            converged = True
-            prev = data
-            break
-        prev = data
-    if W is None:
-        raise ConvergenceFailed("no perturbation step produced a representation")
-    W = _polish_weights(form, W)
-    err = coefficient_error(form, W)
-    if err > tol_final * max(1.0, form.coefficient_scale()):
-        raise ConvergenceFailed(
-            f"perturbation limit verify error {err:.2e}"
-            + ("" if converged else " (schedule did not converge)"))
-    return W
+            else:
+                damp *= 10.0
+        r = kappa * r
+        yield ShiftMatrix(list(r[:-1]) + [r[-1] * unit])
+
+
+def _represent_spectral(form: InvariantForm, tol_final: float,
+                        rng: np.random.Generator) -> ShiftMatrix:
+    """The spectral route: the first candidate whose coefficient error is
+    within tol_final * max(1, scale), the gate of the direct route."""
+    scale = max(1.0, form.coefficient_scale())
+    if form.s <= DROP_TOL * scale:
+        candidates = [_path_weights(form)]
+    else:
+        candidates = _modulus_weights(form, rng)
+    for W in candidates:
+        err = coefficient_error(form, W)
+        if err <= tol_final * scale:
+            return W
+    raise ConvergenceFailed(f"spectral route error {err:.2e}")
 
 
 def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatrix:
     """Cyclic weighted shift matrix whose pencil determinant equals the form.
 
-    Smooth forms go through the direct construction.  Forms whose only
-    degeneracy is an even-multiplicity self-conjugate orbit at infinity are
-    still attempted directly (splitting the multiplicity between the
-    conjugate halves); everything else falls back to the perturbation
-    schedule with gauge-invariant convergence.
+    Forms with s > 0 go through the direct construction first; singular
+    ones among them are still attempted directly (an even-multiplicity
+    self-conjugate orbit splits its multiplicity between the conjugate
+    halves).  Forms with s = 0, and those the direct construction cannot
+    certify, take the spectral route: an inverse eigenvalue problem for
+    the Hermitian slice H(theta*) at which the identity of shift.py reads
+    det(tI + H(theta*)) = p(t).
     """
     cls = classify(form)    # raises NotHyperbolic
     rng = np.random.default_rng(config.seed)
@@ -600,6 +719,6 @@ def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatr
             return W
         except HyprepError:
             # real or repeated intersection points, or a numerically
-            # marginal smooth form: the perturbation schedule still applies
+            # marginal smooth form: the spectral route still applies
             pass
-    return _represent_limit(form, config.tol_final, rng)
+    return _represent_spectral(form, config.tol_final, rng)

@@ -21,10 +21,6 @@ class HypothesisViolated(HyprepError):
     """An interlacing endpoint polynomial is not real rooted."""
 
 
-class PerturbationFailed(HyprepError):
-    """Perturbed form did not come out strictly smooth; retry with smaller eps."""
-
-
 class NonrealCircle(HyprepError):
     """A circle parameter came out non-real; the input slipped past the hyperbolicity check."""
 
@@ -38,11 +34,11 @@ class LeadingZero(HyprepError):
 
 
 class RealSimplePoint(HyprepError):
-    """A self-conjugate intersection orbit of odd multiplicity; reroute to the perturbation path."""
+    """A self-conjugate intersection orbit of odd multiplicity; reroute to the spectral route."""
 
 
 class AmbiguousOrbit(HyprepError):
-    """Orbit clustering could not be resolved; reroute rather than guess."""
+    """Orbit clustering could not be resolved; reroute to the spectral route rather than guess."""
 
 
 class NoVanishingForm(HyprepError):
@@ -74,4 +70,4 @@ class OracleDisagreement(HyprepError):
 
 
 class ConvergenceFailed(HyprepError):
-    """The perturbation schedule ran out of steps without converging."""
+    """The spectral route found no representation within the acceptance tolerance."""

@@ -3,21 +3,21 @@
 For an invariant form the full hyperbolicity condition collapses to a pair
 of univariate checks: with p(t) = t^n + sum_r c_r t^(n-2r) and
 s = sqrt(c0^2 + ct0^2), the form is hyperbolic iff p + s and p - s have
-all real roots.  Repeated roots of either polynomial (or s = 0) flag the
-singular pipeline route; the perturbation below produces a nearby strictly
-smooth form from a singular one.  Multiplicities come from single-linkage
+all real roots.  Repeated roots of either polynomial (or s = 0) make the
+form singular; the representation pipeline routes on s alone, and the
+spectral route of construct.py covers the singular forms that the direct
+construction cannot certify.  Multiplicities come from single-linkage
 clustering: two roots a, b merge when |a - b| <= CLUSTER_RADIUS (1 + max(|a|, |b|)).
 """
 
 import dataclasses
 import enum
 import functools
-import math
 
 import numpy as np
 
 from .config import CLUSTER_RADIUS, DROP_TOL, TOL_ROOT
-from .errors import DegenerateInput, HypothesisViolated, NotHyperbolic, PerturbationFailed
+from .errors import DegenerateInput, HypothesisViolated, NotHyperbolic
 from .invariants import InvariantForm
 
 
@@ -137,72 +137,37 @@ def real_roots(coeffs) -> RootProfile:
     return RootProfile(tuple(reals), n_complex)
 
 
-def _p_plus_const(form: InvariantForm, const: float) -> list:
-    coeffs = form.univariate()
-    coeffs[-1] += const
-    return coeffs
-
-
 def _endpoints(form: InvariantForm):
-    """(sign, coefficients, root profile) of p + s, then of p - s.
+    """(sign, root profile) of p + s, then of p - s.
 
     Lazy: a caller that stops after p + s never solves p - s.
     """
     for sign in (+1.0, -1.0):
-        coeffs = _p_plus_const(form, sign * form.s)
-        yield sign, coeffs, real_roots(coeffs)
+        coeffs = form.univariate()
+        coeffs[-1] += sign * form.s
+        yield sign, real_roots(coeffs)
 
 
 def is_hyperbolic(form: InvariantForm) -> bool:
     """True iff both p(t) + s and p(t) - s have all real roots."""
-    return all(profile.all_real for _, _, profile in _endpoints(form))
-
-
-def _discriminant_small(coeffs, threshold_scale: float) -> bool:
-    """Resultant-based repeated-root test: |disc| below threshold."""
-    p = np.asarray(coeffs, dtype=float)
-    dp = np.polyder(p)
-    n, m = len(p) - 1, len(dp) - 1
-    if n < 1:
-        return False
-    size = n + m
-    syl = np.zeros((size, size))
-    for i in range(m):
-        syl[i, i:i + n + 1] = p
-    for i in range(n):
-        syl[m + i, i:i + m + 1] = dp
-    res = np.linalg.det(syl)
-    scale = max(1.0, float(np.max(np.abs(p))))
-    return abs(res) < threshold_scale * scale ** (2 * n - 2)
+    return all(profile.all_real for _, profile in _endpoints(form))
 
 
 def classify(form: InvariantForm) -> Classification:
-    """Smooth/singular routing decision.
+    """Smooth/singular classification.
 
     Singular when either endpoint polynomial p +/- s has a repeated root,
-    or when c0 = ct0 = 0.  A third singular trigger (a real or repeated
-    intersection point discovered downstream) is handled by the
-    representation pipeline, not here.
+    by root-cluster multiplicity, or when c0 = ct0 = 0.  A third singular
+    trigger (a real or repeated intersection point discovered downstream)
+    is handled by the representation pipeline, not here.
     """
-    s = form.s
-    endpoints = []
-    for sign, coeffs, profile in _endpoints(form):
+    witnesses = {}
+    for sign, profile in _endpoints(form):
         if not profile.all_real:
             raise NotHyperbolic("form is not hyperbolic")
-        endpoints.append(("plus" if sign > 0 else "minus", coeffs, profile))
-    scale = form.coefficient_scale()
-    witnesses = {}
-    for name, coeffs, profile in endpoints:
-        repeated = profile.max_multiplicity() > 1
-        repeated = repeated or _discriminant_small(coeffs, 1e-10)
-        witnesses[name] = bool(repeated)
-    if s <= DROP_TOL * scale:
-        kind = Kind.SINGULAR
-    elif witnesses["plus"] or witnesses["minus"]:
-        kind = Kind.SINGULAR
-    else:
-        kind = Kind.SMOOTH
-    return Classification(kind, s, witnesses)
+        witnesses["plus" if sign > 0 else "minus"] = profile.max_multiplicity() > 1
+    singular = form.s <= DROP_TOL * form.coefficient_scale() or any(witnesses.values())
+    return Classification(Kind.SINGULAR if singular else Kind.SMOOTH, form.s, witnesses)
 
 
 def interlace_check(coeffs, a: float, b: float, c: float) -> bool:
@@ -220,85 +185,3 @@ def interlace_check(coeffs, a: float, b: float, c: float) -> bool:
     shifted[-1] += c
     profile = real_roots(shifted)
     return profile.all_real and profile.max_multiplicity() == 1
-
-
-def _squared_roots(form: InvariantForm) -> list[float]:
-    """Roots of p viewed through T = t^2, clamped to be nonnegative.
-
-    p(t) is t^k * P(t^2) with P monic of degree floor(n/2); for hyperbolic
-    inputs the roots of P are real and nonnegative.
-    """
-    m = form.n // 2
-    if m == 0:
-        return []
-    P = [1.0] + [0.0] * m
-    for r, cr in enumerate(form.c, start=1):
-        P[r] = cr
-    prof = real_roots(P)
-    if not prof.all_real:
-        raise PerturbationFailed("even-part roots are not all real")
-    mu = []
-    for value, mult in prof.roots:
-        mu.extend([max(value, 0.0)] * mult)
-    mu.sort()
-    return mu
-
-
-def _zero_top_candidate(form: InvariantForm, eps: float) -> InvariantForm:
-    """s = 0 branch: separate the squared roots, switch on a small top pair.
-
-    The top coefficient must fit strictly beneath the extrema of the spread
-    polynomial, which shrink much faster than the spread when roots were
-    repeated, so it is chosen adaptively from the actual critical values.
-    """
-    mu = _squared_roots(form)
-    scale = max([1.0] + mu)
-    shifted = [x + (i + 1) * eps * scale for i, x in enumerate(mu)]
-    coeffs = np.poly(shifted) if shifted else np.array([1.0])
-    c = [float(coeffs[r]) for r in range(1, form.n // 2 + 1)]
-    candidate = InvariantForm(form.n, c, 0.0, 0.0)
-    p = np.array(candidate.univariate())
-    crit = np.roots(np.polyder(p))
-    crit = crit[np.abs(crit.imag) < 1e-6 * (1 + np.abs(crit))].real
-    b = float(np.min(np.abs(np.polyval(p, crit)))) if len(crit) else eps
-    eta = min(eps, 0.4 * b)
-    if eta <= 0.0:
-        raise PerturbationFailed("spread polynomial has vanishing extrema")
-    return InvariantForm(form.n, c, eta, 0.0)
-
-
-def _is_strictly_smooth(form: InvariantForm) -> bool:
-    """Validation for perturbation output: real rooted with simple roots.
-
-    Deliberately uses only root clustering (not the discriminant heuristic
-    of classify): honest tiny perturbations of very degenerate forms have
-    tiny but nonzero discriminants.
-    """
-    if form.s <= 0.0:
-        return False
-    try:
-        return all(profile.all_real and profile.max_multiplicity() <= 1
-                   for _, _, profile in _endpoints(form))
-    except DegenerateInput:
-        return False
-
-
-def smooth_neighbor(form: InvariantForm, eps: float) -> InvariantForm:
-    """Nearby strictly smooth hyperbolic form at distance O(eps).
-
-    Meant for singular forms; raises PerturbationFailed when no candidate
-    comes out strictly smooth (the caller halves eps and retries).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if form.s > 0.0:
-        c0 = form.c0 - math.copysign(eps, form.c0) if form.c0 != 0.0 else 0.0
-        ct0 = form.ct0 - math.copysign(eps, form.ct0) if form.ct0 != 0.0 else 0.0
-        out = InvariantForm(form.n, form.c, c0, ct0)
-        if _is_strictly_smooth(out):
-            return out
-        raise PerturbationFailed(f"eps={eps} did not produce a smooth form")
-    out = _zero_top_candidate(form, eps)
-    if _is_strictly_smooth(out):
-        return out
-    raise PerturbationFailed(f"eps={eps} did not produce a smooth form")

@@ -280,7 +280,7 @@ def split_conjugate(points: list[tuple[Point, int]], n: int) -> IntersectionSet:
 
     Self-conjugate orbits of even multiplicity 2m contribute m copies to
     each half; a self-conjugate orbit of odd multiplicity means a real
-    intersection point and reroutes the caller to the perturbation path.
+    intersection point and reroutes the caller to the spectral route.
     """
     # cluster by rotation-invariant keys
     buckets: list[dict] = []

@@ -129,7 +129,7 @@ def test_criterion_7_singular_path():
     W = represent(form)
     err = verify(form, W).max_abs_err
     ok = err <= 1e-4
-    report(7, ok, f"perturbation schedule roundtrip error {err:.2e}")
+    report(7, ok, f"spectral route roundtrip error {err:.2e}")
 
 
 def test_criterion_8_numerical_range_equality():

@@ -7,12 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from hyprep import (Config, InvariantForm, ShiftMatrix, compute_intersections,
-                    extract_shift, noether_division, normalize_pencil,
-                    represent, vanishing_form, verify)
-from hyprep.construct import _DivisionMemo, assemble_form_matrix, pencil_from_adjugate
-from hyprep.errors import HyprepError, PatternViolation
-from hyprep.forward import forward_matching, realize_real
+from hyprep import (Config, InvariantForm, Kind, ShiftMatrix, classify,
+                    compute_intersections, extract_shift, noether_division,
+                    normalize_pencil, represent, vanishing_form, verify)
+from hyprep.construct import (_DivisionMemo, _represent_spectral, assemble_form_matrix,
+                              pencil_from_adjugate)
+from hyprep.errors import NotHyperbolic, PatternViolation
+from hyprep.forward import coefficient_error, forward_matching, realize_real
 from hyprep.invariants import eigenspace_basis
 from hyprep.poly import DROP_TOL, TrivariatePoly, conj_involution
 from tests.conftest import random_shift
@@ -252,18 +253,81 @@ def test_represent_roundtrip_random():
             assert verify(form, W).max_abs_err < 1e-6
 
 
+def assert_certified(form, W, headroom=1.0):
+    bound = Config().tol_final * max(1.0, form.coefficient_scale())
+    assert coefficient_error(form, W) <= bound / headroom
+
+
 @pytest.mark.parametrize("k", range(10))
 def test_represent_degree_16_fails_typed_and_quietly(k):
-    # at n = 16 the adjugate quotient overflows or turns non-finite; that
-    # must end in a HyprepError, with no numpy RuntimeWarning on the way
+    # at n = 16 the direct route's adjugate quotient overflows or turns
+    # non-finite, a typed failure; the spectral route must then certify the
+    # form, with no numpy RuntimeWarning on the way
     form = forward_matching(random_shift(np.random.default_rng(1760 + k), 16))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        try:
-            represent(form)
-        except HyprepError:
-            pass
+        W = represent(form)
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert_certified(form, W)
+
+
+@pytest.mark.parametrize("n", range(13, 25))
+def test_represent_certifies_forward_images_of_high_degree(n):
+    for k in range(3):
+        form = forward_matching(random_shift(np.random.default_rng(5000 + 100 * n + k), n))
+        assert_certified(form, represent(form))
+
+
+def singular_form(kind, n, rng):
+    """A singular hyperbolic form: the forward image of a shift with one
+    zero weight (s = 0) or with equal moduli (repeated roots of p +/- s),
+    or an even part p(t) = t^(n mod 2) P(t^2) alone whose P has a double
+    root (T = 0 for n = 3)."""
+    if kind == "zero_weight":
+        weights = list(random_shift(rng, n).weights)
+        weights[int(rng.integers(n))] = 0j
+        return forward_matching(ShiftMatrix(weights))
+    if kind == "equal_moduli":
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        return forward_matching(ShiftMatrix(rng.uniform(0.5, 2.0) * np.exp(1j * phases)))
+    mu = rng.uniform(0.25, 4.0, size=n // 2)
+    if n >= 4:
+        mu[1] = mu[0]
+    else:
+        mu[0] = 0.0
+    return InvariantForm(n, np.poly(mu)[1:], 0.0, 0.0)
+
+
+# draws (kind, n, k) with a double root of p that real_roots splits into a
+# complex pair wider than the clustering radius, so that classify wrongly
+# rejects a hyperbolic form; once the root engine is mended they must certify
+SPLIT_DOUBLE_ROOTS = {("even_repeated", 10, 3), ("even_repeated", 10, 4)}
+
+
+@pytest.mark.parametrize("kind", ["zero_weight", "equal_moduli", "even_repeated"])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_represent_certifies_singular_forms_with_headroom(kind, n):
+    for k in range(10):
+        form = singular_form(kind, n, np.random.default_rng([n, k, len(kind)]))
+        if (kind, n, k) in SPLIT_DOUBLE_ROOTS:
+            with pytest.raises(NotHyperbolic):
+                represent(form)
+            continue
+        assert classify(form).kind is Kind.SINGULAR
+        assert_certified(form, represent(form), headroom=10.0)
+
+
+def test_spectral_route_gives_real_weights_when_ct0_vanishes():
+    # with ct0 = 0 the weight product is real, so the product phase the
+    # spectral route puts on a_n is exactly 0 or pi (the dihedral case)
+    forms = [forward_matching(ShiftMatrix([1.3, -1.3, 1.3, 1.3, 1.3])),    # s > 0
+             forward_matching(ShiftMatrix([0.8, 0.0, 1.1, 0.6]))]          # s = 0
+    for form in forms:
+        assert form.ct0 == 0.0 and classify(form).kind is Kind.SINGULAR
+        W = _represent_spectral(form, Config().tol_final, np.random.default_rng(7))
+        assert_certified(form, W)
+        assert all(w.imag == 0.0 for w in W.weights)
+        assert realize_real(W).weights == W.weights
 
 
 def test_represent_zero_weight_cubic():
@@ -297,7 +361,7 @@ def test_represent_golden_weights(case):
     # weights pinned as repr strings, so that any change to the arithmetic
     # of the construction shows; the input is the forward image of a seeded
     # shift, or (zero_weight) of one with its second weight set to zero,
-    # which takes the perturbation route and the polish
+    # which takes the spectral route
     rng = np.random.default_rng(case["seed"])
     W = random_shift(rng, case["n"])
     if case["kind"] == "zero_weight":

@@ -172,7 +172,7 @@ def test_eigenclass_span_vanishing_extends_to_whole_orbit(quintic_form):
 def test_real_simple_point_reroutes():
     # a self-conjugate orbit of odd multiplicity is a real intersection
     # point; the split must refuse it and send the caller to the
-    # perturbation path
+    # spectral route
     from hyprep import Point, split_conjugate
     n = 4
     seed = Point(1.0 + 0j, 0.5 + 0j, 0.5 + 0j)      # real affine point
