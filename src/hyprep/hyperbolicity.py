@@ -13,6 +13,8 @@ clustering: two roots a, b merge when |a - b| <= CLUSTER_RADIUS (1 + max(|a|, |b
 import dataclasses
 import enum
 import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -60,19 +62,24 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
-    """Cluster raw solver output into (centroid, multiplicity) pairs.
+def _close_pairs(z: np.ndarray, radius: float) -> np.ndarray:
+    """Which pairs of _pairs(m) are close, along the last axis of z.
 
-    Single linkage: a and b are close when |a - b| <= radius (1 + max(|a|, |b|)).
-    Moduli come from np.hypot, which equals Python's abs bit for bit (numpy's
-    array abs of a complex array does not).
+    a and b are close when |a - b| <= radius (1 + max(|a|, |b|)).  Moduli come
+    from np.hypot, which equals Python's abs bit for bit (numpy's array abs
+    of a complex array does not).
     """
-    m = len(roots)
-    z = np.asarray(roots, dtype=complex)
-    ia, ib = _pairs(m)
+    ia, ib = _pairs(z.shape[-1])
     mod = np.hypot(z.real, z.imag)
-    d = z[ia] - z[ib]
-    close = np.hypot(d.real, d.imag) <= radius * (1.0 + np.maximum(mod[ia], mod[ib]))
+    d = z.take(ia, axis=-1) - z.take(ib, axis=-1)
+    far = np.maximum(mod.take(ia, axis=-1), mod.take(ib, axis=-1))
+    return np.hypot(d.real, d.imag) <= radius * (1.0 + far)
+
+
+def _link(roots, close: np.ndarray) -> list[tuple[complex, int]]:
+    """Single linkage of roots over the close pairs, as (centroid, multiplicity)."""
+    m = len(roots)
+    ia, ib = _pairs(m)
     parent = list(range(m))
 
     def find(a):
@@ -97,44 +104,94 @@ def cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]
     return out
 
 
+def cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
+    """Cluster raw solver output into (centroid, multiplicity) pairs by
+    single linkage over the close pairs of _close_pairs."""
+    return _link(roots, _close_pairs(np.asarray(roots, dtype=complex), radius))
+
+
+def _is_real(z, modulus):
+    """|Im z| <= TOL_ROOT (1 + |z|): the root cluster at z counts as real.  The
+    modulus is np.hypot(z.real, z.imag), or abs(z) on a scalar (the same bits)."""
+    return abs(z.imag) <= TOL_ROOT * (1.0 + modulus)
+
+
+def _root_profiles(rows) -> list[RootProfile]:
+    """Root profiles of the rows of a 2-D coefficient array, each leading first.
+
+    Each row is solved as real_roots describes.  Rows that keep the same
+    coefficient columns after stripping share one stacked companion
+    eigensolve.  The roots of a row with no close pair are its clusters, one
+    root each; only the other rows go through the union-find.  The first row
+    that cannot be solved raises its DegenerateInput.
+    """
+    arr = np.asarray(rows, dtype=complex)
+    n_rows, width = arr.shape
+    if width == 0:
+        raise DegenerateInput("empty or non-finite coefficient list")
+    failed, groups = {}, {}
+    for i, (row, big) in enumerate(zip(arr, np.abs(arr).max(axis=1).tolist())):
+        # strip negligible leading coefficients so the companion matrix is sane
+        start = 0
+        while start < width - 1 and abs(row[start]) <= 1e-14 * big:
+            start += 1
+        if not math.isfinite(big):
+            failed[i] = "empty or non-finite coefficient list"
+        elif big == 0.0:
+            failed[i] = "all coefficients vanish"
+        elif start == width - 1:
+            failed[i] = "polynomial is constant after stripping"
+        else:
+            # np.roots' recipe: exact zero roots for the trailing zero
+            # coefficients, the eigenvalues of the companion matrix of the rest
+            last = width - 1
+            while row[last] == 0:
+                last -= 1
+            groups.setdefault((start, last), []).append(i)
+    profiles = [None] * n_rows
+    for (lead, stop), g in groups.items():
+        k, block = stop - lead, arr.take(g, axis=0)[:, lead:stop + 1]
+        companion = np.zeros((len(g), k * k), dtype=complex)
+        companion[:, k::k + 1] = 1.0
+        companion[:, :k] = -block[:, 1:] / block[:, :1]
+        raw = np.linalg.eigvals(companion.reshape(len(g), k, k))
+        if stop < width - 1:
+            raw = np.concatenate((raw, np.zeros((len(g), width - 1 - stop), dtype=complex)), axis=1)
+        if not np.isfinite(raw).all():
+            finite = np.isfinite(raw).all(axis=1)
+            failed.update((i, "root solve returned non-finite values")
+                          for i, ok in zip(g, finite) if not ok)
+            g, raw = [i for i, ok in zip(g, finite) if ok], raw[finite]
+        close = _close_pairs(raw, CLUSTER_RADIUS)
+        merged = close.any(axis=1).tolist()
+        if not all(merged):
+            # a singleton's centroid is (0 + z) / 1, which is z + 0 bit for bit;
+            # equal centroids are equal bit for bit, so the sort need not be stable
+            single = raw + 0
+            single.sort(axis=1)
+            real = _is_real(single, np.hypot(single.real, single.imag))
+        for j, i in enumerate(g):
+            if merged[j]:
+                clusters = _link(raw[j], close[j])
+                roots = tuple((z.real, m) for z, m in clusters if _is_real(z, abs(z)))
+            else:
+                clusters = single[j]
+                roots = tuple((x, 1) for x in itertools.compress(clusters.real, real[j]))
+            profiles[i] = RootProfile(roots, len(clusters) - len(roots))
+    if failed:
+        raise DegenerateInput(failed[min(failed)])
+    return profiles
+
+
 def real_roots(coeffs) -> RootProfile:
     """Roots of a univariate polynomial via its companion matrix.
 
     Roots are clustered into multiplicities; a cluster counts as real when
-    its centroid satisfies |Im| <= TOL_ROOT * (1 + |root|).
+    its centroid satisfies |Im| <= TOL_ROOT * (1 + |root|).  This is the
+    one-row case of _root_profiles, which solves many polynomials at once
+    bit for bit as this function solves each.
     """
-    arr = np.asarray(list(coeffs), dtype=complex)
-    if len(arr) == 0 or not np.isfinite(arr).all():
-        raise DegenerateInput("empty or non-finite coefficient list")
-    biggest = np.abs(arr).max()
-    if biggest == 0.0:
-        raise DegenerateInput("all coefficients vanish")
-    # strip negligible leading coefficients so the companion matrix is sane
-    start = 0
-    while start < len(arr) - 1 and abs(arr[start]) <= 1e-14 * biggest:
-        start += 1
-    arr = arr[start:]
-    if len(arr) <= 1:
-        raise DegenerateInput("polynomial is constant after stripping")
-    # np.roots' recipe: exact zero roots for the trailing zero coefficients,
-    # the eigenvalues of the companion matrix of the rest
-    k = int(np.flatnonzero(arr)[-1])
-    trailing = len(arr) - 1 - k
-    companion = np.zeros((k, k), dtype=complex)
-    companion.flat[k::k + 1] = 1.0
-    companion[:1, :] = -arr[1:k + 1] / arr[0]    # k = 0: all roots are zero
-    raw = np.concatenate((np.linalg.eigvals(companion), np.zeros(trailing, dtype=complex)))
-    if not np.isfinite(raw).all():
-        raise DegenerateInput("root solve returned non-finite values")
-
-    clusters = cluster_roots(raw, CLUSTER_RADIUS)
-    reals, n_complex = [], 0
-    for z, m in clusters:
-        if abs(z.imag) <= TOL_ROOT * (1.0 + abs(z)):
-            reals.append((z.real, m))
-        else:
-            n_complex += 1
-    return RootProfile(tuple(reals), n_complex)
+    return _root_profiles([list(coeffs)])[0]
 
 
 def _endpoints(form: InvariantForm):

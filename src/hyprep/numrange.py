@@ -6,7 +6,8 @@ sin(theta) Im(A); a maximizing unit eigenvector x touches the boundary at
 the point x* A x.  Two matrices have equal ranges iff their support
 functions agree.  The real points of the associated curve are sampled
 separately in the t = 1 chart: along each ray the curve restricts to a
-real univariate polynomial in the radius.
+real univariate polynomial in the radius, and the rays are solved as rows
+of one batch, one stacked companion eigensolve per degree.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .hyperbolicity import real_roots
+from .hyperbolicity import _root_profiles
 from .invariants import InvariantForm
 from .shift import ShiftMatrix, hermitian_slices
 
@@ -81,25 +82,33 @@ def curve_sample(form: InvariantForm, m: int = 720,
 
     Restricting to the ray (1, rho e^(i theta), rho e^(-i theta)) gives the
     real polynomial 1 + sum_r c_r rho^(2r) + (c0 cos n theta +
-    ct0 sin n theta) rho^n; its real roots are emitted as (x, y) points.
+    ct0 sin n theta) rho^n; its real roots are emitted as (x, y) points, in
+    angle order.  The rays are solved together: rows that are equal bit for
+    bit are solved once, and the rest share one stacked companion
+    eigensolve per degree.
     """
     n = form.n
+    thetas = [2 * math.pi * k / m for k in range(m)]
+    rows = np.zeros((len(thetas), n + 1))
+    rows[:, 0] = [form.c0 * math.cos(n * t) + form.ct0 * math.sin(n * t) for t in thetas]
+    for r, cr in enumerate(form.c, start=1):
+        # for even n the r = n/2 term shares the rho^n slot with the top pair
+        rows[:, n - 2 * r] += cr
+    rows[:, n] = 1.0
+    # rows equal bit for bit are solved once, in order of first appearance, so
+    # that the first row that cannot be solved raises, as it would alone
+    keys = {k: rows[k].tobytes() for k in rows[:, :-1].any(axis=1).nonzero()[0].tolist()}
+    first = {}
+    for k, key in keys.items():
+        first.setdefault(key, k)
+    solved = dict(zip(first, _root_profiles(rows[list(first.values())])))
     pts = []
-    for k in range(m):
-        theta = 2 * math.pi * k / m
-        coeffs = [0.0] * (n + 1)
-        coeffs[0] = form.c0 * math.cos(n * theta) + form.ct0 * math.sin(n * theta)
-        for r, cr in enumerate(form.c, start=1):
-            # for even n the r = n/2 term shares the rho^n slot with the top pair
-            coeffs[n - 2 * r] += cr
-        coeffs[n] = 1.0
-        if max(abs(c) for c in coeffs[:-1]) == 0.0:
-            continue
-        profile = real_roots(coeffs)
-        for rho, mult in profile.roots:
+    for k, key in keys.items():
+        cos, sin = math.cos(thetas[k]), math.sin(thetas[k])
+        for rho, _ in solved[key].roots:
             if r_max is not None and abs(rho) > r_max:
                 continue
-            pts.append((rho * math.cos(theta), rho * math.sin(theta)))
+            pts.append((rho * cos, rho * sin))
     return pts
 
 

@@ -1,6 +1,7 @@
 """Command line surface: subcommands, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import pathlib
@@ -245,6 +246,13 @@ GOLDEN_RUNS = {     # name: (command, input, extra arguments)
     "forward quintic": ("forward", "quintic_shift"),
     "numrange quartic": ("numrange", "quartic_shift", "--angles", "720"),
     "numrange quintic": ("numrange", "quintic_shift", "--angles", "720"),
+    "curve quartic": ("curve", "quartic_form", "--angles", "720"),
+    "curve quintic": ("curve", "quintic_form", "--angles", "720"),
+}
+# sha256 of the --csv file of each curve run; stdout holds only the point count
+CURVE_CSV_SHA256 = {
+    "curve quartic": "6f62580916c823e52a55de8ba1b953ccce0c1b4e43dc51761b213ffd5130ac3e",
+    "curve quintic": "16c9b21bce0a64776e0839a46f6611ef815f7fa41954d757629fe1df66c83e39",
 }
 
 
@@ -261,3 +269,12 @@ def test_golden_stdout(capsys, tmp_path, name):
     code, out = run_cli(capsys, *golden_argv(tmp_path, name))
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_CSV_SHA256))
+def test_golden_curve_csv(capsys, tmp_path, name):
+    csv_path = tmp_path / "curve.csv"
+    code, out = run_cli(capsys, *golden_argv(tmp_path, name), "--csv", str(csv_path))
+    assert code == 0
+    assert out == json.loads(GOLDEN_PATH.read_text())[name]
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == CURVE_CSV_SHA256[name]

@@ -8,10 +8,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from hyprep import (ShiftMatrix, boundary_sample, curve_sample, range_equal,
-                    support)
+from hyprep import (InvariantForm, ShiftMatrix, boundary_sample, curve_sample,
+                    range_equal, support)
+from hyprep.errors import DegenerateInput
 from hyprep.forward import forward_matching
+from hyprep.hyperbolicity import real_roots
 from tests.conftest import random_shift
+from tests.test_construct import singular_form
 
 
 def test_support_single_weight():
@@ -162,3 +165,116 @@ def test_curve_sample_golden(case, quartic_form, quintic_form):
         form = {"quartic": quartic_form, "quintic": quintic_form}[case["kind"]]
     digest = hashlib.sha256(repr(curve_sample(form, 720)).encode()).hexdigest()
     assert digest == case["sha256"]
+
+
+# -- curve_sample against the per-angle loop it replaced ----------------------
+# The reference solves each ray on its own with the one-row real_roots, as
+# curve_sample did before it batched the rays; real_roots itself is pinned to
+# a scalar reference in test_hyperbolicity.  The points must agree in repr,
+# element types included.
+
+def _ray_coeffs(form, theta):
+    n = form.n
+    coeffs = [0.0] * (n + 1)
+    coeffs[0] = form.c0 * math.cos(n * theta) + form.ct0 * math.sin(n * theta)
+    for r, cr in enumerate(form.c, start=1):
+        coeffs[n - 2 * r] += cr
+    coeffs[n] = 1.0
+    return coeffs
+
+
+def _per_angle_rays(form, m):
+    """(theta, real roots) of each ray that is not constant, one solve per ray."""
+    rays = []
+    for k in range(m):
+        theta = 2 * math.pi * k / m
+        coeffs = _ray_coeffs(form, theta)
+        if max(abs(c) for c in coeffs[:-1]) == 0.0:
+            continue
+        rays.append((theta, real_roots(coeffs).roots))
+    return rays
+
+
+def _per_angle_points(rays, r_max=None):
+    pts = []
+    for theta, roots in rays:
+        for rho, _ in roots:
+            if r_max is not None and abs(rho) > r_max:
+                continue
+            pts.append((rho * math.cos(theta), rho * math.sin(theta)))
+    return pts
+
+
+def _assert_matches_per_angle_reference(form):
+    rays = {m: _per_angle_rays(form, m) for m in (-1, 0, 1, 8, 33, 720)}
+    full = _per_angle_points(rays[720])
+    # a radius bound that drops about half of the points
+    r_max = float(np.median([math.hypot(x, y) for x, y in full])) if full else 1.0
+    for m, per_angle in rays.items():
+        for bound in (None, r_max):
+            assert repr(curve_sample(form, m, bound)) == repr(_per_angle_points(per_angle, bound))
+
+
+def _mixed_degree_form(n, seed):
+    """A forward image with c0 = -c_{n/2}: the rho^n coefficient
+    c0 cos n theta + c_{n/2} vanishes where cos n theta = 1, so those rows
+    strip to a lower degree than the rest."""
+    form = forward_matching(random_shift(np.random.default_rng(seed), n))
+    return InvariantForm(n, form.c, -form.c[-1], 0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_curve_sample_matches_per_angle_reference(n):
+    _assert_matches_per_angle_reference(
+        forward_matching(random_shift(np.random.default_rng(5200 + n), n)))
+
+
+@pytest.mark.parametrize("kind", ["zero_weight", "equal_moduli", "even_repeated"])
+@pytest.mark.parametrize("n", [3, 4, 7, 10])
+def test_curve_sample_matches_per_angle_reference_on_singular_forms(kind, n):
+    # repeated roots along some rays: the close-pair rows take the union-find
+    _assert_matches_per_angle_reference(singular_form(kind, n, np.random.default_rng([n, 77])))
+
+
+@pytest.mark.parametrize("form", [
+    InvariantForm(5, [-3.0, 1.5], 0.0, 0.0),    # the rho^5 coefficient is 0 on every ray
+    _mixed_degree_form(4, 61),
+    _mixed_degree_form(6, 62),
+    # (1 - 2 rho^2)^2 where cos 4 theta = 1, distinct roots on every other ray:
+    # a batch that mixes close-pair rows with singleton rows
+    InvariantForm(4, [-4.0, 2.0], 2.0, 0.0),
+], ids=["odd-no-top-pair", "mixed-degree-n4", "mixed-degree-n6", "double-root-rays"])
+def test_curve_sample_matches_per_angle_reference_on_special_rows(form):
+    _assert_matches_per_angle_reference(form)
+
+
+@pytest.mark.parametrize("form", [
+    InvariantForm(4, [1e-20, 1e-20], 1e-20, 0.0),   # every ray
+    InvariantForm(4, [0.0, 0.0], 1.0, 0.0),         # only where cos 4 theta ~ 6e-17
+])
+def test_curve_sample_raises_as_the_per_angle_loop(form):
+    with pytest.raises(DegenerateInput) as expected:
+        _per_angle_rays(form, 720)
+    with pytest.raises(DegenerateInput) as raised:
+        curve_sample(form, 720)
+    assert str(raised.value) == str(expected.value) == "polynomial is constant after stripping"
+
+
+def test_curve_sample_solves_once_per_stripped_degree(monkeypatch):
+    form = _mixed_degree_form(6, 62)
+    degrees = set()
+    for k in range(720):
+        coeffs = _ray_coeffs(form, 2 * math.pi * k / 720)
+        big = max(abs(c) for c in coeffs)
+        degrees.add(len(coeffs) - 1 - next(i for i, c in enumerate(coeffs) if abs(c) > 1e-14 * big))
+    assert len(degrees) == 2
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert curve_sample(form, 720)
+    assert len(calls) <= len(degrees)
