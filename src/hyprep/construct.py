@@ -17,10 +17,13 @@ TrivariatePoly.evaluate would give them.  The curve divisions of one form
 matrix share one least-squares matrix per eigenspace class, written
 straight from the coefficients of f and df/dt by index arithmetic.
 
-Forms with s = 0, and forms the direct construction cannot certify, take
-the spectral route instead: the weights of a Hermitian slice H(theta*)
-whose spectrum is the root set of p, from a least-norm Levenberg-Marquardt
-solve for the moduli (s > 0) or from Lanczos on the spectrum (s = 0).
+That is the direct route, the paper's construction.  The spectral route
+is the second one: the weights of a Hermitian slice H(theta*) whose
+spectrum is the root set of p, from a least-norm Levenberg-Marquardt solve
+for the moduli (s > 0) or from Lanczos on the spectrum (s = 0).  represent
+tries the spectral route first on smooth forms and the direct route first
+on singular forms with s > 0.  Forms with s = 0 take the spectral route
+alone.
 """
 
 import cmath
@@ -37,7 +40,7 @@ from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                      IndefiniteDiagonal, NoetherResidual, NoVanishingForm,
                      PatternViolation)
 from .forward import _matching_sums, coefficient_error
-from .hyperbolicity import classify, cluster_roots
+from .hyperbolicity import Kind, classify, cluster_roots
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
 from .poly import TrivariatePoly, _evaluate_many, conj_involution
@@ -697,28 +700,43 @@ def _represent_spectral(form: InvariantForm, tol_final: float,
     raise ConvergenceFailed(f"spectral route error {err:.2e}")
 
 
+def _represent_direct(form: InvariantForm, tol_final: float,
+                      rng: np.random.Generator) -> ShiftMatrix:
+    """The direct construction, polished when its error is not near roundoff."""
+    W, err = _represent_smooth(form, tol_final, rng)
+    if err > 1e-8 * max(1.0, form.coefficient_scale()):
+        W = _polish_weights(form, W)
+    return W
+
+
 def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatrix:
     """Cyclic weighted shift matrix whose pencil determinant equals the form.
 
-    Forms with s > 0 go through the direct construction first; singular
-    ones among them are still attempted directly (an even-multiplicity
-    self-conjugate orbit splits its multiplicity between the conjugate
-    halves).  Forms with s = 0, and those the direct construction cannot
-    certify, take the spectral route: an inverse eigenvalue problem for
-    the Hermitian slice H(theta*) at which the identity of shift.py reads
-    det(tI + H(theta*)) = p(t).
+    Two routes build it.  The direct route is the paper's construction
+    (intersection points, vanishing forms, curve division, pencil fit); it
+    needs s > 0.  The spectral route solves an inverse eigenvalue problem
+    for the Hermitian slice H(theta*) at which the identity of shift.py
+    reads det(tI + H(theta*)) = p(t).  The routes are tried in turn, each
+    failure passing to the next, and the last one's error is raised.
+
+    Smooth forms try the spectral route first.  Singular forms with s > 0
+    try the direct route first: an even-multiplicity self-conjugate orbit
+    splits its multiplicity between the conjugate halves, so the direct
+    route still applies to many of them.  Forms with s = 0 take the
+    spectral route alone.  The routes of one call share one seeded random
+    generator.
     """
     cls = classify(form)    # raises NotHyperbolic
     rng = np.random.default_rng(config.seed)
-    scale = max(1.0, form.coefficient_scale())
-    if cls.s > DROP_TOL * scale:
+    if cls.s <= DROP_TOL * max(1.0, form.coefficient_scale()):
+        routes = [_represent_spectral]
+    elif cls.kind is Kind.SMOOTH:
+        routes = [_represent_spectral, _represent_direct]
+    else:
+        routes = [_represent_direct, _represent_spectral]
+    for route in routes[:-1]:
         try:
-            W, err = _represent_smooth(form, config.tol_final, rng)
-            if err > 1e-8 * scale:
-                W = _polish_weights(form, W)
-            return W
+            return route(form, config.tol_final, rng)
         except HyprepError:
-            # real or repeated intersection points, or a numerically
-            # marginal smooth form: the spectral route still applies
-            pass
-    return _represent_spectral(form, config.tol_final, rng)
+            pass    # the next route still applies
+    return routes[-1](form, config.tol_final, rng)

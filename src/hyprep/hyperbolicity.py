@@ -4,10 +4,10 @@ For an invariant form the full hyperbolicity condition collapses to a pair
 of univariate checks: with p(t) = t^n + sum_r c_r t^(n-2r) and
 s = sqrt(c0^2 + ct0^2), the form is hyperbolic iff p + s and p - s have
 all real roots.  Repeated roots of either polynomial (or s = 0) make the
-form singular; the representation pipeline routes on s alone, and the
-spectral route of construct.py covers the singular forms that the direct
-construction cannot certify.  Multiplicities come from single-linkage
-clustering: two roots a, b merge when |a - b| <= CLUSTER_RADIUS (1 + max(|a|, |b|)).
+form singular; the representation pipeline routes on the kind and on s.
+Multiplicities come from single-linkage clustering: two roots a, b merge
+when |a - b| <= CLUSTER_RADIUS (1 + max(|a|, |b|)).  The endpoint solves
+keep the full degree n at every coefficient scale.
 """
 
 import dataclasses
@@ -130,7 +130,8 @@ def _root_profiles(rows) -> list[RootProfile]:
     if width == 0:
         raise DegenerateInput("empty or non-finite coefficient list")
     failed, groups = {}, {}
-    for i, (row, big) in enumerate(zip(arr, np.abs(arr).max(axis=1).tolist())):
+    bigs = np.abs(arr).max(axis=1)
+    for i, (row, big) in enumerate(zip(arr, bigs.tolist())):
         # strip negligible leading coefficients so the companion matrix is sane
         start = 0
         while start < width - 1 and abs(row[start]) <= 1e-14 * big:
@@ -151,9 +152,15 @@ def _root_profiles(rows) -> list[RootProfile]:
     profiles = [None] * n_rows
     for (lead, stop), g in groups.items():
         k, block = stop - lead, arr.take(g, axis=0)[:, lead:stop + 1]
+        # each row times the power of two that puts its largest coefficient
+        # in [0.5, 1): exact, so the quotients keep their bits, and a
+        # subnormal leading coefficient no longer overflows the division
+        shift = -np.frexp(bigs[g])[1][:, None]
+        scaled = np.empty_like(block)
+        scaled.real, scaled.imag = np.ldexp(block.real, shift), np.ldexp(block.imag, shift)
         companion = np.zeros((len(g), k * k), dtype=complex)
         companion[:, k::k + 1] = 1.0
-        companion[:, :k] = -block[:, 1:] / block[:, :1]
+        companion[:, :k] = -scaled[:, 1:] / scaled[:, :1]
         raw = np.linalg.eigvals(companion.reshape(len(g), k, k))
         if stop < width - 1:
             raw = np.concatenate((raw, np.zeros((len(g), width - 1 - stop), dtype=complex)), axis=1)
@@ -194,15 +201,38 @@ def real_roots(coeffs) -> RootProfile:
     return _root_profiles([list(coeffs)])[0]
 
 
+def _full_degree_roots(coeffs) -> RootProfile:
+    """real_roots of a monic polynomial, at its full degree at every scale.
+
+    real_roots strips leading coefficients below 1e-14 of the largest, so
+    once a coefficient reaches 1e14 it would strip the monic t^n.  There the
+    roots are solved in tau = t / 2^k, with 2^k at least the root bound
+    max_j |a_j|^(1/j): the coefficients a_j 2^(-jk) are exact and about one
+    at most, and the roots are scaled back by 2^k, exactly.  Below that
+    scale the coefficients go to real_roots as they are.
+    """
+    big = max(abs(a) for a in coeffs)
+    if not math.isfinite(big) or 1.0 > 1e-14 * big:
+        return real_roots(coeffs)
+    k = max(math.ceil(math.log2(abs(a)) / j) for j, a in enumerate(coeffs) if j and a)
+    profile = real_roots([math.ldexp(a, -j * k) for j, a in enumerate(coeffs)])
+    return RootProfile(tuple((math.ldexp(x, k), m) for x, m in profile.roots),
+                       profile.n_complex)
+
+
 def _endpoints(form: InvariantForm):
     """(sign, root profile) of p + s, then of p - s.
 
-    Lazy: a caller that stops after p + s never solves p - s.
+    Lazy: a caller that stops after p + s never solves p - s.  When s = 0
+    the two are one polynomial, solved once.
     """
+    profile = None
     for sign in (+1.0, -1.0):
-        coeffs = form.univariate()
-        coeffs[-1] += sign * form.s
-        yield sign, real_roots(coeffs)
+        if profile is None or form.s != 0.0:
+            coeffs = form.univariate()
+            coeffs[-1] += sign * form.s
+            profile = _full_degree_roots(coeffs)
+        yield sign, profile
 
 
 def is_hyperbolic(form: InvariantForm) -> bool:

@@ -6,10 +6,12 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from hyprep import Config
-from hyprep.cli import main
+from hyprep import DEFAULT_CONFIG, Config, InvariantForm, verify
+from hyprep.cli import _format_json, main
+from hyprep.construct import _represent_direct
 from hyprep.hyperbolicity import real_roots
 
 
@@ -226,7 +228,11 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 
 
 # stdout recorded before the numerical range and the interpolation oracle were
-# rebuilt on the Hermitian slice H(theta); the CLI must still print it byte for byte
+# rebuilt on the Hermitian slice H(theta); the CLI must still print it byte for
+# byte.  The one exception is represent on the quintic, a smooth form: it was
+# recorded again when the spectral route became the first route for smooth
+# forms, and its earlier stdout, from the direct route, is kept under
+# "represent quintic direct route"
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -269,6 +275,16 @@ def test_golden_stdout(capsys, tmp_path, name):
     code, out = run_cli(capsys, *golden_argv(tmp_path, name))
     assert code == 0
     assert out == want
+
+
+def test_direct_route_keeps_quintic_golden_stdout():
+    # the direct route alone, with the seeded generator represent starts from,
+    # gives the weights the CLI printed while it was the first route
+    form = InvariantForm.from_json(GOLDEN_INPUTS["quintic_form"])
+    W = _represent_direct(form, DEFAULT_CONFIG.tol_final,
+                          np.random.default_rng(DEFAULT_CONFIG.seed))
+    out = _format_json({"shift": W.to_json(), "verify": verify(form, W).to_json()})
+    assert out + "\n" == json.loads(GOLDEN_PATH.read_text())["represent quintic direct route"]
 
 
 @pytest.mark.parametrize("name", sorted(CURVE_CSV_SHA256))

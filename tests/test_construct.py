@@ -7,13 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from hyprep import (Config, InvariantForm, Kind, ShiftMatrix, classify,
-                    compute_intersections, extract_shift, noether_division,
+from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, Kind, ShiftMatrix,
+                    classify, compute_intersections, extract_shift, noether_division,
                     normalize_pencil, represent, vanishing_form, verify)
-from hyprep.construct import (_DivisionMemo, _represent_spectral, assemble_form_matrix,
-                              pencil_from_adjugate)
-from hyprep.errors import NotHyperbolic, PatternViolation
+from hyprep import construct
+from hyprep.construct import (_DivisionMemo, _represent_direct, _represent_spectral,
+                              assemble_form_matrix, pencil_from_adjugate)
+from hyprep.errors import ConvergenceFailed, HyprepError, NotHyperbolic, PatternViolation
 from hyprep.forward import coefficient_error, forward_matching, realize_real
+from hyprep.hyperbolicity import _endpoints
 from hyprep.invariants import eigenspace_basis
 from hyprep.poly import DROP_TOL, TrivariatePoly, conj_involution
 from tests.conftest import random_shift
@@ -258,24 +260,80 @@ def assert_certified(form, W, headroom=1.0):
     assert coefficient_error(form, W) <= bound / headroom
 
 
+def direct_route(form):
+    """The direct route alone, from the seeded generator represent starts from."""
+    return _represent_direct(form, DEFAULT_CONFIG.tol_final,
+                             np.random.default_rng(DEFAULT_CONFIG.seed))
+
+
+def runtime_warnings(caught):
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("k", range(10))
 def test_represent_degree_16_fails_typed_and_quietly(k):
     # at n = 16 the direct route's adjugate quotient overflows or turns
-    # non-finite, a typed failure; the spectral route must then certify the
-    # form, with no numpy RuntimeWarning on the way
+    # non-finite: a typed failure, with no numpy RuntimeWarning on the way
     form = forward_matching(random_shift(np.random.default_rng(1760 + k), 16))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        W = represent(form)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert_certified(form, W)
+        with pytest.raises(HyprepError):
+            direct_route(form)
+    assert not runtime_warnings(caught)
 
 
-@pytest.mark.parametrize("n", range(13, 25))
+@pytest.mark.parametrize("scale", [1e2, 1e3, 1e6])
+def test_represent_certifies_large_scale_forward_images(scale):
+    # coefficients up to scale^n: the endpoint solves of classify must keep
+    # the monic t^n, which a plain real_roots strips from about 1e14 on
+    for n in range(3, 13):
+        for k in range(3):
+            W = random_shift(np.random.default_rng([n, k, 600]), n)
+            form = forward_matching(ShiftMatrix([w * scale for w in W.weights]))
+            assert [profile.degree() for _, profile in _endpoints(form)] == [n, n]
+            assert_certified(form, represent(form))
+
+
+def test_represent_routes(monkeypatch, quartic_form, quintic_form):
+    seen = []
+    for name in ("_represent_direct", "_represent_spectral"):
+        def traced(*args, route=getattr(construct, name), name=name):
+            seen.append(name)
+            return route(*args)
+        monkeypatch.setattr(construct, name, traced)
+    zero_weight = forward_matching(ShiftMatrix([0.8, 0.0, 1.1, 0.6]))
+    cases = [   # (form, routes run): quintic smooth, quartic singular with s > 0
+        (quintic_form, ["_represent_spectral"]),
+        (quartic_form, ["_represent_direct"]),
+        (zero_weight, ["_represent_spectral"]),
+    ]
+    for form, routes in cases:
+        seen.clear()
+        assert_certified(form, represent(form))
+        assert seen == routes
+
+
+def test_represent_falls_back_to_the_direct_route(monkeypatch, quintic_form):
+    def failing(*args):
+        raise ConvergenceFailed("spectral route error")
+    monkeypatch.setattr(construct, "_represent_spectral", failing)
+    assert represent(quintic_form).weights == direct_route(quintic_form).weights
+    monkeypatch.setattr(construct, "_represent_direct", failing)
+    with pytest.raises(ConvergenceFailed):
+        represent(quintic_form)
+
+
+@pytest.mark.parametrize("n", range(4, 25))
 def test_represent_certifies_forward_images_of_high_degree(n):
+    # smooth forms: the spectral route runs first, its errors near roundoff,
+    # far inside the gate, and with no numpy RuntimeWarning on the way
     for k in range(3):
         form = forward_matching(random_shift(np.random.default_rng(5000 + 100 * n + k), n))
-        assert_certified(form, represent(form))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            W = represent(form)
+        assert not runtime_warnings(caught)
+        assert_certified(form, W, headroom=100.0)
 
 
 def singular_form(kind, n, rng):
@@ -361,10 +419,12 @@ def test_represent_golden_weights(case):
     # weights pinned as repr strings, so that any change to the arithmetic
     # of the construction shows; the input is the forward image of a seeded
     # shift, or (zero_weight) of one with its second weight set to zero,
-    # which takes the spectral route
+    # which takes the spectral route; the forward images were recorded when
+    # the direct route came first for them, and are checked on it alone
     rng = np.random.default_rng(case["seed"])
     W = random_shift(rng, case["n"])
     if case["kind"] == "zero_weight":
-        W = ShiftMatrix(W.weights[:1] + (0j,) + W.weights[2:])
-    W = represent(forward_matching(W))
+        W = represent(forward_matching(ShiftMatrix(W.weights[:1] + (0j,) + W.weights[2:])))
+    else:
+        W = direct_route(forward_matching(W))
     assert [repr(w) for w in W.weights] == case["weights"]

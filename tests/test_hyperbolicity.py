@@ -1,12 +1,14 @@
 """Root engine, hyperbolicity certificate and classification."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hyprep import (InvariantForm, Kind, classify, interlace_check,
-                    is_hyperbolic, real_roots)
+from hyprep import (Classification, InvariantForm, Kind, ShiftMatrix, classify,
+                    interlace_check, is_hyperbolic, real_roots)
+from hyprep import hyperbolicity
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
 from hyprep.errors import DegenerateInput, HypothesisViolated, NotHyperbolic
 from hyprep.forward import forward_matching
@@ -312,3 +314,38 @@ def test_classify_solves_each_endpoint_once(monkeypatch, quintic_form):
     with pytest.raises(NotHyperbolic, match="form is not hyperbolic"):
         classify(InvariantForm(3, [0.0], 1.0, 0.0))
     assert len(seen) == 1
+
+
+def test_classify_solves_once_when_s_vanishes(monkeypatch):
+    forms = [InvariantForm(4, [-2.0, 0.0], 0.0, 0.0),
+             InvariantForm(5, [-5.0, 4.0], 0.0, 0.0),
+             forward_matching(ShiftMatrix([0.8, 0.0, 1.1, 0.6]))]
+    solve = hyperbolicity._root_profiles
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return solve(rows)
+
+    monkeypatch.setattr("hyprep.hyperbolicity._root_profiles", counting)
+    for form in forms:
+        assert form.s == 0.0
+        repeated = solve([form.univariate()])[0].max_multiplicity() > 1
+        want = Classification(Kind.SINGULAR, 0.0, {"plus": repeated, "minus": repeated})
+        calls.clear()
+        assert classify(form) == want
+        assert len(calls) == 1
+        calls.clear()
+        assert is_hyperbolic(form)
+        assert len(calls) == 1
+
+
+def test_real_roots_of_a_subnormal_leading_coefficient():
+    # the companion row is divided by the leading coefficient; scaled by a
+    # power of two first, 1e-320 no longer overflows the complex division
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prof = real_roots([1e-320, 1e-307])
+    assert prof.n_complex == 0 and len(prof.roots) == 1
+    root, mult = prof.roots[0]
+    assert mult == 1 and root == pytest.approx(-1e-307 / 1e-320, rel=1e-15)
