@@ -20,7 +20,8 @@ TOL_NOETHER = 1e-8
 TOL_PENCIL = 1e-7
 TOL_PATTERN = 1e-6
 DROP_TOL = 1e-12        # sparse polynomial coefficient cleanup; s below it is zero
-MAX_RETRIES = 5         # direct-route attempts; spectral-route starts
+MAX_RETRIES = 5         # spectral-route starts
+NEAR_ROUNDOFF = 1e-8    # represent takes the first route whose error, scaled, is below it
 # spectral route, in units of the equal moduli
 LM_STEPS = 100          # Levenberg-Marquardt steps per start
 LM_CONVERGED = 1e-10    # residual norm below which a rejected step ends a start
@@ -30,7 +31,7 @@ LM_STALL = 1e-3         # above it, a start ends when a step shrinks the residua
 @dataclasses.dataclass(frozen=True)
 class Config:
     """The caller's choices: the seed of the construction's random draws
-    (sample points and retry combinations) and the relative coefficient
+    (sample points and spectral restarts) and the relative coefficient
     error at which a representation is accepted."""
 
     seed: int = 7

@@ -23,7 +23,10 @@ spectrum is the root set of p, from a least-norm Levenberg-Marquardt solve
 for the moduli (s > 0) or from Lanczos on the spectrum (s = 0).  represent
 tries the spectral route first on smooth forms and the direct route first
 on singular forms with s > 0.  Forms with s = 0 take the spectral route
-alone.
+alone.  The direct route makes one attempt.  represent returns the first
+result certified near roundoff (error at most NEAR_ROUNDOFF times the
+scale), else the first certified one: a direct-route result short of
+roundoff gives way to the spectral route, and is kept if that fails.
 """
 
 import cmath
@@ -34,12 +37,13 @@ import math
 import numpy as np
 
 from .config import (CLUSTER_RADIUS, DEFAULT_CONFIG, DROP_TOL, LM_CONVERGED,
-                     LM_STALL, LM_STEPS, MAX_RETRIES, TOL_NOETHER,
-                     TOL_PATTERN, TOL_PENCIL, TOL_ROOT, TOL_VAN, Config)
+                     LM_STALL, LM_STEPS, MAX_RETRIES, NEAR_ROUNDOFF,
+                     TOL_NOETHER, TOL_PATTERN, TOL_PENCIL, TOL_ROOT, TOL_VAN,
+                     Config)
 from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                      IndefiniteDiagonal, NoetherResidual, NoVanishingForm,
                      PatternViolation)
-from .forward import _matching_sums, coefficient_error
+from .forward import coefficient_error
 from .hyperbolicity import Kind, classify, cluster_roots
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
@@ -74,9 +78,15 @@ class HermitianPencil:
         return t * self.M_t + u * self.M_u + v * self.M_u.conj().T
 
 
-def _eigclass_vectors(iset: IntersectionSet, ell: int):
-    """Evaluation matrix of the class-ell monomials on the working points,
-    its numerical nullspace, and the monomial basis."""
+def vanishing_form(iset: IntersectionSet, ell: int) -> TrivariatePoly:
+    """A nonzero class-ell form of degree n-1 vanishing on the kept points.
+
+    Vanishing on the orbit representatives forces vanishing on their whole
+    orbits, and the eigenspace dimension exceeds the condition count by at
+    least one, so the nullspace of the evaluation matrix is nonempty.  The
+    choice is its smallest-singular-value vector, normalized to leading
+    coefficient one in the global monomial order.
+    """
     n = iset.n
     basis = eigenspace_basis(n, n - 1, ell)
     rows = []
@@ -87,53 +97,23 @@ def _eigclass_vectors(iset: IntersectionSet, ell: int):
             continue
         t, u, v = rep.coords()
         rows.append([t ** e[0] * u ** e[1] * v ** e[2] for e in basis.monomials])
-    E = np.asarray(rows, dtype=complex) if rows else np.zeros((0, len(basis)), dtype=complex)
-    if E.shape[0] == 0:
-        null = np.eye(len(basis), dtype=complex)
-        return basis, null
-    # row scaling leaves the nullspace unchanged and tames points with
-    # large coordinates
-    norms = np.maximum(np.linalg.norm(E, axis=1), 1e-300)
-    E = E / norms[:, None]
-    _, sing, Vh = np.linalg.svd(E)
-    smax = sing[0] if len(sing) else 1.0
-    tolerance = max(TOL_VAN, TOL_VAN * smax)
-    null_idx = [i for i in range(Vh.shape[0])
-                if i >= len(sing) or sing[i] <= tolerance]
-    if not null_idx:
-        raise NoVanishingForm(
-            f"class {ell}: smallest singular value {sing[-1]:.2e} above tolerance")
-    return basis, Vh[null_idx].conj().T
-
-
-def vanishing_form(iset: IntersectionSet, ell: int,
-                   combo: np.ndarray | None = None) -> TrivariatePoly:
-    """A nonzero class-ell form of degree n-1 vanishing on the kept points.
-
-    Vanishing on the orbit representatives forces vanishing on their whole
-    orbits, and the eigenspace dimension exceeds the condition count by at
-    least one, so the nullspace is nonempty.  The default choice is the
-    smallest-singular-value vector; retries pass a unit combination of the
-    whole numerical nullspace.  The output is normalized to leading
-    coefficient one in the global monomial order.
-    """
-    basis, null = _eigclass_vectors(iset, ell)
-    if combo is None:
-        vec = null[:, -1]          # right vector of the smallest singular value
+    if rows:
+        # row scaling leaves the nullspace unchanged and tames points with
+        # large coordinates
+        E = np.asarray(rows, dtype=complex)
+        norms = np.maximum(np.linalg.norm(E, axis=1), 1e-300)
+        _, sing, Vh = np.linalg.svd(E / norms[:, None])
+        if len(sing) == len(basis) and sing[-1] > max(TOL_VAN, TOL_VAN * sing[0]):
+            raise NoVanishingForm(
+                f"class {ell}: smallest singular value {sing[-1]:.2e} above tolerance")
+        vec = Vh[-1].conj()        # right vector of the smallest singular value
     else:
-        combo = np.asarray(combo, dtype=complex)[: null.shape[1]]
-        combo = combo / np.linalg.norm(combo)
-        vec = null @ combo
+        vec = np.eye(len(basis), dtype=complex)[-1]
     terms = {e: vec[i] for i, e in enumerate(basis.monomials) if abs(vec[i]) > 0}
-    p = TrivariatePoly(iset.n - 1, terms)
+    p = TrivariatePoly(n - 1, terms)
     if p.is_zero():
-        raise NoVanishingForm(f"class {ell}: nullspace combination vanished")
+        raise NoVanishingForm(f"class {ell}: nullspace vector vanished")
     return p.monic()
-
-
-def nullspace_dim(iset: IntersectionSet, ell: int) -> int:
-    _, null = _eigclass_vectors(iset, ell)
-    return null.shape[1]
 
 
 @functools.lru_cache(maxsize=256)
@@ -165,7 +145,7 @@ class _DivisionMemo:
     def __init__(self, f: TrivariatePoly, g11: TrivariatePoly, n: int):
         if f.degree != n or g11.degree != n - 1:
             raise ValueError("division needs deg f = n and deg g11 = n - 1")
-        self.f, self.g11, self.n = f, g11, n
+        self.n = n
         one = TrivariatePoly.monomial((0, 0, 0))
         self.parts = [(one * g).terms for g in (f, g11)]
         self.systems = {}
@@ -220,29 +200,21 @@ def _cofactor_solution(memo: _DivisionMemo, h: TrivariatePoly, ell: int):
 
 
 def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
-                     ell: int, n: int, *, memo: _DivisionMemo | None = None,
-                     ) -> tuple[TrivariatePoly, TrivariatePoly]:
+                     ell: int, n: int) -> tuple[TrivariatePoly, TrivariatePoly]:
     """Write h = a*f + b*g11 with both cofactors confined to class ell.
 
     Group-averaging the classical cofactors lands them in the same
     eigenspace as h, so the unknowns can be restricted structurally to the
-    class-ell monomials and solved as one least-squares system.  A caller
-    dividing many targets by the same f and g11 passes one
-    _DivisionMemo(f, g11, n) as `memo`, so each class's matrix is built once.
+    class-ell monomials and solved as one least-squares system.
     """
     if h.degree != 2 * (n - 1):
         raise ValueError("division target must have degree 2(n-1)")
-    if memo is None:
-        memo = _DivisionMemo(f, g11, n)
-    elif memo.f is not f or memo.g11 is not g11 or memo.n != n:
-        raise ValueError("division memo belongs to another (f, g11, n)")
-    a_vec, b_vec = _cofactor_solution(memo, h, ell)
+    a_vec, b_vec = _cofactor_solution(_DivisionMemo(f, g11, n), h, ell)
     mon_a, mon_b, _, _ = _division_layout(n, ell)
     return _poly_from_vec(a_vec, mon_a, n - 2), _poly_from_vec(b_vec, mon_b, n - 1)
 
 
-def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet,
-                         combos: dict | None = None) -> FormMatrix:
+def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> FormMatrix:
     """Build the full Hermitian grid of degree n-1 forms.
 
     Row one holds df/dt and the vanishing forms; the remaining upper
@@ -255,9 +227,7 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet,
     g = [[None] * n for _ in range(n)]
     g[0][0] = f.dt()
     for j in range(1, n):
-        ell = (0 - j) % n
-        combo = (combos or {}).get(j)
-        g[0][j] = vanishing_form(iset, ell, combo)
+        g[0][j] = vanishing_form(iset, (0 - j) % n)
         g[j][0] = conj_involution(g[0][j])
     memo = _DivisionMemo(f, g[0][0], n)
     for i in range(1, n):
@@ -415,127 +385,19 @@ def extract_shift(P: HermitianPencil) -> ShiftMatrix:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end pipeline
+# direct route
 
 
-def _represent_smooth(form: InvariantForm, tol_final: float,
+def _represent_direct(form: InvariantForm, tol_final: float,
                       rng: np.random.Generator) -> tuple[ShiftMatrix, float]:
-    """The direct construction, with its certified coefficient error."""
-    iset = compute_intersections(form)
-    last_error: HyprepError | None = None
-    for attempt in range(MAX_RETRIES):
-        combos = None
-        if attempt > 0:
-            combos = {}
-            for j in range(1, form.n):
-                dim = nullspace_dim(iset, (0 - j) % form.n)
-                raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                combos[j] = raw
-        try:
-            G = assemble_form_matrix(form, iset, combos)
-            P = pencil_from_adjugate(G, form, rng)
-            P = normalize_pencil(P)
-            W = extract_shift(P)
-        except (NoetherResidual, AdjugateMismatch, PatternViolation,
-                IndefiniteDiagonal, NoVanishingForm) as exc:
-            last_error = exc
-            continue
-        err = coefficient_error(form, W)
-        if err <= tol_final * max(1.0, form.coefficient_scale()):
-            return W, err
-        last_error = AdjugateMismatch(f"verification error {err:.2e} after extraction")
-    raise last_error if last_error else ConvergenceFailed("smooth pipeline failed")
-
-
-def _rebuild_with_product_phase(W: ShiftMatrix, moduli: np.ndarray,
-                                phi: float | None) -> ShiftMatrix:
-    """New weights with the given moduli, keeping the phases of W except for
-    one adjustment that pins the total product phase."""
-    phases = [cmath.phase(a) if a != 0 else 0.0 for a in W.weights]
-    nz = [j for j, mj in enumerate(moduli) if mj > 0]
-    if phi is not None and len(nz) == len(moduli):
-        phases[nz[-1]] += phi - sum(phases[j] for j in nz)
-    return ShiftMatrix([mj * cmath.exp(1j * p) for mj, p in zip(moduli, phases)])
-
-
-def _polish_weights(form: InvariantForm, W: ShiftMatrix) -> ShiftMatrix:
-    """Gauss-Newton refinement of the weights against the target coefficients.
-
-    The forward invariants depend only on the |a_j| and the weight product.
-    The product phase is pure gauge and is pinned exactly at rebuild time,
-    which leaves a fit over the squared moduli m_j alone: the matching sums
-    and the squared product magnitude are polynomial in m, so the residual
-    stays smooth all the way down to vanishing weights.
-    """
-    n = W.n
-    kappa = 2.0 ** (1 - n)
-    target_prod = complex(form.c0, form.ct0) / ((-1.0) ** (n - 1) * kappa)
-    y_star = abs(target_prod) ** 2
-    phi_star = cmath.phase(target_prod) if abs(target_prod) > 0 else None
-    prod_row_scale = kappa / max(2.0 * math.sqrt(y_star) * kappa, 1.0)
-    scale = max(1.0, form.coefficient_scale())
-
-    def residual(m):
-        sums = _matching_sums(list(np.maximum(m, 0.0)))
-        res = [(-0.25) ** r * sums[r] - cr for r, cr in enumerate(form.c, start=1)]
-        res.append((float(np.prod(np.maximum(m, 0.0))) - y_star) * prod_row_scale)
-        return np.array(res, dtype=float)
-
-    def true_error(m):
-        cand = _rebuild_with_product_phase(W, np.sqrt(np.maximum(m, 0.0)), phi_star)
-        return coefficient_error(form, cand), cand
-
-    x = np.array([abs(w) ** 2 for w in W.weights])
-    best_err, best = true_error(x)
-    r = residual(x)
-    lam = 1e-10
-    for _ in range(200):
-        if best_err < 1e-12 * scale:
-            break
-        J = np.zeros((len(r), n))
-        for k in range(n):
-            h = 1e-7 * (1.0 + abs(x[k]))
-            xp, xm = x.copy(), x.copy()
-            xp[k] += h
-            xm[k] = max(xm[k] - h, 0.0)
-            J[:, k] = (residual(xp) - residual(xm)) / (xp[k] - xm[k])
-        # Levenberg-Marquardt with an active set: coordinates pinned at the
-        # m >= 0 boundary whose step wants to go negative are frozen, so the
-        # realized move matches the linearization
-        improved = False
-        for _ in range(16):
-            free = np.ones(n, dtype=bool)
-            step = np.zeros(n)
-            for _ in range(n):
-                Jf = J[:, free]
-                JtJ = Jf.T @ Jf
-                g = Jf.T @ r
-                diag = np.diag(np.maximum(np.diag(JtJ), 1e-12))
-                try:
-                    sub = np.linalg.solve(JtJ + lam * diag, -g)
-                except np.linalg.LinAlgError:
-                    sub = None
-                if sub is None:
-                    break
-                step[:] = 0.0
-                step[free] = sub
-                blocked = free & (x <= 0.0) & (step < 0.0)
-                if not np.any(blocked):
-                    break
-                free &= ~blocked
-            cand = np.maximum(x + step, 0.0)
-            rc = residual(cand)
-            if np.linalg.norm(rc) < np.linalg.norm(r):
-                x, r, improved = cand, rc, True
-                lam = max(lam / 3.0, 1e-12)
-                break
-            lam *= 10.0
-        if not improved:
-            break
-        err, Wc = true_error(x)
-        if err < best_err:
-            best_err, best = err, Wc
-    return best
+    """The direct construction, one attempt, with its certified coefficient
+    error; an error above tol_final * max(1, scale) raises."""
+    G = assemble_form_matrix(form, compute_intersections(form))
+    W = extract_shift(normalize_pencil(pencil_from_adjugate(G, form, rng)))
+    err = coefficient_error(form, W)
+    if err > tol_final * max(1.0, form.coefficient_scale()):
+        raise AdjugateMismatch(f"verification error {err:.2e} after extraction")
+    return W, err
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +547,10 @@ def _modulus_weights(form: InvariantForm, rng: np.random.Generator):
 
 
 def _represent_spectral(form: InvariantForm, tol_final: float,
-                        rng: np.random.Generator) -> ShiftMatrix:
+                        rng: np.random.Generator) -> tuple[ShiftMatrix, float]:
     """The spectral route: the first candidate whose coefficient error is
-    within tol_final * max(1, scale), the gate of the direct route."""
+    within tol_final * max(1, scale), the gate of the direct route, with
+    that error."""
     scale = max(1.0, form.coefficient_scale())
     if form.s <= DROP_TOL * scale:
         candidates = [_path_weights(form)]
@@ -696,47 +559,53 @@ def _represent_spectral(form: InvariantForm, tol_final: float,
     for W in candidates:
         err = coefficient_error(form, W)
         if err <= tol_final * scale:
-            return W
+            return W, err
     raise ConvergenceFailed(f"spectral route error {err:.2e}")
 
 
-def _represent_direct(form: InvariantForm, tol_final: float,
-                      rng: np.random.Generator) -> ShiftMatrix:
-    """The direct construction, polished when its error is not near roundoff."""
-    W, err = _represent_smooth(form, tol_final, rng)
-    if err > 1e-8 * max(1.0, form.coefficient_scale()):
-        W = _polish_weights(form, W)
-    return W
+# ---------------------------------------------------------------------------
+# end-to-end pipeline
 
 
 def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatrix:
     """Cyclic weighted shift matrix whose pencil determinant equals the form.
 
     Two routes build it.  The direct route is the paper's construction
-    (intersection points, vanishing forms, curve division, pencil fit); it
-    needs s > 0.  The spectral route solves an inverse eigenvalue problem
-    for the Hermitian slice H(theta*) at which the identity of shift.py
-    reads det(tI + H(theta*)) = p(t).  The routes are tried in turn, each
-    failure passing to the next, and the last one's error is raised.
+    (intersection points, vanishing forms, curve division, pencil fit) in
+    one attempt; it needs s > 0.  The spectral route solves an inverse
+    eigenvalue problem for the Hermitian slice H(theta*) at which the
+    identity of shift.py reads det(tI + H(theta*)) = p(t).  Each route
+    returns certified weights or raises.
 
     Smooth forms try the spectral route first.  Singular forms with s > 0
     try the direct route first: an even-multiplicity self-conjugate orbit
     splits its multiplicity between the conjugate halves, so the direct
     route still applies to many of them.  Forms with s = 0 take the
-    spectral route alone.  The routes of one call share one seeded random
-    generator.
+    spectral route alone.  The routes run in turn, sharing one seeded
+    random generator, until one certifies near roundoff (error at most
+    NEAR_ROUNDOFF * max(1, scale)); failing that, the first certified
+    result is returned, and failing that, the last route's error is raised.
     """
     cls = classify(form)    # raises NotHyperbolic
     rng = np.random.default_rng(config.seed)
-    if cls.s <= DROP_TOL * max(1.0, form.coefficient_scale()):
+    scale = max(1.0, form.coefficient_scale())
+    if cls.s <= DROP_TOL * scale:
         routes = [_represent_spectral]
     elif cls.kind is Kind.SMOOTH:
         routes = [_represent_spectral, _represent_direct]
     else:
         routes = [_represent_direct, _represent_spectral]
-    for route in routes[:-1]:
+    certified = None
+    for route in routes:
         try:
-            return route(form, config.tol_final, rng)
-        except HyprepError:
-            pass    # the next route still applies
-    return routes[-1](form, config.tol_final, rng)
+            W, err = route(form, config.tol_final, rng)
+        except HyprepError as exc:
+            last_error = exc
+            continue
+        if err <= NEAR_ROUNDOFF * scale:
+            return W
+        if certified is None:
+            certified = W
+    if certified is None:
+        raise last_error
+    return certified

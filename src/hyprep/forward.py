@@ -130,9 +130,10 @@ def verify(form: InvariantForm, W: ShiftMatrix) -> VerifyReport:
     """Coefficient-level comparison of a form against the forward image of W."""
     got = forward_matching(W)
     scale = max(1.0, got.coefficient_scale())
+    deltas = _coefficient_deltas(form, got)
     return VerifyReport(
-        max_abs_err=coefficient_error(form, W),
-        deltas=_coefficient_deltas(form, got),
+        max_abs_err=max(deltas.values()),
+        deltas=deltas,
         hyperbolic=is_hyperbolic(got),
         dihedral=abs(got.ct0) <= 1e-9 * scale,
         zero_weight=any(w == 0 for w in W.weights),

@@ -281,8 +281,8 @@ def test_direct_route_keeps_quintic_golden_stdout():
     # the direct route alone, with the seeded generator represent starts from,
     # gives the weights the CLI printed while it was the first route
     form = InvariantForm.from_json(GOLDEN_INPUTS["quintic_form"])
-    W = _represent_direct(form, DEFAULT_CONFIG.tol_final,
-                          np.random.default_rng(DEFAULT_CONFIG.seed))
+    W, _ = _represent_direct(form, DEFAULT_CONFIG.tol_final,
+                             np.random.default_rng(DEFAULT_CONFIG.seed))
     out = _format_json({"shift": W.to_json(), "verify": verify(form, W).to_json()})
     assert out + "\n" == json.loads(GOLDEN_PATH.read_text())["represent quintic direct route"]
 

@@ -129,8 +129,6 @@ def test_division_matrix_equals_the_product_built_one(quintic_form):
     assert abs(f.coeff((2, 2, 2))) < DROP_TOL * f.max_abs_coeff()
     A = _DivisionMemo(f, f.dt(), 6).system(0)[0]
     assert np.count_nonzero(A[:, 0]) == len(f.terms) - 1
-    with pytest.raises(ValueError):       # a memo of another form
-        noether_division(f, f.dt(), f * f.dt().dt(), 0, 6, memo=memo)
 
 
 def test_form_matrix_invariants(quartic_form):
@@ -263,7 +261,7 @@ def assert_certified(form, W, headroom=1.0):
 def direct_route(form):
     """The direct route alone, from the seeded generator represent starts from."""
     return _represent_direct(form, DEFAULT_CONFIG.tol_final,
-                             np.random.default_rng(DEFAULT_CONFIG.seed))
+                             np.random.default_rng(DEFAULT_CONFIG.seed))[0]
 
 
 def runtime_warnings(caught):
@@ -271,15 +269,23 @@ def runtime_warnings(caught):
 
 
 @pytest.mark.parametrize("k", range(10))
-def test_represent_degree_16_fails_typed_and_quietly(k):
+def test_represent_degree_16_fails_typed_and_quietly(monkeypatch, k):
     # at n = 16 the direct route's adjugate quotient overflows or turns
-    # non-finite: a typed failure, with no numpy RuntimeWarning on the way
+    # non-finite: a typed failure, after one attempt, with no numpy
+    # RuntimeWarning on the way
+    calls = []
+
+    def counted(*args, assemble=construct.assemble_form_matrix):
+        calls.append(1)
+        return assemble(*args)
+    monkeypatch.setattr(construct, "assemble_form_matrix", counted)
     form = forward_matching(random_shift(np.random.default_rng(1760 + k), 16))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(HyprepError):
             direct_route(form)
     assert not runtime_warnings(caught)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("scale", [1e2, 1e3, 1e6])
@@ -321,6 +327,22 @@ def test_represent_falls_back_to_the_direct_route(monkeypatch, quintic_form):
     monkeypatch.setattr(construct, "_represent_direct", failing)
     with pytest.raises(ConvergenceFailed):
         represent(quintic_form)
+
+
+@pytest.mark.parametrize("n, k", [(3, 6), (5, 0)])
+def test_represent_prefers_near_roundoff_and_keeps_a_certified_result(monkeypatch, n, k):
+    # equal-moduli draws whose direct-route error lies in (1e-8, 1e-6] * scale:
+    # certified, but short of roundoff, so the spectral route runs next
+    form = singular_form("equal_moduli", n, np.random.default_rng([n, k, 12]))
+    scale = max(1.0, form.coefficient_scale())
+    W_direct = direct_route(form)
+    assert 1e-8 * scale < coefficient_error(form, W_direct) <= 1e-6 * scale
+    assert coefficient_error(form, represent(form)) <= 1e-8 * scale
+
+    def failing(*args):
+        raise ConvergenceFailed("spectral route error")
+    monkeypatch.setattr(construct, "_represent_spectral", failing)
+    assert represent(form).weights == W_direct.weights
 
 
 @pytest.mark.parametrize("n", range(4, 25))
@@ -382,7 +404,7 @@ def test_spectral_route_gives_real_weights_when_ct0_vanishes():
              forward_matching(ShiftMatrix([0.8, 0.0, 1.1, 0.6]))]          # s = 0
     for form in forms:
         assert form.ct0 == 0.0 and classify(form).kind is Kind.SINGULAR
-        W = _represent_spectral(form, Config().tol_final, np.random.default_rng(7))
+        W, _ = _represent_spectral(form, Config().tol_final, np.random.default_rng(7))
         assert_certified(form, W)
         assert all(w.imag == 0.0 for w in W.weights)
         assert realize_real(W).weights == W.weights
