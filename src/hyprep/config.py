@@ -20,12 +20,13 @@ TOL_NOETHER = 1e-8
 TOL_PENCIL = 1e-7
 TOL_PATTERN = 1e-6
 DROP_TOL = 1e-12        # sparse polynomial coefficient cleanup; s below it is zero
-MAX_RETRIES = 5         # spectral-route starts
+MAX_RETRIES = 5         # spectral-route starts; the equal-moduli one runs only below LM_LINE
 NEAR_ROUNDOFF = 1e-8    # represent takes the first route whose error, scaled, is below it
 # spectral route, in units of the equal moduli
 LM_STEPS = 100          # Levenberg-Marquardt steps per start
 LM_CONVERGED = 1e-10    # residual norm below which a rejected step ends a start
 LM_STALL = 1e-3         # above it, a start ends when a step shrinks the residual less
+LM_LINE = 1e-3          # the equal-moduli start runs only if its residual is below it
 
 
 @dataclasses.dataclass(frozen=True)

@@ -20,7 +20,9 @@ straight from the coefficients of f and df/dt by index arithmetic.
 That is the direct route, the paper's construction.  The spectral route
 is the second one: the weights of a Hermitian slice H(theta*) whose
 spectrum is the root set of p, from a least-norm Levenberg-Marquardt solve
-for the moduli (s > 0) or from Lanczos on the spectrum (s = 0).  represent
+for the moduli (s > 0) or from Lanczos on the spectrum (s = 0).  No step
+from equal moduli leaves them equal, so that start runs only when its line
+meets the target (equal-moduli images); seeded restarts follow.  represent
 tries the spectral route first on smooth forms and the direct route first
 on singular forms with s > 0.  Forms with s = 0 take the spectral route
 alone.  The direct route makes one attempt.  represent returns the first
@@ -37,7 +39,7 @@ import math
 import numpy as np
 
 from .config import (CLUSTER_RADIUS, DEFAULT_CONFIG, DROP_TOL, LM_CONVERGED,
-                     LM_STALL, LM_STEPS, MAX_RETRIES, NEAR_ROUNDOFF,
+                     LM_LINE, LM_STALL, LM_STEPS, MAX_RETRIES, NEAR_ROUNDOFF,
                      TOL_NOETHER, TOL_PATTERN, TOL_PENCIL, TOL_ROOT, TOL_VAN,
                      Config)
 from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
@@ -480,16 +482,13 @@ def _path_weights(form: InvariantForm) -> ShiftMatrix:
     return ShiftMatrix(weights)
 
 
-def _modulus_weights(form: InvariantForm, rng: np.random.Generator):
-    """s > 0: moduli r with spec H(theta*) = roots of p and prod r = |T|,
-    one candidate shift per start.
+def _modulus_system(form: InvariantForm):
+    """s > 0: the residual map r -> (F, J) of the moduli in units of the
+    equal moduli kappa, with kappa and the unit product phase.
 
-    The n + 1 residuals are the eigenvalue errors and the product error
-    (prod r - |T|) / max(1, |T|); Hellmann-Feynman gives the eigenvalue
-    rows of the Jacobian from one eigh.  The system is underdetermined
-    (representations are not unique), so the steps are least-norm
-    Levenberg-Marquardt steps (Friedland, Nocedal & Overton, 1987), from
-    equal moduli and then from seeded random restarts.
+    The n + 1 residuals are the eigenvalue errors spec H(theta*) - roots of
+    p and the product error (prod r - |T|) / max(1, |T|); Hellmann-Feynman
+    gives the eigenvalue rows of the Jacobian from one eigh.
     """
     n = form.n
     top = complex(form.c0, form.ct0) / ((-1.0) ** (n - 1) * 2.0 ** (1 - n))
@@ -514,15 +513,38 @@ def _modulus_weights(form: InvariantForm, rng: np.random.Generator):
         H = np.zeros((n, n), dtype=complex)
         H[np.arange(n), nxt] = 0.5 * r * rot
         lam, V = np.linalg.eigh(H + H.conj().T)
-        others = (np.concatenate(([1.0], np.cumprod(r[:-1])))
-                  * np.concatenate((np.cumprod(r[:0:-1])[::-1], [1.0])))
-        F = np.append(lam - target, np.prod(r) - size)
-        J = np.vstack(((rot[:, None] * V.conj() * V[nxt]).real.T, others))
+        F, J = np.empty(n + 1), np.empty((n + 1, n))
+        np.subtract(lam, target, out=F[:n])
+        F[n] = np.prod(r) - size
+        J[:n] = (rot[:, None] * V.conj() * V[nxt]).real.T
+        np.multiply(np.concatenate(([1.0], np.cumprod(r[:-1]))),
+                    np.concatenate((np.cumprod(r[:0:-1])[::-1], [1.0])), out=J[n])
         return F, J
 
+    return system, kappa, unit
+
+
+def _modulus_weights(form: InvariantForm, rng: np.random.Generator):
+    """s > 0: moduli r with spec H(theta*) = roots of p and prod r = |T|,
+    one candidate shift per start that runs.
+
+    The system is underdetermined (representations are not unique), so the
+    steps are least-norm Levenberg-Marquardt steps (Friedland, Nocedal &
+    Overton, 1987), from equal moduli and then from seeded random restarts.
+    At equal moduli H(theta*) is a circulant with a simple spectrum and
+    Fourier eigenvectors, so every Jacobian row is constant and every step
+    stays on the line r = rho * 1; on that line only rho = 1 matches the
+    sum of the squared eigenvalues.  So the equal-moduli start runs only
+    when its residual is below LM_LINE, that is, when the line meets the
+    target; otherwise it draws nothing and yields nothing.
+    """
+    n = form.n
+    system, kappa, unit = _modulus_system(form)
     for attempt in range(MAX_RETRIES):
         r = np.ones(n) if attempt == 0 else rng.uniform(0.5, 1.5, n)
         F, J = system(r)
+        if attempt == 0 and np.linalg.norm(F) > LM_LINE:
+            continue
         damp, svd = 1e-4, None
         for _ in range(LM_STEPS):
             if svd is None:
@@ -556,10 +578,13 @@ def _represent_spectral(form: InvariantForm, tol_final: float,
         candidates = [_path_weights(form)]
     else:
         candidates = _modulus_weights(form, rng)
+    err = None
     for W in candidates:
         err = coefficient_error(form, W)
         if err <= tol_final * scale:
             return W, err
+    if err is None:
+        raise ConvergenceFailed("spectral route: every start was skipped")
     raise ConvergenceFailed(f"spectral route error {err:.2e}")
 
 

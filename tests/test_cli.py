@@ -9,10 +9,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from hyprep import DEFAULT_CONFIG, Config, InvariantForm, verify
+from hyprep import DEFAULT_CONFIG, Config, InvariantForm, construct, verify
 from hyprep.cli import _format_json, main
 from hyprep.construct import _represent_direct
+from hyprep.forward import forward_matching
 from hyprep.hyperbolicity import real_roots
+from tests.conftest import random_shift
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +220,20 @@ def test_represent_nonhyperbolic_is_numerical_failure(capsys, tmp_path):
     path = write_json(tmp_path / "nh.json", {"n": 3, "c": [0.0], "c0": 1.0, "ct0": 0.0})
     code, _ = run_cli(capsys, "represent", "--input", path)
     assert code == 3
+
+
+def test_represent_with_every_spectral_start_skipped_is_numerical_failure(
+        capsys, monkeypatch, tmp_path):
+    # a generic smooth form on which the one spectral start is skipped and
+    # the direct route fails: exit 3 with a message, never a traceback
+    monkeypatch.setattr(construct, "MAX_RETRIES", 1)
+    form = forward_matching(random_shift(np.random.default_rng(1760), 13))
+    path = write_json(tmp_path / "f.json", {"n": form.n, "c": list(form.c),
+                                            "c0": form.c0, "ct0": form.ct0})
+    code = main(["represent", "--input", path])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
 def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):

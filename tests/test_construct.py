@@ -11,6 +11,7 @@ from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, Kind, ShiftMatrix,
                     classify, compute_intersections, extract_shift, noether_division,
                     normalize_pencil, represent, vanishing_form, verify)
 from hyprep import construct
+from hyprep.config import LM_LINE
 from hyprep.construct import (_DivisionMemo, _represent_direct, _represent_spectral,
                               assemble_form_matrix, pencil_from_adjugate)
 from hyprep.errors import ConvergenceFailed, HyprepError, NotHyperbolic, PatternViolation
@@ -450,3 +451,67 @@ def test_represent_golden_weights(case):
     else:
         W = direct_route(forward_matching(W))
     assert [repr(w) for w in W.weights] == case["weights"]
+
+
+SPECTRAL_GOLDEN = pathlib.Path(__file__).with_name("spectral_golden.json")
+
+
+@pytest.mark.parametrize("case", json.loads(SPECTRAL_GOLDEN.read_text()),
+                         ids=lambda case: f"{case['kind']}-n{case['n']}")
+def test_spectral_golden_weights(case):
+    # spectral-route weights pinned as repr strings: represent on the forward
+    # image of a seeded shift (complex) or of its real parts (real), both
+    # smooth, so the spectral route runs first; and the spectral route alone,
+    # from represent's seeded generator, on equal-moduli images with s > 0,
+    # where represent tries the direct route first
+    rng = np.random.default_rng(case["seed"])
+    if case["kind"] == "equal_moduli":
+        form = singular_form("equal_moduli", case["n"], rng)
+        W, _ = _represent_spectral(form, DEFAULT_CONFIG.tol_final,
+                                   np.random.default_rng(DEFAULT_CONFIG.seed))
+    else:
+        W = random_shift(rng, case["n"])
+        if case["kind"] == "real":
+            W = ShiftMatrix([w.real for w in W.weights])
+        W = represent(forward_matching(W))
+    assert [repr(w) for w in W.weights] == case["weights"]
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_equal_moduli_start_stays_on_its_line(n):
+    # at r = 1 H(theta*) is a circulant with Fourier eigenvectors, so every
+    # Jacobian row is constant: the columns agree and every least-norm step
+    # is a multiple of 1; on a generic form (n >= 4) the start is skipped
+    for k in range(3):
+        form = forward_matching(random_shift(np.random.default_rng([n, k, 77]), n))
+        F, J = construct._modulus_system(form)[0](np.ones(n))
+        assert np.max(np.abs(J - J[:, :1])) <= 1e-13
+        if n >= 4:
+            assert np.linalg.norm(F) > LM_LINE
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_equal_moduli_images_certify_from_the_first_start(n):
+    # equal-moduli images lie on the line of the first start, which draws
+    # nothing from the generator
+    for k in range(3):
+        form = singular_form("equal_moduli", n, np.random.default_rng([n, k, 12]))
+        assert form.s > 0
+        rng = np.random.default_rng(DEFAULT_CONFIG.seed)
+        state = rng.bit_generator.state
+        W, err = _represent_spectral(form, DEFAULT_CONFIG.tol_final, rng)
+        assert rng.bit_generator.state == state
+        assert err == coefficient_error(form, W)
+        assert_certified(form, W)
+
+
+def test_spectral_route_with_every_start_skipped_fails_typed(monkeypatch):
+    # one start, skipped on a generic form: no candidate, a typed failure;
+    # the direct route fails on this form too, so represent raises
+    monkeypatch.setattr(construct, "MAX_RETRIES", 1)
+    form = forward_matching(random_shift(np.random.default_rng(1760), 13))
+    assert classify(form).kind is Kind.SMOOTH
+    with pytest.raises(ConvergenceFailed):
+        _represent_spectral(form, DEFAULT_CONFIG.tol_final, np.random.default_rng(7))
+    with pytest.raises(HyprepError):
+        represent(form)
