@@ -11,19 +11,19 @@ from .hyperbolicity import (Classification, Kind, RootProfile, classify,
 from .intersection import (CircleFactorization, IntersectionSet, Point,
                            circle_factors, circle_intersect,
                            compute_intersections, infinity_points,
-                           split_conjugate, validate_distinct)
+                           split_conjugate)
 from .invariants import (InvariantForm, MonomialBasis, eigenspace_basis,
                          eigenspace_dim_formula, invariant_dim)
 from .numrange import (BoundarySample, boundary_sample, curve_sample,
                        range_equal, support)
-from .poly import TrivariatePoly, conj_involution, rotate, uv_to_xy, xy_to_uv
+from .poly import TrivariatePoly, conj_involution, rotate
 from .shift import ShiftMatrix
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Config", "DEFAULT_CONFIG",
-    "TrivariatePoly", "rotate", "conj_involution", "xy_to_uv", "uv_to_xy",
+    "TrivariatePoly", "rotate", "conj_involution",
     "InvariantForm", "MonomialBasis", "eigenspace_basis",
     "eigenspace_dim_formula", "invariant_dim",
     "RootProfile", "Classification", "Kind", "real_roots", "is_hyperbolic",
@@ -31,7 +31,7 @@ __all__ = [
     "ShiftMatrix",
     "CircleFactorization", "IntersectionSet", "Point", "circle_factors",
     "circle_intersect", "infinity_points", "split_conjugate",
-    "compute_intersections", "validate_distinct",
+    "compute_intersections",
     "FormMatrix", "HermitianPencil", "vanishing_form", "noether_division",
     "assemble_form_matrix", "pencil_from_adjugate", "normalize_pencil",
     "extract_shift", "represent",

@@ -3,7 +3,7 @@
 All machine-readable reports go to standard output as JSON with floats
 printed to 17 significant digits (so identical inputs give byte-identical
 output); diagnostics go to standard error.  Exit codes: 0 success,
-1 verification failure, 2 input error, 3 numerical failure after retries.
+1 verification failure, 2 input error, 3 numerical failure.
 """
 
 import argparse

@@ -13,7 +13,7 @@ TOL_ROOT = 1e-8         # |Im| <= TOL_ROOT * (1 + |root|) counts as real
 CLUSTER_RADIUS = 1e-6   # multiplicity clustering, scaled by (1 + |root|)
 # intersection points
 TOL_PT = 1e-8           # residual budget, scaled by (1 + coefficient scale)
-TOL_SEP = 1e-6          # pairwise point separation
+TOL_SEP = 1e-6          # orbit-key tolerance; only split_conjugate's matching uses it
 # construction stages
 TOL_VAN = 1e-7
 TOL_NOETHER = 1e-8

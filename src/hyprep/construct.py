@@ -55,11 +55,11 @@ from .shift import ShiftMatrix
 
 @dataclasses.dataclass(frozen=True)
 class FormMatrix:
-    """Hermitian-symmetric grid of degree n-1 forms with eigenspace tags."""
+    """Hermitian-symmetric grid of degree n-1 forms; entry (i, j) lies in
+    eigenspace class (i - j) mod n."""
 
     n: int
     entries: tuple        # tuple of tuples of TrivariatePoly
-    classes: tuple        # (i - j) mod n per entry
 
     def entry(self, i: int, j: int) -> TrivariatePoly:
         return self.entries[i][j]
@@ -242,26 +242,7 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> FormMatr
             g[i][j] = b
             if i != j:
                 g[j][i] = conj_involution(b)
-    classes = tuple(tuple((i - j) % n for j in range(n)) for i in range(n))
-    return FormMatrix(n, tuple(tuple(row) for row in g), classes)
-
-
-def _adjugate(M: np.ndarray) -> np.ndarray:
-    n = M.shape[0]
-    det = np.linalg.det(M)
-    if abs(det) > 0:
-        cond = np.linalg.cond(M)
-        if np.isfinite(cond) and cond < 1e8:
-            return det * np.linalg.inv(M)
-    # cofactor fallback for ill-conditioned points
-    out = np.zeros_like(M)
-    idx = list(range(n))
-    for i in range(n):
-        for j in range(n):
-            minor = M[np.ix_([r for r in idx if r != i],
-                             [c for c in idx if c != j])]
-            out[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
-    return out
+    return FormMatrix(n, tuple(tuple(row) for row in g))
 
 
 def _sample_points(form: InvariantForm, count: int,
@@ -285,15 +266,15 @@ def _sample_points(form: InvariantForm, count: int,
 
 
 def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
-                         rng: np.random.Generator | None = None) -> HermitianPencil:
+                         rng: np.random.Generator) -> HermitianPencil:
     """Fit the linear pencil adj(G)/f^(n-2) from point evaluations.
 
     Because the true quotient is linear in (t, u, v), a least-squares fit of
     three coefficient matrices on enough sample points recovers it exactly
     up to roundoff; holdout points and the shift sparsity pattern are then
-    checked before anything is returned.
+    checked before anything is returned.  The adjugate at a point is
+    det(G) inv(G); an ill-conditioned point fails those checks.
     """
-    rng = rng if rng is not None else np.random.default_rng(DEFAULT_CONFIG.seed)
     n = G.n
     n_fit, n_hold = max(8, n + 4), 3
     pts = [(t, complex(x, y), complex(x, -y))
@@ -303,12 +284,16 @@ def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
     Gvals = vals[:-1].T.reshape(len(pts), n, n)
 
     def quotient(k):
-        # an overflowing or non-finite quotient is a failed fit, not a crash
+        # an overflowing, non-finite or singular quotient is a failed fit,
+        # not a crash
+        M = Gvals[k]
         try:
             with np.errstate(all="ignore"):
-                q = _adjugate(Gvals[k]) / complex(vals[-1, k]) ** (n - 2)
+                q = np.linalg.det(M) * np.linalg.inv(M) / complex(vals[-1, k]) ** (n - 2)
         except OverflowError:
             raise AdjugateMismatch("adjugate quotient overflows") from None
+        except np.linalg.LinAlgError:
+            raise AdjugateMismatch("form matrix is singular at a sample point") from None
         if not np.all(np.isfinite(q)):
             raise AdjugateMismatch("adjugate quotient is not finite")
         return q
@@ -369,21 +354,14 @@ def normalize_pencil(P: HermitianPencil) -> HermitianPencil:
 def extract_shift(P: HermitianPencil) -> ShiftMatrix:
     """Read the weights off a normalized pencil.
 
-    The v-coefficient matrix is the upper half of the shift pattern with
-    entries a_j / 2; its adjoint must match the u side.
+    The v-coefficient matrix, the adjoint of the u side, is the upper half
+    of the shift pattern with entries a_j / 2.
     """
     n = P.n
     if np.max(np.abs(P.M_t - np.eye(n))) > TOL_PATTERN:
         raise PatternViolation("pencil is not normalized")
     Mv = P.M_u.conj().T
-    weights = []
-    for j in range(n):
-        jn = (j + 1) % n
-        a = 2.0 * Mv[j, jn]
-        if abs(P.M_u[jn, j] - a.conjugate() / 2) > TOL_PATTERN * (1 + abs(a)):
-            raise PatternViolation(f"weight {j + 1} fails the adjoint pairing")
-        weights.append(a)
-    return ShiftMatrix(weights)
+    return ShiftMatrix([2.0 * Mv[j, (j + 1) % n] for j in range(n)])
 
 
 # ---------------------------------------------------------------------------

@@ -84,16 +84,10 @@ def forward_interpolate(W: ShiftMatrix) -> InvariantForm:
     d = [q[-1] for q in polys]
     got = InvariantForm(n, p[2::2], (d[0] - d[1]) / 2, (d[2] - d[3]) / 2)
     want = forward_matching(W)
-    err = _form_distance(got, want)
+    err = max(_coefficient_deltas(want, got).values())
     if err > 1e-9 * max(1.0, want.coefficient_scale()):
         raise OracleDisagreement(f"oracles differ by {err:.3e}")
     return got
-
-
-def _form_distance(a: InvariantForm, b: InvariantForm) -> float:
-    deltas = [x - y for x, y in zip(a.c, b.c)]
-    deltas += [a.c0 - b.c0, a.ct0 - b.ct0]
-    return max(abs(d) for d in deltas)
 
 
 @dataclasses.dataclass(frozen=True)

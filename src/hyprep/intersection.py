@@ -66,9 +66,6 @@ class CircleFactorization:
     k: int
     s: tuple  # one entry per factor, repeats allowed, descending
 
-    def factor_count(self) -> int:
-        return len(self.s)
-
 
 @dataclasses.dataclass(frozen=True)
 class Orbit:
@@ -127,26 +124,13 @@ def circle_factors(form: InvariantForm) -> CircleFactorization:
     return CircleFactorization(k, tuple(svals))
 
 
-def _trinomial_roots(A: complex, B: complex, C: complex, n2: int, half: int) -> np.ndarray:
-    """Roots of A z^n2 + B z^half + C with a reversed re-solve for large roots."""
-    coeffs = np.zeros(n2 + 1, dtype=complex)
-    coeffs[0], coeffs[n2 - half], coeffs[n2] = A, B, C
+def _trinomial_roots(A: complex, B: complex, C: complex, n: int) -> np.ndarray:
+    """Roots of A u^2n + B u^n + C from the companion matrix."""
+    coeffs = np.zeros(2 * n + 1, dtype=complex)
+    coeffs[0], coeffs[n], coeffs[2 * n] = A, B, C
     roots = np.roots(coeffs)
     if np.any(~np.isfinite(roots)):
         raise SolveFailed("companion matrix produced non-finite roots")
-    small = np.abs(roots) < 1e-8
-    large = np.abs(roots) > 1e8
-    if np.any(small) or np.any(large):
-        # reversed polynomial solves the large roots in a well-conditioned chart
-        rev = np.roots(coeffs[::-1])
-        if np.any(~np.isfinite(rev)) or np.any(np.abs(rev) < 1e-14):
-            raise SolveFailed("rescaled re-solve failed")
-        inside = sorted(roots[~large], key=lambda z: (z.real, z.imag))
-        outside = sorted((1.0 / z for z in rev if abs(z) < 1e-8),
-                         key=lambda z: (z.real, z.imag))
-        if len(inside) + len(outside) != n2:
-            raise SolveFailed("chart switch lost roots")
-        roots = np.array(inside + outside)
     return roots
 
 
@@ -201,7 +185,7 @@ def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:
         # a running max from zero, so a NaN residual is passed over
         return pts, max([0.0] + [abs(r) for r in residuals.tolist()])
 
-    pts, worst = to_points(_trinomial_roots(A, B, C, 2 * n, n))
+    pts, worst = to_points(_trinomial_roots(A, B, C, n))
     if worst > budget:
         # companion matrices give up when A, B, C span many decades; the
         # quadratic-in-u^n route does not care
@@ -386,20 +370,3 @@ def _check_residuals(form: InvariantForm, iset: IntersectionSet):
     for res in map(abs, values.T.ravel().tolist()):    # point by point, f first
         if res > tol:
             raise SolveFailed(f"stored point residual {res:.2e} above budget")
-
-
-def validate_distinct(iset: IntersectionSet) -> bool:
-    """True when the intersection is simple: all orbits multiplicity one,
-    no self-conjugate orbits, all points pairwise separated."""
-    if any(m != 1 for m in iset.orbit_mult):
-        return False
-    pts = [p for p, _ in iset.S] + [p for p, _ in iset.Sbar]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            a, b = pts[i], pts[j]
-            if a.at_infinity != b.at_infinity:
-                continue
-            d = max(abs(a.u - b.u), abs(a.v - b.v))
-            if d <= TOL_SEP:
-                return False
-    return True

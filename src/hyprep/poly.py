@@ -7,21 +7,15 @@ is plain descending tuple order on (i, j, k), which pins down leading
 coefficients and nullspace vectors deterministically.
 
 The same module houses the group actions used downstream: the rotation
-(t, u, v) -> (t, w u, w^-1 v) for w a primitive n-th root of unity, the
-conjugation involution [t:u:v] -> [tbar:vbar:ubar], and the linear change
-of variables between (t, x, y) and (t, u, v) = (t, x+iy, x-iy).
+(t, u, v) -> (t, w u, w^-1 v) for w a primitive n-th root of unity, and
+the conjugation involution [t:u:v] -> [tbar:vbar:ubar].
 """
 
 import cmath
-import math
 
 import numpy as np
 
 from .config import DROP_TOL
-
-
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 def monomials_of_degree(degree: int) -> list[tuple[int, int, int]]:
@@ -37,7 +31,7 @@ class TrivariatePoly:
 
     The constructor keeps every nonzero coefficient: the relative drop
     tolerance is applied only where floating noise is actually created
-    (products and variable substitutions), never to exact input data.
+    (products), never to exact input data.
     """
 
     __slots__ = ("degree", "terms")
@@ -54,10 +48,6 @@ class TrivariatePoly:
             terms = {e: complex(c) for e, c in terms.items() if abs(c) > cutoff}
         self.degree = degree
         self.terms = terms
-
-    @classmethod
-    def zero(cls, degree: int) -> "TrivariatePoly":
-        return cls(degree, {})
 
     @classmethod
     def monomial(cls, e: tuple[int, int, int], coeff: complex = 1.0) -> "TrivariatePoly":
@@ -134,17 +124,6 @@ class TrivariatePoly:
         """Max absolute coefficient difference."""
         keys = set(self.terms) | set(other.terms)
         return max((abs(self.coeff(e) - other.coeff(e)) for e in keys), default=0.0)
-
-    def to_json(self) -> dict:
-        items = sorted(self.terms.items(), reverse=True)
-        return {"degree": self.degree,
-                "terms": [{"e": list(e), "re": c.real, "im": c.imag}
-                          for e, c in items]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TrivariatePoly":
-        terms = {tuple(t["e"]): complex(t["re"], t["im"]) for t in data["terms"]}
-        return cls(int(data["degree"]), terms)
 
     def __repr__(self):
         if not self.terms:
@@ -237,32 +216,3 @@ def conj_involution(p: TrivariatePoly) -> TrivariatePoly:
     for (i, j, k), c in p.terms.items():
         out[(i, k, j)] = c.conjugate()
     return TrivariatePoly(p.degree, out)
-
-
-def xy_to_uv(p: TrivariatePoly) -> TrivariatePoly:
-    """Substitute x = (u + v)/2, y = (u - v)/(2i) into a form in (t, x, y)."""
-    out: dict = {}
-    half = 0.5
-    i2inv = 1.0 / 2.0j
-    for (i, j, k), c in p.terms.items():
-        # ((u+v)/2)^j * ((u-v)/(2i))^k expanded by binomials
-        for a in range(j + 1):
-            ca = _binom(j, a) * half ** j
-            for b in range(k + 1):
-                cb = _binom(k, b) * ((-1) ** (k - b)) * i2inv ** k
-                e = (i, a + b, (j - a) + (k - b))
-                out[e] = out.get(e, 0.0) + c * ca * cb
-    return TrivariatePoly(p.degree, out, drop_tol=DROP_TOL)
-
-
-def uv_to_xy(p: TrivariatePoly) -> TrivariatePoly:
-    """Substitute u = x + iy, v = x - iy into a form in (t, u, v)."""
-    out: dict = {}
-    for (i, j, k), c in p.terms.items():
-        for a in range(j + 1):
-            ca = _binom(j, a) * (1j) ** (j - a)
-            for b in range(k + 1):
-                cb = _binom(k, b) * (-1j) ** (k - b)
-                e = (i, a + b, (j - a) + (k - b))
-                out[e] = out.get(e, 0.0) + c * ca * cb
-    return TrivariatePoly(p.degree, out, drop_tol=DROP_TOL)

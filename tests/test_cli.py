@@ -248,7 +248,8 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 # byte.  The one exception is represent on the quintic, a smooth form: it was
 # recorded again when the spectral route became the first route for smooth
 # forms, and its earlier stdout, from the direct route, is kept under
-# "represent quintic direct route"
+# "represent quintic direct route".  The points runs were recorded later, to
+# pin the intersection stage of the direct route
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -268,6 +269,8 @@ GOLDEN_RUNS = {     # name: (command, input, extra arguments)
     "forward quintic": ("forward", "quintic_shift"),
     "numrange quartic": ("numrange", "quartic_shift", "--angles", "720"),
     "numrange quintic": ("numrange", "quintic_shift", "--angles", "720"),
+    "points quartic": ("points", "quartic_form"),
+    "points quintic": ("points", "quintic_form"),
     "curve quartic": ("curve", "quartic_form", "--angles", "720"),
     "curve quintic": ("curve", "quintic_form", "--angles", "720"),
 }

@@ -12,9 +12,11 @@ from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, Kind, ShiftMatrix,
                     normalize_pencil, represent, vanishing_form, verify)
 from hyprep import construct
 from hyprep.config import LM_LINE
-from hyprep.construct import (_DivisionMemo, _represent_direct, _represent_spectral,
-                              assemble_form_matrix, pencil_from_adjugate)
-from hyprep.errors import ConvergenceFailed, HyprepError, NotHyperbolic, PatternViolation
+from hyprep.construct import (FormMatrix, _DivisionMemo, _represent_direct,
+                              _represent_spectral, assemble_form_matrix,
+                              pencil_from_adjugate)
+from hyprep.errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
+                           NotHyperbolic, PatternViolation)
 from hyprep.forward import coefficient_error, forward_matching, realize_real
 from hyprep.hyperbolicity import _endpoints
 from hyprep.invariants import eigenspace_basis
@@ -175,6 +177,16 @@ def test_fitted_pencil_determinant_reproduces_form(quartic_form):
         got = np.linalg.det(P.value(t, u, u.conjugate()))
         want = f.evaluate(t, u, u.conjugate())
         assert abs(got - want) < 1e-7 * max(1.0, abs(want))
+
+
+def test_singular_form_matrix_fails_typed(quartic_form):
+    # a form matrix that is singular at every sample point has no adjugate
+    # quotient to fit: a typed failure, not numpy's LinAlgError (a
+    # ValueError) and not an all-zero pencil
+    zero = TrivariatePoly(3)
+    G = FormMatrix(4, tuple((zero,) * 4 for _ in range(4)))
+    with pytest.raises(AdjugateMismatch):
+        pencil_from_adjugate(G, quartic_form, np.random.default_rng(Config().seed))
 
 
 def test_pencil_rotation_covariance(quartic_form):

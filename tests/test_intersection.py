@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyprep import (InvariantForm, circle_factors, circle_intersect,
-                    compute_intersections, infinity_points, validate_distinct)
+                    compute_intersections, infinity_points)
 from hyprep.errors import LeadingZero, RealSimplePoint
 from hyprep.forward import forward_matching
 from hyprep.hyperbolicity import Kind, classify
@@ -96,7 +96,6 @@ def test_split_quintic(quintic_form):
     assert len(iset.reps) == (quintic_form.n - 1) // 2
     assert not any(iset.at_infinity)
     assert iset.total_multiplicity() == 20
-    assert validate_distinct(iset)
 
 
 def test_split_quartic_borderline(quartic_form):
@@ -109,7 +108,6 @@ def test_split_quartic_borderline(quartic_form):
     inf_rep = iset.reps[1]
     assert inf_rep.t == 0 and inf_rep.u == 1.0 and abs(inf_rep.v - 1.0) < 1e-9
     assert iset.total_multiplicity() == 12
-    assert not validate_distinct(iset)
 
 
 def test_conjugation_pairing(quintic_form):
