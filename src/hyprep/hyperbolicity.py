@@ -7,7 +7,11 @@ all real roots.  Repeated roots of either polynomial (or s = 0) make the
 form singular; the representation pipeline routes on the kind and on s.
 Multiplicities come from single-linkage clustering: two roots a, b merge
 when |a - b| <= CLUSTER_RADIUS (1 + max(|a|, |b|)).  The endpoint solves
-keep the full degree n at every coefficient scale.
+keep the full degree n at every coefficient scale.  As in np.roots, a
+polynomial whose coefficients are all real is solved in real arithmetic,
+so a double root that roundoff splits stays an exact conjugate pair (or
+two real roots); only one with a non-zero imaginary part gets a complex
+companion matrix.
 """
 
 import dataclasses
@@ -119,49 +123,65 @@ def _is_real(z, modulus):
 def _root_profiles(rows) -> list[RootProfile]:
     """Root profiles of the rows of a 2-D coefficient array, each leading first.
 
-    Each row is solved as real_roots describes.  Rows that keep the same
-    coefficient columns after stripping share one stacked companion
-    eigensolve.  The roots of a row with no close pair are its clusters, one
-    root each; only the other rows go through the union-find.  The first row
-    that cannot be solved raises its DegenerateInput.
+    Each row is solved as real_roots describes: a row whose imaginary parts
+    are all zero gets a float64 companion matrix, whatever the dtype of
+    rows, and its roots are cast to complex.  Rows that keep the same
+    coefficient columns after stripping, and are both real or both complex,
+    share one stacked companion eigensolve.  The roots of a row with no close
+    pair are its clusters, one root each; only the other rows go through the
+    union-find.  The first row that cannot be solved raises its
+    DegenerateInput.
     """
-    arr = np.asarray(rows, dtype=complex)
+    arr = np.asarray(rows)
     n_rows, width = arr.shape
     if width == 0:
         raise DegenerateInput("empty or non-finite coefficient list")
+    if np.iscomplexobj(arr):
+        real_rows = (~arr.imag.any(axis=1)).tolist()
+        # np.hypot is Python's abs bit for bit; numpy's array abs is not
+        sizes, bigs = np.hypot(arr.real, arr.imag), np.abs(arr).max(axis=1, keepdims=True)
+    else:
+        arr = arr.astype(float, copy=False)
+        real_rows = [True] * n_rows
+        sizes = np.abs(arr)
+        bigs = sizes.max(axis=1, keepdims=True)
+    # strip negligible leading coefficients so the companion matrix is sane:
+    # start at the first coefficient above 1e-14 of the largest, or else at
+    # the constant term, where a row that vanishes or is not finite starts too
+    keep = sizes > 1e-14 * bigs
+    keep[:, -1] = True
+    starts = keep.argmax(axis=1).tolist()
+    # np.roots' recipe: exact zero roots for the trailing zero coefficients,
+    # the eigenvalues of the companion matrix of the rest
+    stops = (width - 1 - (arr != 0)[:, ::-1].argmax(axis=1)).tolist()
     failed, groups = {}, {}
-    bigs = np.abs(arr).max(axis=1)
-    for i, (row, big) in enumerate(zip(arr, bigs.tolist())):
-        # strip negligible leading coefficients so the companion matrix is sane
-        start = 0
-        while start < width - 1 and abs(row[start]) <= 1e-14 * big:
-            start += 1
-        if not math.isfinite(big):
+    for i, (start, stop, real) in enumerate(zip(starts, stops, real_rows)):
+        if start < width - 1:
+            groups.setdefault((start, stop, real), []).append(i)
+        elif not math.isfinite(bigs[i, 0]):
             failed[i] = "empty or non-finite coefficient list"
-        elif big == 0.0:
+        elif bigs[i, 0] == 0.0:
             failed[i] = "all coefficients vanish"
-        elif start == width - 1:
-            failed[i] = "polynomial is constant after stripping"
         else:
-            # np.roots' recipe: exact zero roots for the trailing zero
-            # coefficients, the eigenvalues of the companion matrix of the rest
-            last = width - 1
-            while row[last] == 0:
-                last -= 1
-            groups.setdefault((start, last), []).append(i)
+            failed[i] = "polynomial is constant after stripping"
     profiles = [None] * n_rows
-    for (lead, stop), g in groups.items():
+    for (lead, stop, real), g in groups.items():
         k, block = stop - lead, arr.take(g, axis=0)[:, lead:stop + 1]
         # each row times the power of two that puts its largest coefficient
         # in [0.5, 1): exact, so the quotients keep their bits, and a
         # subnormal leading coefficient no longer overflows the division
-        shift = -np.frexp(bigs[g])[1][:, None]
-        scaled = np.empty_like(block)
-        scaled.real, scaled.imag = np.ldexp(block.real, shift), np.ldexp(block.imag, shift)
-        companion = np.zeros((len(g), k * k), dtype=complex)
+        shift = -np.frexp(bigs.take(g, axis=0))[1]
+        if real:
+            # a real companion matrix, as in np.roots: its complex
+            # eigenvalues come in exact conjugate pairs
+            scaled = np.ldexp(block.real, shift)
+        else:
+            scaled = np.empty_like(block)
+            scaled.real, scaled.imag = np.ldexp(block.real, shift), np.ldexp(block.imag, shift)
+        companion = np.zeros((len(g), k * k), dtype=scaled.dtype)
         companion[:, k::k + 1] = 1.0
         companion[:, :k] = -scaled[:, 1:] / scaled[:, :1]
-        raw = np.linalg.eigvals(companion.reshape(len(g), k, k))
+        raw = np.linalg.eigvals(companion.reshape(len(g), k, k)).astype(complex, copy=False)
         if stop < width - 1:
             raw = np.concatenate((raw, np.zeros((len(g), width - 1 - stop), dtype=complex)), axis=1)
         if not np.isfinite(raw).all():
@@ -176,14 +196,14 @@ def _root_profiles(rows) -> list[RootProfile]:
             # equal centroids are equal bit for bit, so the sort need not be stable
             single = raw + 0
             single.sort(axis=1)
-            real = _is_real(single, np.hypot(single.real, single.imag))
+            on_axis = _is_real(single, np.hypot(single.real, single.imag))
         for j, i in enumerate(g):
             if merged[j]:
                 clusters = _link(raw[j], close[j])
                 roots = tuple((z.real, m) for z, m in clusters if _is_real(z, abs(z)))
             else:
                 clusters = single[j]
-                roots = tuple((x, 1) for x in itertools.compress(clusters.real, real[j]))
+                roots = tuple((x, 1) for x in itertools.compress(clusters.real, on_axis[j]))
             profiles[i] = RootProfile(roots, len(clusters) - len(roots))
     if failed:
         raise DegenerateInput(failed[min(failed)])
@@ -193,10 +213,13 @@ def _root_profiles(rows) -> list[RootProfile]:
 def real_roots(coeffs) -> RootProfile:
     """Roots of a univariate polynomial via its companion matrix.
 
-    Roots are clustered into multiplicities; a cluster counts as real when
-    its centroid satisfies |Im| <= TOL_ROOT * (1 + |root|).  This is the
-    one-row case of _root_profiles, which solves many polynomials at once
-    bit for bit as this function solves each.
+    The companion matrix is float64 when every coefficient is real (a
+    complex coefficient with a zero imaginary part included) and complex
+    otherwise, as np.roots takes it.  Roots are clustered into
+    multiplicities; a cluster counts as real when its centroid satisfies
+    |Im| <= TOL_ROOT * (1 + |root|).  This is the one-row case of
+    _root_profiles, which solves many polynomials at once bit for bit as
+    this function solves each.
     """
     return _root_profiles([list(coeffs)])[0]
 

@@ -7,10 +7,13 @@ the point x* A x.  Two matrices have equal ranges iff their support
 functions agree.  The real points of the associated curve are sampled
 separately in the t = 1 chart: along each ray the curve restricts to a
 real univariate polynomial in the radius, and the rays are solved as rows
-of one batch, one stacked companion eigensolve per degree.
+of one batch, one stacked companion eigensolve per degree.  The rows are
+real, so their companion matrices are float64, as np.roots takes a real
+polynomial.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -84,7 +87,7 @@ def curve_sample(form: InvariantForm, m: int = 720,
     real polynomial 1 + sum_r c_r rho^(2r) + (c0 cos n theta +
     ct0 sin n theta) rho^n; its real roots are emitted as (x, y) points, in
     angle order.  The rays are solved together: rows that are equal bit for
-    bit are solved once, and the rest share one stacked companion
+    bit are solved once, and the rest share one stacked real companion
     eigensolve per degree.
     """
     n = form.n
@@ -102,14 +105,17 @@ def curve_sample(form: InvariantForm, m: int = 720,
     for k, key in keys.items():
         first.setdefault(key, k)
     solved = dict(zip(first, _root_profiles(rows[list(first.values())])))
-    pts = []
-    for k, key in keys.items():
-        cos, sin = math.cos(thetas[k]), math.sin(thetas[k])
-        for rho, _ in solved[key].roots:
-            if r_max is not None and abs(rho) > r_max:
-                continue
-            pts.append((rho * cos, rho * sin))
-    return pts
+    radii = [[r for r, _ in solved[key].roots] for key in keys.values()]
+    counts = [len(ray) for ray in radii]
+    rho = np.fromiter(itertools.chain.from_iterable(radii), float, sum(counts))
+    # math.cos and math.sin of each ray's angle, repeated over its radii; a
+    # numpy float64 product equals Python's bit for bit
+    cos = np.repeat([math.cos(thetas[k]) for k in keys], counts)
+    sin = np.repeat([math.sin(thetas[k]) for k in keys], counts)
+    if r_max is not None:
+        near = ~(np.abs(rho) > r_max)     # a NaN bound drops nothing
+        rho, cos, sin = rho[near], cos[near], sin[near]
+    return list(zip(rho * cos, rho * sin))
 
 
 def write_boundary_csv(sample: BoundarySample, path: str):

@@ -16,7 +16,7 @@ from hyprep.construct import (FormMatrix, _DivisionMemo, _represent_direct,
                               _represent_spectral, assemble_form_matrix,
                               pencil_from_adjugate)
 from hyprep.errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
-                           NotHyperbolic, PatternViolation)
+                           PatternViolation)
 from hyprep.forward import coefficient_error, forward_matching, realize_real
 from hyprep.hyperbolicity import _endpoints
 from hyprep.invariants import eigenspace_basis
@@ -391,21 +391,11 @@ def singular_form(kind, n, rng):
     return InvariantForm(n, np.poly(mu)[1:], 0.0, 0.0)
 
 
-# draws (kind, n, k) with a double root of p that real_roots splits into a
-# complex pair wider than the clustering radius, so that classify wrongly
-# rejects a hyperbolic form; once the root engine is mended they must certify
-SPLIT_DOUBLE_ROOTS = {("even_repeated", 10, 3), ("even_repeated", 10, 4)}
-
-
 @pytest.mark.parametrize("kind", ["zero_weight", "equal_moduli", "even_repeated"])
 @pytest.mark.parametrize("n", range(3, 11))
 def test_represent_certifies_singular_forms_with_headroom(kind, n):
     for k in range(10):
         form = singular_form(kind, n, np.random.default_rng([n, k, len(kind)]))
-        if (kind, n, k) in SPLIT_DOUBLE_ROOTS:
-            with pytest.raises(NotHyperbolic):
-                represent(form)
-            continue
         assert classify(form).kind is Kind.SINGULAR
         assert_certified(form, represent(form), headroom=10.0)
 

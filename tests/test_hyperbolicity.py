@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from hyprep import (Classification, InvariantForm, Kind, ShiftMatrix, classify,
-                    interlace_check, is_hyperbolic, real_roots)
+                    curve_sample, interlace_check, is_hyperbolic, real_roots)
 from hyprep import hyperbolicity
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
-from hyprep.errors import DegenerateInput, HypothesisViolated, NotHyperbolic
+from hyprep.errors import DegenerateInput, HyprepError, HypothesisViolated, NotHyperbolic
 from hyprep.forward import forward_matching
 from hyprep.hyperbolicity import cluster_roots
 from tests.conftest import random_shift
@@ -173,7 +173,11 @@ def _reference_cluster_roots(roots, radius):
 
 
 def _reference_real_roots(coeffs):
+    # np.roots in the coefficients' own arithmetic: real when every imaginary
+    # part is zero, as real_roots solves such a row, complex otherwise
     arr = np.asarray(list(coeffs), dtype=complex)
+    if not arr.imag.any():
+        arr = arr.real
     if len(arr) == 0 or not np.all(np.isfinite(arr)):
         raise DegenerateInput("empty or non-finite coefficient list")
     biggest = np.max(np.abs(arr))
@@ -185,7 +189,7 @@ def _reference_real_roots(coeffs):
     arr = arr[start:]
     if len(arr) <= 1:
         raise DegenerateInput("polynomial is constant after stripping")
-    raw = np.roots(arr)
+    raw = np.roots(arr).astype(complex)
     if np.any(~np.isfinite(raw)):
         raise DegenerateInput("root solve returned non-finite values")
     reals, n_complex = [], 0
@@ -256,6 +260,65 @@ def test_real_roots_matches_the_reference_on_edge_cases():
     ]
     for coeffs in cases:
         _assert_same_profile(coeffs)
+
+
+def _near_double_root_rows(rng, count, deg):
+    """Real polynomials with a double root somewhere, which roundoff splits."""
+    rows = []
+    for _ in range(count):
+        roots = list(rng.uniform(-3, 3, size=deg - 1))
+        rows.append(np.poly(roots + roots[:1]))
+    return rows
+
+
+def test_complex_typed_real_rows_solve_in_real_arithmetic():
+    # zero imaginary parts make a real row, whatever the dtype: the same
+    # profile as the float row, and a split double root stays symmetric
+    # about the axis, so non-real clusters pair up
+    rng = np.random.default_rng(31)
+    for deg in range(2, 21):
+        for row in _near_double_root_rows(rng, 5, deg):
+            as_complex = row.astype(complex)
+            assert as_complex.dtype == complex and not as_complex.imag.any()
+            prof = real_roots(as_complex)
+            assert repr(prof) == repr(real_roots(row))
+            assert prof.n_complex % 2 == 0
+            _assert_same_profile(as_complex)
+    # signed zeros are zeros
+    row = np.array([1.0, -2.0, 1.0]) + 1j * np.array([-0.0, 0.0, -0.0])
+    assert repr(real_roots(row)) == repr(real_roots(row.real))
+
+
+def test_root_profiles_of_mixed_rows_equal_per_row_solves():
+    # one call with real, complex and complex-typed real rows of mixed stripped
+    # degree and trailing zeros gives each row's real_roots bit for bit
+    rng = np.random.default_rng(32)
+    width = 9
+    rows = []
+    for k in range(60):
+        coeffs = np.poly(_clustered_roots(rng, int(rng.integers(1, width))))
+        if k % 3 == 1:
+            coeffs = coeffs * np.exp(1j * rng.uniform(0, 6.3))
+        if k % 4 == 2:
+            coeffs = np.concatenate([coeffs, np.zeros(int(rng.integers(1, 3)))])
+        if k % 5 == 3:
+            coeffs = np.concatenate([[1e-17], coeffs])
+        coeffs = coeffs[-width:].astype(complex)
+        rows.append(np.concatenate([np.zeros(width - len(coeffs)), coeffs]))
+    rows = np.array(rows)
+    assert 0 < sum(not row.imag.any() for row in rows) < len(rows)
+    got = hyperbolicity._root_profiles(rows)
+    assert repr(got) == repr([real_roots(row) for row in rows])
+    assert repr(hyperbolicity._root_profiles(rows.real)) == repr(
+        [real_roots(row) for row in rows.real])
+    # the first row that cannot be solved raises, whichever test fails it
+    bad = rows.copy()
+    bad[[7, 11, 40]] = [np.zeros(width), [np.nan] * width, [0.0] * (width - 1) + [1.0]]
+    with pytest.raises(DegenerateInput, match="all coefficients vanish"):
+        hyperbolicity._root_profiles(bad)
+    bad[7] = rows[7]
+    with pytest.raises(DegenerateInput, match="empty or non-finite coefficient list"):
+        hyperbolicity._root_profiles(bad)
 
 
 def test_cluster_roots_is_bit_identical_to_the_scalar_reference():
@@ -349,3 +412,42 @@ def test_real_roots_of_a_subnormal_leading_coefficient():
     assert prof.n_complex == 0 and len(prof.roots) == 1
     root, mult = prof.roots[0]
     assert mult == 1 and root == pytest.approx(-1e-307 / 1e-320, rel=1e-15)
+
+
+# -- the exception boundary at every coefficient scale -----------------------
+
+SWEEP_SCALES = (1e-12, 1e-3, 1.0, 1e3, 1e16, 1e48)
+
+
+def _form_at_scale(n, k, scale):
+    """The forward image of a seeded shift with k zero weights, its weights
+    scaled so that its largest coefficient is about scale.  c_r has degree 2r
+    in the weights and c0, ct0 degree n, so each coefficient bounds the
+    factor; the tightest bound puts that coefficient at scale."""
+    rng = np.random.default_rng([n, k, 700])
+    W = random_shift(rng, n)
+    weights = np.array(W.weights)
+    weights[rng.choice(n, size=k, replace=False)] = 0.0
+    form = forward_matching(ShiftMatrix(weights))
+    terms = [(abs(c), 2 * r) for r, c in enumerate(form.c, start=1)]
+    terms += [(abs(form.c0), n), (abs(form.ct0), n)]
+    factor = min((scale / size) ** (1.0 / degree) for size, degree in terms if size > 0.0)
+    return forward_matching(ShiftMatrix(factor * weights))
+
+
+@pytest.mark.parametrize("scale", SWEEP_SCALES)
+def test_classify_and_curve_sample_fail_only_typed(scale):
+    # each call returns or raises a HyprepError: no overflow, no internal
+    # ValueError or LinAlgError, and no numpy warning on the way
+    for n in range(3, 25, 3):
+        for k in range(3):
+            form = _form_at_scale(n, k, scale)
+            size = max(abs(x) for x in [*form.c, form.c0, form.ct0])
+            assert scale / 2 <= size <= 2 * scale
+            for call in (classify, curve_sample):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        call(form)
+                    except HyprepError:
+                        pass

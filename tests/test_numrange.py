@@ -12,7 +12,8 @@ from hyprep import (InvariantForm, ShiftMatrix, boundary_sample, curve_sample,
                     range_equal, support)
 from hyprep.errors import DegenerateInput
 from hyprep.forward import forward_matching
-from hyprep.hyperbolicity import real_roots
+from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
+from hyprep.hyperbolicity import cluster_roots, real_roots
 from tests.conftest import random_shift
 from tests.test_construct import singular_form
 
@@ -159,12 +160,51 @@ def test_curve_sample_golden(case, quartic_form, quintic_form):
     # sha256 of repr(curve_sample(form, 720)), so that any change to the
     # arithmetic of the root solver shows; the input is the forward image of
     # a seeded shift, or one of the two worked examples
-    if case["kind"] == "forward":
-        form = forward_matching(random_shift(np.random.default_rng(case["seed"]), case["n"]))
-    else:
-        form = {"quartic": quartic_form, "quintic": quintic_form}[case["kind"]]
+    form = _golden_form(case, quartic_form, quintic_form)
     digest = hashlib.sha256(repr(curve_sample(form, 720)).encode()).hexdigest()
     assert digest == case["sha256"]
+
+
+def _golden_form(case, quartic_form, quintic_form):
+    if case["kind"] == "forward":
+        return forward_matching(random_shift(np.random.default_rng(case["seed"]), case["n"]))
+    return {"quartic": quartic_form, "quintic": quintic_form}[case["kind"]]
+
+
+def _complex_companion_rays(form, m):
+    """(theta, real roots) of each ray that is not constant, solved as the
+    golden sums were first recorded: a complex companion matrix per ray."""
+    rays = []
+    for k in range(m):
+        theta = 2 * math.pi * k / m
+        coeffs = np.asarray(_ray_coeffs(form, theta), dtype=complex)
+        size = np.abs(coeffs)
+        if size[:-1].max() == 0.0:
+            continue
+        raw = np.roots(coeffs[np.argmax(size > 1e-14 * size.max()):])
+        rays.append((theta, [(z.real, mult) for z, mult in cluster_roots(raw, CLUSTER_RADIUS)
+                             if abs(z.imag) <= TOL_ROOT * (1.0 + abs(z))]))
+    return rays
+
+
+@pytest.mark.parametrize("case", json.loads(GOLDEN_CURVES.read_text()),
+                         ids=lambda case: f"{case['kind']}-n{case['n']}")
+def test_curve_sample_golden_stays_near_the_complex_companion_solve(
+        case, quartic_form, quintic_form):
+    # the golden sums were recorded again when real rows got real companion
+    # matrices; against the complex solve they replaced (its sums are kept as
+    # complex_sha256), every ray keeps its point count and every point moves
+    # by at most 1e-9 of its radius
+    form = _golden_form(case, quartic_form, quintic_form)
+    old = _complex_companion_rays(form, 720)
+    digest = hashlib.sha256(repr(_per_angle_points(old)).encode()).hexdigest()
+    assert digest == case["complex_sha256"]
+    assert [len(roots) for _, roots in _per_angle_rays(form, 720)] == \
+        [len(roots) for _, roots in old]
+    got = np.array(curve_sample(form, 720))
+    want = np.array(_per_angle_points(old))
+    assert got.shape == want.shape
+    assert np.all(np.hypot(*(got - want).T) <= 1e-9 * np.hypot(*want.T))
 
 
 # -- curve_sample against the per-angle loop it replaced ----------------------
