@@ -14,8 +14,7 @@ from .intersection import (CircleFactorization, IntersectionSet, Point,
                            split_conjugate)
 from .invariants import (InvariantForm, MonomialBasis, eigenspace_basis,
                          eigenspace_dim_formula, invariant_dim)
-from .numrange import (BoundarySample, boundary_sample, curve_sample,
-                       range_equal, support)
+from .numrange import BoundarySample, boundary_sample, curve_sample, range_equal
 from .poly import TrivariatePoly, conj_involution, rotate
 from .shift import ShiftMatrix
 
@@ -37,7 +36,7 @@ __all__ = [
     "extract_shift", "represent",
     "VerifyReport", "forward_matching", "forward_interpolate", "verify",
     "realize_real",
-    "BoundarySample", "support", "boundary_sample", "range_equal",
+    "BoundarySample", "boundary_sample", "range_equal",
     "curve_sample",
     "__version__",
 ]

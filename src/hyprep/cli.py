@@ -7,11 +7,10 @@ output); diagnostics go to standard error.  Exit codes: 0 success,
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 
-from .config import Config
+from .config import DEFAULT_CONFIG, Config
 from .construct import represent
 from .errors import HyprepError, NotDihedral, NotHyperbolic
 from .forward import forward_interpolate, forward_matching, realize_real, verify
@@ -59,25 +58,9 @@ def _load_shift(path: str) -> ShiftMatrix:
     return ShiftMatrix.from_json(_load_json(path))
 
 
-def _config_from_args(args) -> Config:
-    fields = {f.name for f in dataclasses.fields(Config)}
-    base = {}
-    if getattr(args, "config", None):
-        base = _load_json(args.config)
-        unknown = set(base) - fields
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for name in fields:
-        val = getattr(args, name, None)
-        if val is not None:
-            base[name] = val
-    return Config(**base)
-
-
-def _add_config_flags(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON file with Config overrides")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tol-final", dest="tol_final", type=float)
+def _add_tol_final_flag(p: argparse.ArgumentParser):
+    p.add_argument("--tol-final", dest="tol_final", type=float,
+                   default=DEFAULT_CONFIG.tol_final)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,29 +69,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="hyperbolicity and smooth/singular classification")
     p.add_argument("--input", required=True)
-    _add_config_flags(p)
 
     p = sub.add_parser("represent", help="construct a cyclic shift representation")
     p.add_argument("--input", required=True)
     p.add_argument("--output", help="write the shift weights JSON here")
-    _add_config_flags(p)
+    p.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
+    _add_tol_final_flag(p)
 
     p = sub.add_parser("forward", help="invariant coefficients of a shift matrix")
     p.add_argument("--input", required=True)
-    _add_config_flags(p)
 
     p = sub.add_parser("verify", help="compare a form against a shift matrix")
     p.add_argument("--form", required=True)
     p.add_argument("--shift", required=True)
-    _add_config_flags(p)
+    _add_tol_final_flag(p)
 
     p = sub.add_parser("realize", help="dephase to real weights")
     p.add_argument("--input", required=True)
-    _add_config_flags(p)
+    _add_tol_final_flag(p)
 
     p = sub.add_parser("points", help="intersection points of f and df/dt")
     p.add_argument("--input", required=True)
-    _add_config_flags(p)
 
     p = sub.add_parser("numrange", help="numerical range boundary sample")
     p.add_argument("--input", required=True)
@@ -117,23 +98,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
     p.add_argument("--against", help="second shift JSON: also report range equality")
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_config_flags(p)
 
     p = sub.add_parser("curve", help="real curve sample in the t=1 chart")
     p.add_argument("--input", required=True)
     p.add_argument("--angles", type=int, default=720)
     p.add_argument("--csv")
     p.add_argument("--svg")
-    _add_config_flags(p)
 
     p = sub.add_parser("dims", help="invariant and eigenspace dimensions")
     p.add_argument("--n", type=int, required=True)
-    _add_config_flags(p)
     return ap
 
 
 def _run(args) -> int:
-    cfg = _config_from_args(args)
     cmd = args.command
     if cmd == "dims":
         _emit({"invariant_dim": invariant_dim(args.n),
@@ -154,14 +131,12 @@ def _run(args) -> int:
 
     if cmd == "represent":
         form = _load_form(args.input)
-        W = represent(form, cfg)
-        report = verify(form, W)
+        W = represent(form, Config(args.seed, args.tol_final))
         if args.output:
             with open(args.output, "w", newline="\n") as fh:
                 fh.write(_format_json(W.to_json()) + "\n")
-        _emit({"shift": W.to_json(), "verify": report.to_json()})
-        ok = report.max_abs_err <= cfg.tol_final * max(1.0, form.coefficient_scale())
-        return EXIT_OK if ok else EXIT_VERIFY
+        _emit({"shift": W.to_json(), "verify": verify(form, W).to_json()})
+        return EXIT_OK
 
     if cmd == "forward":
         W = _load_shift(args.input)
@@ -170,6 +145,7 @@ def _run(args) -> int:
         return EXIT_OK
 
     if cmd == "verify":
+        cfg = Config(tol_final=args.tol_final)
         form = _load_form(args.form)
         W = _load_shift(args.shift)
         report = verify(form, W)
@@ -179,7 +155,7 @@ def _run(args) -> int:
 
     if cmd == "realize":
         W = _load_shift(args.input)
-        B = realize_real(W, cfg)
+        B = realize_real(W, Config(tol_final=args.tol_final))
         _emit(B.to_json())
         return EXIT_OK
 

@@ -38,15 +38,14 @@ import math
 
 import numpy as np
 
-from .config import (CLUSTER_RADIUS, DEFAULT_CONFIG, DROP_TOL, LM_CONVERGED,
-                     LM_LINE, LM_STALL, LM_STEPS, MAX_RETRIES, NEAR_ROUNDOFF,
-                     TOL_NOETHER, TOL_PATTERN, TOL_PENCIL, TOL_ROOT, TOL_VAN,
-                     Config)
+from .config import (CLUSTER_RADIUS, DEFAULT_CONFIG, LM_CONVERGED, LM_LINE,
+                     LM_STALL, LM_STEPS, MAX_RETRIES, NEAR_ROUNDOFF, TOL_NOETHER,
+                     TOL_PATTERN, TOL_PENCIL, TOL_ROOT, TOL_VAN, Config)
 from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                      IndefiniteDiagonal, NoetherResidual, NoVanishingForm,
                      PatternViolation)
 from .forward import coefficient_error
-from .hyperbolicity import Kind, classify, cluster_roots
+from .hyperbolicity import Kind, _s_vanishes, classify, cluster_roots
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
 from .poly import TrivariatePoly, _evaluate_many, conj_involution
@@ -317,24 +316,16 @@ def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
         raise PatternViolation("u and v coefficient matrices are not adjoint")
     Mu = 0.5 * (Mu + Mv.conj().T)
     Mt = 0.5 * (Mt + Mt.conj().T)
-    for i in range(n):
-        for j in range(n):
-            d = (i - j) % n
-            if d == 0:
-                bad = max(abs(Mu[i, j]), abs(Mt[i, j]) if i != j else 0.0)
-            elif d == 1:
-                bad = abs(Mt[i, j])          # u-positions: subdiagonal and corner
-            elif d == n - 1:
-                bad = max(abs(Mu[i, j]), abs(Mt[i, j]))
-            else:
-                bad = max(abs(Mt[i, j]), abs(Mu[i, j]))
-            if bad > TOL_PATTERN * mscale:
-                raise PatternViolation(f"entry ({i + 1},{j + 1}) outside shift pattern")
+    # entry (i, j) of class d = (i - j) mod n: t sits on the diagonal (d = 0),
+    # u on the subdiagonal and in the corner (d = 1), nothing anywhere else
+    d = np.subtract.outer(np.arange(n), np.arange(n)) % n
+    bad = np.maximum(np.where(d != 1, np.abs(Mu), 0.0), np.where(d != 0, np.abs(Mt), 0.0))
+    outside = np.argwhere(bad > TOL_PATTERN * mscale)
+    if len(outside):
+        i, j = outside[0]
+        raise PatternViolation(f"entry ({i + 1},{j + 1}) outside shift pattern")
     Mt_clean = np.diag(np.diag(Mt).real.astype(complex))
-    Mu_clean = np.zeros_like(Mu)
-    for i in range(n):
-        j = (i - 1) % n
-        Mu_clean[i, j] = Mu[i, j]
+    Mu_clean = np.where(d == 1, Mu, 0.0)
     return HermitianPencil(Mt_clean, Mu_clean)
 
 
@@ -552,7 +543,7 @@ def _represent_spectral(form: InvariantForm, tol_final: float,
     within tol_final * max(1, scale), the gate of the direct route, with
     that error."""
     scale = max(1.0, form.coefficient_scale())
-    if form.s <= DROP_TOL * scale:
+    if _s_vanishes(form):
         candidates = [_path_weights(form)]
     else:
         candidates = _modulus_weights(form, rng)
@@ -592,7 +583,7 @@ def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatr
     cls = classify(form)    # raises NotHyperbolic
     rng = np.random.default_rng(config.seed)
     scale = max(1.0, form.coefficient_scale())
-    if cls.s <= DROP_TOL * scale:
+    if _s_vanishes(form):
         routes = [_represent_spectral]
     elif cls.kind is Kind.SMOOTH:
         routes = [_represent_spectral, _represent_direct]

@@ -258,6 +258,11 @@ def _endpoints(form: InvariantForm):
         yield sign, profile
 
 
+def _s_vanishes(form: InvariantForm) -> bool:
+    """c0 = ct0 = 0 up to DROP_TOL of the coefficient scale."""
+    return form.s <= DROP_TOL * form.coefficient_scale()
+
+
 def is_hyperbolic(form: InvariantForm) -> bool:
     """True iff both p(t) + s and p(t) - s have all real roots."""
     return all(profile.all_real for _, profile in _endpoints(form))
@@ -276,7 +281,7 @@ def classify(form: InvariantForm) -> Classification:
         if not profile.all_real:
             raise NotHyperbolic("form is not hyperbolic")
         witnesses["plus" if sign > 0 else "minus"] = profile.max_multiplicity() > 1
-    singular = form.s <= DROP_TOL * form.coefficient_scale() or any(witnesses.values())
+    singular = _s_vanishes(form) or any(witnesses.values())
     return Classification(Kind.SINGULAR if singular else Kind.SMOOTH, form.s, witnesses)
 
 

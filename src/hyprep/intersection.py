@@ -171,10 +171,14 @@ def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:
         raise ValueError("circle parameter must be positive")
     n = form.n
     A = complex(form.c0, -form.ct0) / 2
-    B = 1.0 + sum(cr * s_j ** -r for r, cr in enumerate(form.c, start=1))
-    C = complex(form.c0, form.ct0) / 2 * s_j ** -n
+    # a small circle overflows s_j^-n: a failed solve, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = 1.0 + sum(cr * s_j ** -r for r, cr in enumerate(form.c, start=1))
+        C = complex(form.c0, form.ct0) / 2 * s_j ** -n
     if A == 0:
         raise LeadingZero("circle solve needs a nonzero top coefficient")
+    if not all(map(cmath.isfinite, (A, B, C))):
+        raise SolveFailed("circle trinomial coefficients are not finite")
     f = form.expand()
     scale = max(1.0, form.coefficient_scale())
     budget = TOL_PT * scale * 100

@@ -30,30 +30,18 @@ class BoundarySample:
     points: tuple   # (x, y) touch points from maximizing eigenvectors
 
 
-def _as_matrix(W) -> np.ndarray:
-    if isinstance(W, ShiftMatrix):
-        return W.matrix()
-    return np.asarray(W, dtype=complex)
-
-
-def _support_batch(W, thetas) -> tuple[np.ndarray, np.ndarray]:
+def _support_batch(W: ShiftMatrix, thetas) -> tuple[np.ndarray, np.ndarray]:
     """Support values and complex touch points x* A x, one eigh for all angles.
 
     x* A x does not depend on the phase of the eigenvector x.
     """
-    A = _as_matrix(W)
+    A = W.matrix()
     vals, vecs = np.linalg.eigh(hermitian_slices(A, thetas))
     x = vecs[:, :, -1]
-    # one matrix-vector product per angle, so that support(W, theta) repeats
-    # the matching entry of boundary_sample bit for bit
+    # one matrix-vector product per angle: the last bits of the touch points
+    # depend on this arithmetic, so keep it
     touch = np.sum(x.conj() * (A @ x[:, :, None])[:, :, 0], axis=1)
     return vals[:, -1], touch
-
-
-def support(W, theta: float) -> tuple[float, tuple[float, float]]:
-    """Support value and a boundary touch point in direction theta."""
-    h, z = _support_batch(W, [theta])
-    return float(h[0]), (float(z[0].real), float(z[0].imag))
 
 
 def boundary_sample(W, m: int = 720) -> BoundarySample:
@@ -79,8 +67,7 @@ def range_equal(W1, W2, m: int = 720, tol: float = 1e-9) -> bool:
     return samples_agree(boundary_sample(W1, m), boundary_sample(W2, m), tol)
 
 
-def curve_sample(form: InvariantForm, m: int = 720,
-                 r_max: float | None = None) -> list[tuple[float, float]]:
+def curve_sample(form: InvariantForm, m: int = 720) -> list[tuple[float, float]]:
     """Real points of the curve in the t = 1 chart, sampled by angle.
 
     Restricting to the ray (1, rho e^(i theta), rho e^(-i theta)) gives the
@@ -112,9 +99,6 @@ def curve_sample(form: InvariantForm, m: int = 720,
     # numpy float64 product equals Python's bit for bit
     cos = np.repeat([math.cos(thetas[k]) for k in keys], counts)
     sin = np.repeat([math.sin(thetas[k]) for k in keys], counts)
-    if r_max is not None:
-        near = ~(np.abs(rho) > r_max)     # a NaN bound drops nothing
-        rho, cos, sin = rho[near], cos[near], sin[near]
     return list(zip(rho * cos, rho * sin))
 
 
@@ -132,9 +116,9 @@ def write_curve_csv(points: list[tuple[float, float]], path: str):
             fh.write(f"{x:.17g},{y:.17g}\n")
 
 
-def write_svg(point_sets: list[list[tuple[float, float]]], path: str,
-              size: int = 600, colors: tuple = ("#1f77b4", "#d62728", "#2ca02c")):
+def write_svg(point_sets: list[list[tuple[float, float]]], path: str):
     """Plain polyline/point rendering; no interactivity."""
+    size, colors = 600, ("#1f77b4", "#d62728", "#2ca02c")
     allpts = [p for ps in point_sets for p in ps]
     if not allpts:
         raise ValueError("nothing to draw")

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "forward_matching", "infinity_points", "interlace_check", "invariant_dim",
     "is_hyperbolic", "noether_division", "normalize_pencil",
     "pencil_from_adjugate", "range_equal", "real_roots", "realize_real",
-    "represent", "rotate", "split_conjugate", "support", "vanishing_form",
+    "represent", "rotate", "split_conjugate", "vanishing_form",
     "verify",
 ]
 

@@ -5,16 +5,18 @@ import hashlib
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from hyprep import DEFAULT_CONFIG, Config, InvariantForm, construct, verify
+from hyprep import DEFAULT_CONFIG, Config, InvariantForm, construct, represent, verify
 from hyprep.cli import _format_json, main
 from hyprep.construct import _represent_direct
 from hyprep.forward import forward_matching
 from hyprep.hyperbolicity import real_roots
 from tests.conftest import random_shift
+from tests.test_hyperbolicity import _form_at_scale
 
 
 def run_cli(capsys, *argv):
@@ -186,26 +188,39 @@ def test_byte_identical_reruns(capsys, quartic_file):
     assert first == second
 
 
-def test_config_file_and_flag_override(capsys, tmp_path, quartic_file):
-    cfg = write_json(tmp_path / "cfg.json", {"seed": 11, "tol_final": 1e-5})
-    code, _ = run_cli(capsys, "represent", "--input", quartic_file, "--config", cfg)
-    assert code == 0
-    # threads, tol_root, max_retries, eps0: removed knobs
-    for key in ("sneed", "threads", "tol_root", "max_retries", "eps0"):
-        bad = write_json(tmp_path / "bad_cfg.json", {key: 11})
-        code, _ = run_cli(capsys, "represent", "--input", quartic_file, "--config", bad)
-        assert code == 2
-    # the tolerances are constants now: their flags are gone
-    with pytest.raises(SystemExit) as exited:
-        main(["represent", "--input", quartic_file, "--tol-root", "1e-8"])
-    assert exited.value.code == 2
+def test_config_flags_only_where_they_are_read(quartic_file, shift_file):
+    # only represent takes --seed, and only represent, verify and realize take
+    # --tol-final; no command reads a config file, and the tolerances are
+    # constants
+    for argv in (["represent", "--input", quartic_file, "--config", "cfg.json"],
+                 ["represent", "--input", quartic_file, "--tol-root", "1e-8"],
+                 ["check", "--input", quartic_file, "--seed", "5"],
+                 ["verify", "--form", quartic_file, "--shift", shift_file, "--seed", "5"],
+                 ["points", "--input", quartic_file, "--tol-final", "1e-5"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
     assert [f.name for f in dataclasses.fields(Config)] == ["seed", "tol_final"]
 
 
-def test_config_value_of_the_wrong_type_is_input_error(capsys, tmp_path, quartic_file):
-    bad = write_json(tmp_path / "bad_cfg.json", {"tol_final": "small"})
-    code, _ = run_cli(capsys, "check", "--input", quartic_file, "--config", bad)
-    assert code == 2
+def test_represent_flags_build_the_config(capsys, quartic_file):
+    code, out = run_cli(capsys, "represent", "--input", quartic_file,
+                        "--seed", "11", "--tol-final", "1e-5")
+    assert code == 0
+    form = InvariantForm(4, [-26.0, 72.0], -72.0, 0.0)
+    W = represent(form, Config(11, 1e-5))
+    assert out == _format_json({"shift": W.to_json(), "verify": verify(form, W).to_json()}) + "\n"
+
+
+def test_bad_tol_final_is_input_error(capsys, quartic_file, shift_file):
+    for argv in (["represent", "--input", quartic_file],
+                 ["verify", "--form", quartic_file, "--shift", shift_file],
+                 ["realize", "--input", shift_file]):
+        code, out = run_cli(capsys, *argv, "--tol-final", "0")
+        assert code == 2 and out == ""
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--tol-final", "small"])
+        assert exited.value.code == 2
 
 
 def test_seventeen_digit_floats(capsys, tmp_path):
@@ -234,6 +249,20 @@ def test_represent_with_every_spectral_start_skipped_is_numerical_failure(
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_points_on_an_overflowing_circle_is_numerical_failure(capsys, tmp_path, k):
+    # the smallest circle of these forms overflows s_j^-n: exit 3, not an
+    # input error, and no numpy warning (warnings are errors here)
+    form = _form_at_scale(24, k, 1e-12)
+    path = write_json(tmp_path / "f.json", form.to_json())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["points", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical failure:")
 
 
 def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):

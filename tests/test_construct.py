@@ -11,7 +11,7 @@ from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, Kind, ShiftMatrix,
                     classify, compute_intersections, extract_shift, noether_division,
                     normalize_pencil, represent, vanishing_form, verify)
 from hyprep import construct
-from hyprep.config import LM_LINE
+from hyprep.config import LM_LINE, TOL_PATTERN
 from hyprep.construct import (FormMatrix, _DivisionMemo, _represent_direct,
                               _represent_spectral, assemble_form_matrix,
                               pencil_from_adjugate)
@@ -187,6 +187,73 @@ def test_singular_form_matrix_fails_typed(quartic_form):
     G = FormMatrix(4, tuple((zero,) * 4 for _ in range(4)))
     with pytest.raises(AdjugateMismatch):
         pencil_from_adjugate(G, quartic_form, np.random.default_rng(Config().seed))
+
+
+def _pattern_by_entry_loop(Mt, Mu, tol):
+    """The shift-pattern check entry by entry, as pencil_from_adjugate first
+    wrote it: the message of the first entry outside the pattern in
+    row-major order, or None, and the cleaned (M_t, M_u)."""
+    n = len(Mt)
+    for i in range(n):
+        for j in range(n):
+            d = (i - j) % n
+            if d == 0:
+                bad = abs(Mu[i, j])
+            elif d == 1:
+                bad = abs(Mt[i, j])          # u-positions: subdiagonal and corner
+            else:
+                bad = max(abs(Mt[i, j]), abs(Mu[i, j]))
+            if bad > tol:
+                return f"entry ({i + 1},{j + 1}) outside shift pattern", None
+    Mu_clean = np.zeros_like(Mu)
+    for i in range(n):
+        Mu_clean[i, (i - 1) % n] = Mu[i, (i - 1) % n]
+    return None, (np.diag(np.diag(Mt).real.astype(complex)), Mu_clean)
+
+
+@pytest.mark.parametrize("hits, entry", [
+    ([], None),
+    ([("t", 0, 1)], "(1,2)"),                   # t off the diagonal
+    ([("u", 2, 2)], "(3,3)"),                   # u on the diagonal
+    ([("u", 3, 1), ("t", 1, 3)], "(2,4)"),      # the first in row-major order
+    ([("u", 0, 1), ("u", 1, 3)], "(1,2)"),
+    ([("t", 2, 2), ("u", 1, 0), ("u", 0, 3)], None),    # inside the pattern
+])
+def test_pencil_pattern_check_matches_the_entry_loop(monkeypatch, quartic_form, hits, entry):
+    # the fitted coefficient matrices are moved off the shift pattern at the
+    # given entries (u and v as an adjoint pair); the holdout check is off so
+    # that the pattern check sees them
+    iset = compute_intersections(quartic_form)
+    G = assemble_form_matrix(quartic_form, iset)
+    n = G.n
+    lstsq, fitted = np.linalg.lstsq, []
+
+    def moved(a, b, rcond=None):
+        sol, *rest = lstsq(a, b, rcond=rcond)
+        sol = sol.copy()
+        step = 1e-3 * np.max(np.abs(sol))
+        for which, i, j in hits:
+            if which == "t":
+                sol[0, i * n + j] += step
+            else:
+                sol[1, i * n + j] += step
+                sol[2, j * n + i] += step
+        fitted.append(sol)
+        return (sol, *rest)
+
+    monkeypatch.setattr(np.linalg, "lstsq", moved)
+    monkeypatch.setattr(construct, "TOL_PENCIL", np.inf)
+    try:
+        P = pencil_from_adjugate(G, quartic_form, np.random.default_rng(Config().seed))
+        message = None
+    except PatternViolation as exc:
+        message = str(exc)
+    Mt, Mu, Mv = (m.reshape(n, n) for m in fitted[0])
+    want, clean = _pattern_by_entry_loop(0.5 * (Mt + Mt.conj().T), 0.5 * (Mu + Mv.conj().T),
+                                         TOL_PATTERN * max(np.max(np.abs(fitted[0])), 1e-300))
+    assert message == want == (entry and f"entry {entry} outside shift pattern")
+    if message is None:
+        assert np.array_equal(P.M_t, clean[0]) and np.array_equal(P.M_u, clean[1])
 
 
 def test_pencil_rotation_covariance(quartic_form):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hyprep import (Classification, InvariantForm, Kind, ShiftMatrix, classify,
-                    curve_sample, interlace_check, is_hyperbolic, real_roots)
+                    compute_intersections, curve_sample, interlace_check,
+                    is_hyperbolic, real_roots, represent)
 from hyprep import hyperbolicity
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
 from hyprep.errors import DegenerateInput, HyprepError, HypothesisViolated, NotHyperbolic
@@ -438,13 +439,14 @@ def _form_at_scale(n, k, scale):
 @pytest.mark.parametrize("scale", SWEEP_SCALES)
 def test_classify_and_curve_sample_fail_only_typed(scale):
     # each call returns or raises a HyprepError: no overflow, no internal
-    # ValueError or LinAlgError, and no numpy warning on the way
+    # ValueError or LinAlgError, and no numpy warning on the way.  At n = 24
+    # and scale 1e-12 the smallest circle overflows s_j^-n in the circle solve
     for n in range(3, 25, 3):
         for k in range(3):
             form = _form_at_scale(n, k, scale)
             size = max(abs(x) for x in [*form.c, form.c0, form.ct0])
             assert scale / 2 <= size <= 2 * scale
-            for call in (classify, curve_sample):
+            for call in (classify, curve_sample, compute_intersections, represent):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     try:

@@ -8,8 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from hyprep import (InvariantForm, ShiftMatrix, boundary_sample, curve_sample,
-                    range_equal, support)
+from hyprep import InvariantForm, ShiftMatrix, boundary_sample, curve_sample, range_equal
 from hyprep.errors import DegenerateInput
 from hyprep.forward import forward_matching
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
@@ -20,14 +19,14 @@ from tests.test_construct import singular_form
 
 def test_support_single_weight():
     a = 1.8
-    h, _ = support(ShiftMatrix([a, 0.0, 0.0]), 0.0)
-    assert h == pytest.approx(a / 2)     # top eigenvalue of the 2x2 corner block
+    s = boundary_sample(ShiftMatrix([a, 0.0, 0.0]), 8)
+    assert s.angles[0] == 0.0
+    assert s.support[0] == pytest.approx(a / 2)     # top eigenvalue of the 2x2 corner block
 
 
 def test_support_zero_matrix():
-    for theta in (0.0, 1.0, 2.5):
-        h, pt = support(ShiftMatrix([0.0, 0.0, 0.0]), theta)
-        assert h == 0.0 and pt == (0.0, 0.0)
+    s = boundary_sample(ShiftMatrix([0.0, 0.0, 0.0]), 8)
+    assert set(s.support) == {0.0} and set(s.points) == {(0.0, 0.0)}
 
 
 def test_support_touch_point_consistency(quartic_shift):
@@ -49,7 +48,6 @@ def test_boundary_sample_matches_per_angle_reference(n):
         x, y = s.points[k]
         assert abs(s.support[k] - top) <= tol
         assert abs(x * math.cos(theta) + y * math.sin(theta) - s.support[k]) <= tol
-        assert support(W, theta) == (s.support[k], s.points[k])
 
 
 def test_unitary_gauge_preserves_range(quartic_shift, quartic_shift_phased):
@@ -235,24 +233,17 @@ def _per_angle_rays(form, m):
     return rays
 
 
-def _per_angle_points(rays, r_max=None):
+def _per_angle_points(rays):
     pts = []
     for theta, roots in rays:
         for rho, _ in roots:
-            if r_max is not None and abs(rho) > r_max:
-                continue
             pts.append((rho * math.cos(theta), rho * math.sin(theta)))
     return pts
 
 
 def _assert_matches_per_angle_reference(form):
-    rays = {m: _per_angle_rays(form, m) for m in (-1, 0, 1, 8, 33, 720)}
-    full = _per_angle_points(rays[720])
-    # a radius bound that drops about half of the points
-    r_max = float(np.median([math.hypot(x, y) for x, y in full])) if full else 1.0
-    for m, per_angle in rays.items():
-        for bound in (None, r_max):
-            assert repr(curve_sample(form, m, bound)) == repr(_per_angle_points(per_angle, bound))
+    for m in (-1, 0, 1, 8, 33, 720):
+        assert repr(curve_sample(form, m)) == repr(_per_angle_points(_per_angle_rays(form, m)))
 
 
 def _mixed_degree_form(n, seed):
