@@ -1,9 +1,9 @@
 """Cyclic weighted shift determinantal representations of invariant hyperbolic curves."""
 
 from .config import Config, DEFAULT_CONFIG
-from .construct import (FormMatrix, HermitianPencil, assemble_form_matrix,
-                        extract_shift, noether_division, normalize_pencil,
-                        pencil_from_adjugate, represent, vanishing_form)
+from .construct import (HermitianPencil, assemble_form_matrix, extract_shift,
+                        noether_division, normalize_pencil, pencil_from_adjugate,
+                        represent, vanishing_form)
 from .forward import (VerifyReport, forward_interpolate, forward_matching,
                       realize_real, verify)
 from .hyperbolicity import (Classification, Kind, RootProfile, classify,
@@ -12,8 +12,8 @@ from .intersection import (CircleFactorization, IntersectionSet, Point,
                            circle_factors, circle_intersect,
                            compute_intersections, infinity_points,
                            split_conjugate)
-from .invariants import (InvariantForm, MonomialBasis, eigenspace_basis,
-                         eigenspace_dim_formula, invariant_dim)
+from .invariants import (InvariantForm, eigenspace_basis, eigenspace_dim_formula,
+                         invariant_dim)
 from .numrange import BoundarySample, boundary_sample, curve_sample, range_equal
 from .poly import TrivariatePoly, conj_involution, rotate
 from .shift import ShiftMatrix
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Config", "DEFAULT_CONFIG",
     "TrivariatePoly", "rotate", "conj_involution",
-    "InvariantForm", "MonomialBasis", "eigenspace_basis",
+    "InvariantForm", "eigenspace_basis",
     "eigenspace_dim_formula", "invariant_dim",
     "RootProfile", "Classification", "Kind", "real_roots", "is_hyperbolic",
     "classify", "interlace_check",
@@ -31,7 +31,7 @@ __all__ = [
     "CircleFactorization", "IntersectionSet", "Point", "circle_factors",
     "circle_intersect", "infinity_points", "split_conjugate",
     "compute_intersections",
-    "FormMatrix", "HermitianPencil", "vanishing_form", "noether_division",
+    "HermitianPencil", "vanishing_form", "noether_division",
     "assemble_form_matrix", "pencil_from_adjugate", "normalize_pencil",
     "extract_shift", "represent",
     "VerifyReport", "forward_matching", "forward_interpolate", "verify",

@@ -97,7 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.add_argument("--svg")
     p.add_argument("--against", help="second shift JSON: also report range equality")
-    p.add_argument("--tol", type=float, default=1e-9)
 
     p = sub.add_parser("curve", help="real curve sample in the t=1 chart")
     p.add_argument("--input", required=True)
@@ -177,7 +176,7 @@ def _run(args) -> int:
                "h_min": min(sample.support), "h_max": max(sample.support)}
         if args.against:
             other = boundary_sample(_load_shift(args.against), args.angles)
-            out["range_equal"] = samples_agree(sample, other, args.tol)
+            out["range_equal"] = samples_agree(sample, other)
         _emit(out)
         if args.against and not out["range_equal"]:
             return EXIT_VERIFY

@@ -14,6 +14,7 @@ CLUSTER_RADIUS = 1e-6   # multiplicity clustering, scaled by (1 + |root|)
 # intersection points
 TOL_PT = 1e-8           # residual budget, scaled by (1 + coefficient scale)
 TOL_SEP = 1e-6          # orbit-key tolerance; only split_conjugate's matching uses it
+TOL_RANGE = 1e-9        # support functions this close mean equal numerical ranges
 # construction stages
 TOL_VAN = 1e-7
 TOL_NOETHER = 1e-8

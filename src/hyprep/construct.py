@@ -53,18 +53,6 @@ from .shift import ShiftMatrix
 
 
 @dataclasses.dataclass(frozen=True)
-class FormMatrix:
-    """Hermitian-symmetric grid of degree n-1 forms; entry (i, j) lies in
-    eigenspace class (i - j) mod n."""
-
-    n: int
-    entries: tuple        # tuple of tuples of TrivariatePoly
-
-    def entry(self, i: int, j: int) -> TrivariatePoly:
-        return self.entries[i][j]
-
-
-@dataclasses.dataclass(frozen=True)
 class HermitianPencil:
     """Linear pencil t*M_t + u*M_u + v*M_u^dagger."""
 
@@ -97,7 +85,7 @@ def vanishing_form(iset: IntersectionSet, ell: int) -> TrivariatePoly:
             # factor of t, so points at infinity impose no condition
             continue
         t, u, v = rep.coords()
-        rows.append([t ** e[0] * u ** e[1] * v ** e[2] for e in basis.monomials])
+        rows.append([t ** e[0] * u ** e[1] * v ** e[2] for e in basis])
     if rows:
         # row scaling leaves the nullspace unchanged and tames points with
         # large coordinates
@@ -110,7 +98,7 @@ def vanishing_form(iset: IntersectionSet, ell: int) -> TrivariatePoly:
         vec = Vh[-1].conj()        # right vector of the smallest singular value
     else:
         vec = np.eye(len(basis), dtype=complex)[-1]
-    terms = {e: vec[i] for i, e in enumerate(basis.monomials) if abs(vec[i]) > 0}
+    terms = {e: vec[i] for i, e in enumerate(basis) if abs(vec[i]) > 0}
     p = TrivariatePoly(n - 1, terms)
     if p.is_zero():
         raise NoVanishingForm(f"class {ell}: nullspace vector vanished")
@@ -123,9 +111,9 @@ def _division_layout(n: int, ell: int):
     number of class-ell target monomials (degree 2(n-1)), and the row table:
     rows[i, j] is the target row of t^i u^j v^(2n-2-i-j), or -1 outside the
     class."""
-    mon_a = eigenspace_basis(n, n - 2, ell).monomials
-    mon_b = eigenspace_basis(n, n - 1, ell).monomials
-    mon_rows = eigenspace_basis(n, 2 * (n - 1), ell).monomials
+    mon_a = eigenspace_basis(n, n - 2, ell)
+    mon_b = eigenspace_basis(n, n - 1, ell)
+    mon_rows = eigenspace_basis(n, 2 * (n - 1), ell)
     rows = np.full((2 * n - 1, 2 * n - 1), -1, dtype=np.intp)
     for r, e in enumerate(mon_rows):
         rows[e[0], e[1]] = r
@@ -215,8 +203,9 @@ def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
     return _poly_from_vec(a_vec, mon_a, n - 2), _poly_from_vec(b_vec, mon_b, n - 1)
 
 
-def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> FormMatrix:
-    """Build the full Hermitian grid of degree n-1 forms.
+def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> tuple:
+    """Build the full Hermitian grid of degree n-1 forms, as n rows of n;
+    entry (i, j) lies in eigenspace class (i - j) mod n.
 
     Row one holds df/dt and the vanishing forms; the remaining upper
     triangle is filled by curve division (its df/dt cofactor), diagonals
@@ -241,7 +230,7 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> FormMatr
             g[i][j] = b
             if i != j:
                 g[j][i] = conj_involution(b)
-    return FormMatrix(n, tuple(tuple(row) for row in g))
+    return tuple(tuple(row) for row in g)
 
 
 def _sample_points(form: InvariantForm, count: int,
@@ -249,7 +238,7 @@ def _sample_points(form: InvariantForm, count: int,
     """Deterministic real sample points where |f| is comfortably large."""
     f = form.expand()
     scale = form.coefficient_scale()
-    radius = 1.0 + max(abs(x) for x in ([1.0] + list(form.c) + [form.c0, form.ct0]))
+    radius = 1.0 + scale
     pts = [(1.0, 0.0, 0.0)]
     guard = 0
     while len(pts) < count:
@@ -264,7 +253,7 @@ def _sample_points(form: InvariantForm, count: int,
     return pts
 
 
-def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
+def pencil_from_adjugate(G: tuple, form: InvariantForm,
                          rng: np.random.Generator) -> HermitianPencil:
     """Fit the linear pencil adj(G)/f^(n-2) from point evaluations.
 
@@ -274,12 +263,11 @@ def pencil_from_adjugate(G: FormMatrix, form: InvariantForm,
     checked before anything is returned.  The adjugate at a point is
     det(G) inv(G); an ill-conditioned point fails those checks.
     """
-    n = G.n
+    n = len(G)
     n_fit, n_hold = max(8, n + 4), 3
     pts = [(t, complex(x, y), complex(x, -y))
            for t, x, y in _sample_points(form, n_fit + n_hold, rng)]
-    entries = [G.entry(i, j) for i in range(n) for j in range(n)]
-    vals = _evaluate_many(entries + [form.expand()], pts)
+    vals = _evaluate_many([g for row in G for g in row] + [form.expand()], pts)
     Gvals = vals[:-1].T.reshape(len(pts), n, n)
 
     def quotient(k):

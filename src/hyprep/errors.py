@@ -26,7 +26,8 @@ class NonrealCircle(HyprepError):
 
 
 class SolveFailed(HyprepError):
-    """Companion-matrix root solve did not converge."""
+    """Intersection points not found: non-finite circle coefficients, or a
+    stored point whose residual is above budget."""
 
 
 class LeadingZero(HyprepError):

@@ -224,38 +224,31 @@ def real_roots(coeffs) -> RootProfile:
     return _root_profiles([list(coeffs)])[0]
 
 
-def _full_degree_roots(coeffs) -> RootProfile:
-    """real_roots of a monic polynomial, at its full degree at every scale.
+def _endpoint_profiles(form: InvariantForm) -> list[RootProfile]:
+    """Root profiles of p + s and p - s, or of p alone when s = 0, from one
+    _root_profiles call, each at its full degree n at every scale.
 
-    real_roots strips leading coefficients below 1e-14 of the largest, so
-    once a coefficient reaches 1e14 it would strip the monic t^n.  There the
-    roots are solved in tau = t / 2^k, with 2^k at least the root bound
+    _root_profiles strips leading coefficients below 1e-14 of the largest,
+    so once a coefficient reaches 1e14 it would strip the monic t^n.  Such a
+    row is solved in tau = t / 2^k, with 2^k at least the root bound
     max_j |a_j|^(1/j): the coefficients a_j 2^(-jk) are exact and about one
     at most, and the roots are scaled back by 2^k, exactly.  Below that
-    scale the coefficients go to real_roots as they are.
+    scale a row keeps its coefficients as they are.
     """
-    big = max(abs(a) for a in coeffs)
-    if not math.isfinite(big) or 1.0 > 1e-14 * big:
-        return real_roots(coeffs)
-    k = max(math.ceil(math.log2(abs(a)) / j) for j, a in enumerate(coeffs) if j and a)
-    profile = real_roots([math.ldexp(a, -j * k) for j, a in enumerate(coeffs)])
-    return RootProfile(tuple((math.ldexp(x, k), m) for x, m in profile.roots),
-                       profile.n_complex)
-
-
-def _endpoints(form: InvariantForm):
-    """(sign, root profile) of p + s, then of p - s.
-
-    Lazy: a caller that stops after p + s never solves p - s.  When s = 0
-    the two are one polynomial, solved once.
-    """
-    profile = None
-    for sign in (+1.0, -1.0):
-        if profile is None or form.s != 0.0:
-            coeffs = form.univariate()
-            coeffs[-1] += sign * form.s
-            profile = _full_degree_roots(coeffs)
-        yield sign, profile
+    rows, shifts = [], []
+    for sign in (+1.0, -1.0) if form.s != 0.0 else (+1.0,):
+        coeffs = form.univariate()
+        coeffs[-1] += sign * form.s
+        big = max(abs(a) for a in coeffs)
+        k = 0
+        if math.isfinite(big) and 1.0 <= 1e-14 * big:
+            k = max(math.ceil(math.log2(abs(a)) / j) for j, a in enumerate(coeffs) if j and a)
+            coeffs = [math.ldexp(a, -j * k) for j, a in enumerate(coeffs)]
+        rows.append(coeffs)
+        shifts.append(k)
+    return [RootProfile(tuple((math.ldexp(x, k), m) for x, m in profile.roots),
+                        profile.n_complex) if k else profile
+            for profile, k in zip(_root_profiles(rows), shifts)]
 
 
 def _s_vanishes(form: InvariantForm) -> bool:
@@ -265,7 +258,7 @@ def _s_vanishes(form: InvariantForm) -> bool:
 
 def is_hyperbolic(form: InvariantForm) -> bool:
     """True iff both p(t) + s and p(t) - s have all real roots."""
-    return all(profile.all_real for _, profile in _endpoints(form))
+    return all(profile.all_real for profile in _endpoint_profiles(form))
 
 
 def classify(form: InvariantForm) -> Classification:
@@ -276,11 +269,11 @@ def classify(form: InvariantForm) -> Classification:
     trigger (a real or repeated intersection point discovered downstream)
     is handled by the representation pipeline, not here.
     """
-    witnesses = {}
-    for sign, profile in _endpoints(form):
-        if not profile.all_real:
-            raise NotHyperbolic("form is not hyperbolic")
-        witnesses["plus" if sign > 0 else "minus"] = profile.max_multiplicity() > 1
+    profiles = _endpoint_profiles(form)
+    if not all(profile.all_real for profile in profiles):
+        raise NotHyperbolic("form is not hyperbolic")
+    witnesses = {"plus": profiles[0].max_multiplicity() > 1,
+                 "minus": profiles[-1].max_multiplicity() > 1}
     singular = _s_vanishes(form) or any(witnesses.values())
     return Classification(Kind.SINGULAR if singular else Kind.SMOOTH, form.s, witnesses)
 

@@ -2,8 +2,9 @@
 
 For an invariant hyperbolic form the t-derivative factors (up to the
 scalar n and a possible factor of t) into circles t^2 - s_j uv with real
-s_j >= 0, so the n(n-1) common zeros come from degree-2n univariate solves,
-one per circle, plus a line-at-infinity solve when n is even.  The points
+s_j >= 0, so the n(n-1) common zeros come in closed form from a quadratic
+in u^n per circle, plus one in u^(n/2) on the line at infinity when n is
+even; every stored point is then checked against f and df/dt once.  The points
 fall into rotation orbits, and the orbits into conjugate pairs; one orbit
 per pair is kept in S, its mirror in Sbar, and a single representative per
 kept orbit forms the working set used by the construction.
@@ -125,22 +126,11 @@ def circle_factors(form: InvariantForm) -> CircleFactorization:
 
 
 def _trinomial_roots(A: complex, B: complex, C: complex, n: int) -> np.ndarray:
-    """Roots of A u^2n + B u^n + C from the companion matrix."""
-    coeffs = np.zeros(2 * n + 1, dtype=complex)
-    coeffs[0], coeffs[n], coeffs[2 * n] = A, B, C
-    roots = np.roots(coeffs)
-    if np.any(~np.isfinite(roots)):
-        raise SolveFailed("companion matrix produced non-finite roots")
-    return roots
-
-
-def _trinomial_roots_structured(A: complex, B: complex, C: complex,
-                                n: int) -> np.ndarray:
     """Roots of A u^2n + B u^n + C via the quadratic in z = u^n.
 
-    Immune to the extreme coefficient ranges that defeat the companion
-    matrix on nearly-degenerate forms; the n-th roots of each quadratic
-    root reproduce the rotation-orbit structure exactly.
+    The two roots of the quadratic come from the cancellation-free formula,
+    whatever decades A, B and C span, and the n-th roots of each are one
+    rotation orbit, exactly.
     """
     disc = np.sqrt(B * B - 4.0 * A * C + 0j)
     if abs(B - disc) > abs(B + disc):
@@ -165,7 +155,8 @@ def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:
     """The 2n common zeros of the form and one circle t^2 = s_j uv.
 
     In the chart t = 1 the circle forces v = 1/(s_j u), and clearing
-    denominators from f(1, u, 1/(s_j u)) leaves a degree-2n trinomial in u.
+    denominators from f(1, u, 1/(s_j u)) leaves a degree-2n trinomial in u,
+    a quadratic in u^n whose two roots give two rotation orbits.
     """
     if s_j <= 0:
         raise ValueError("circle parameter must be positive")
@@ -179,24 +170,7 @@ def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:
         raise LeadingZero("circle solve needs a nonzero top coefficient")
     if not all(map(cmath.isfinite, (A, B, C))):
         raise SolveFailed("circle trinomial coefficients are not finite")
-    f = form.expand()
-    scale = max(1.0, form.coefficient_scale())
-    budget = TOL_PT * scale * 100
-
-    def to_points(roots):
-        pts = [Point(1.0 + 0j, u, 1.0 / (s_j * u)) for u in roots]
-        residuals = _evaluate_many([f], [p.coords() for p in pts])[0]
-        # a running max from zero, so a NaN residual is passed over
-        return pts, max([0.0] + [abs(r) for r in residuals.tolist()])
-
-    pts, worst = to_points(_trinomial_roots(A, B, C, n))
-    if worst > budget:
-        # companion matrices give up when A, B, C span many decades; the
-        # quadratic-in-u^n route does not care
-        pts, worst = to_points(_trinomial_roots_structured(A, B, C, n))
-    if worst > budget:
-        raise SolveFailed(f"residual {worst:.2e} too large on circle point")
-    return pts
+    return [Point(1.0 + 0j, u, 1.0 / (s_j * u)) for u in _trinomial_roots(A, B, C, n)]
 
 
 def infinity_points(form: InvariantForm) -> list[tuple[Point, int]]:
@@ -207,11 +181,9 @@ def infinity_points(form: InvariantForm) -> list[tuple[Point, int]]:
     A = complex(form.c0, -form.ct0) / 2
     if abs(A) <= 1e-300:
         raise LeadingZero("both top coefficients vanish")
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = A
-    coeffs[n // 2] = form.c[-1]  # coefficient of (uv)^(n/2)
-    coeffs[n] = A.conjugate()
-    clusters = cluster_roots(np.roots(coeffs), CLUSTER_RADIUS)
+    # A u^n + c_(n/2) (uv)^(n/2) + conj(A) v^n in the chart v = 1
+    roots = _trinomial_roots(A, form.c[-1], A.conjugate(), n // 2)
+    clusters = cluster_roots(roots, CLUSTER_RADIUS)
     out = []
     for u, mult in clusters:
         out.append((_normalize(0j, u, 1.0 + 0j), mult))

@@ -73,28 +73,16 @@ class InvariantForm:
         return cls(data["n"], data["c"], data["c0"], data["ct0"])
 
 
-@dataclasses.dataclass(frozen=True)
-class MonomialBasis:
-    """Monomials of one degree lying in one rotation eigenspace, in global order."""
-
-    k: int
-    ell: int
-    monomials: tuple
-
-    def __len__(self):
-        return len(self.monomials)
-
-
-def eigenspace_basis(n: int, k: int, ell: int) -> MonomialBasis:
-    """Monomials t^i u^j v^k' of degree k with j - k' = ell mod n.
+def eigenspace_basis(n: int, k: int, ell: int) -> tuple:
+    """Monomials t^i u^j v^k' of degree k with j - k' = ell mod n, as
+    exponent triples in global order.
 
     These span the eigenspace of the rotation map with eigenvalue w^ell
     restricted to forms of degree k.
     """
     if not 0 <= ell < n:
         raise ValueError("eigenvalue index out of range")
-    mons = tuple(e for e in monomials_of_degree(k) if (e[1] - e[2]) % n == ell)
-    return MonomialBasis(k, ell, mons)
+    return tuple(e for e in monomials_of_degree(k) if (e[1] - e[2]) % n == ell)
 
 
 def eigenspace_dim_formula(n: int, ell: int) -> int:

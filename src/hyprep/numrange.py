@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .config import TOL_RANGE
 from .hyperbolicity import _root_profiles
 from .invariants import InvariantForm
 from .shift import ShiftMatrix, hermitian_slices
@@ -57,14 +58,14 @@ def boundary_sample(W, m: int = 720) -> BoundarySample:
     )
 
 
-def samples_agree(s1: BoundarySample, s2: BoundarySample, tol: float) -> bool:
-    """Two boundary samples on the same angle grid agree within tol."""
-    return max(abs(a - b) for a, b in zip(s1.support, s2.support)) <= tol
+def samples_agree(s1: BoundarySample, s2: BoundarySample) -> bool:
+    """Two boundary samples on the same angle grid agree within TOL_RANGE."""
+    return max(abs(a - b) for a, b in zip(s1.support, s2.support)) <= TOL_RANGE
 
 
-def range_equal(W1, W2, m: int = 720, tol: float = 1e-9) -> bool:
+def range_equal(W1, W2, m: int = 720) -> bool:
     """Numerical ranges agree iff the sampled support functions agree."""
-    return samples_agree(boundary_sample(W1, m), boundary_sample(W2, m), tol)
+    return samples_agree(boundary_sample(W1, m), boundary_sample(W2, m))
 
 
 def curve_sample(form: InvariantForm, m: int = 720) -> list[tuple[float, float]]:

@@ -138,7 +138,7 @@ def test_criterion_8_numerical_range_equality():
                      4.0 * np.exp(1j * np.pi / 12),
                      6.0 * np.exp(1j * np.pi / 4),
                      6.0 * np.exp(-1j * np.pi / 3)])
-    ok = range_equal(A, B, 720, 1e-9)
+    ok = range_equal(A, B, 720)
     report(8, ok, "sampled support functions agree to 1e-9 on 720 angles")
 
 

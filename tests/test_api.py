@@ -4,8 +4,8 @@ import hyprep
 
 PUBLIC_NAMES = [
     "BoundarySample", "CircleFactorization", "Classification", "Config",
-    "DEFAULT_CONFIG", "FormMatrix", "HermitianPencil", "IntersectionSet",
-    "InvariantForm", "Kind", "MonomialBasis", "Point", "RootProfile",
+    "DEFAULT_CONFIG", "HermitianPencil", "IntersectionSet",
+    "InvariantForm", "Kind", "Point", "RootProfile",
     "ShiftMatrix", "TrivariatePoly", "VerifyReport", "__version__",
     "assemble_form_matrix", "boundary_sample", "circle_factors",
     "circle_intersect", "classify", "compute_intersections",

@@ -14,9 +14,9 @@ from hyprep import DEFAULT_CONFIG, Config, InvariantForm, construct, represent, 
 from hyprep.cli import _format_json, main
 from hyprep.construct import _represent_direct
 from hyprep.forward import forward_matching
-from hyprep.hyperbolicity import real_roots
+from hyprep.hyperbolicity import _root_profiles
 from tests.conftest import random_shift
-from tests.test_hyperbolicity import _form_at_scale
+from tests.test_hyperbolicity import SWEEP_SCALES, _form_at_scale
 
 
 def run_cli(capsys, *argv):
@@ -64,17 +64,17 @@ def test_check_nonhyperbolic(capsys, tmp_path):
 
 
 def test_check_solves_each_endpoint_once(capsys, monkeypatch, quartic_file):
-    seen = []
+    calls = []
 
-    def counting(coeffs):
-        seen.append(list(coeffs))
-        return real_roots(coeffs)
+    def counting(rows):
+        calls.append(len(rows))
+        return _root_profiles(rows)
 
-    monkeypatch.setattr("hyprep.hyperbolicity.real_roots", counting)
+    monkeypatch.setattr("hyprep.hyperbolicity._root_profiles", counting)
     code, out = run_cli(capsys, "check", "--input", quartic_file)
     assert code == 0
     assert json.loads(out)["hyperbolic"] is True
-    assert len(seen) == 2     # p + s and p - s, one solve each
+    assert calls == [2]     # p + s and p - s, one batch of two rows
 
 
 def test_represent_verify_realize_flow(capsys, tmp_path, quartic_file):
@@ -190,13 +190,14 @@ def test_byte_identical_reruns(capsys, quartic_file):
 
 def test_config_flags_only_where_they_are_read(quartic_file, shift_file):
     # only represent takes --seed, and only represent, verify and realize take
-    # --tol-final; no command reads a config file, and the tolerances are
-    # constants
+    # --tol-final; no command reads a config file, and the tolerances
+    # (numrange's range-equality tolerance too) are constants
     for argv in (["represent", "--input", quartic_file, "--config", "cfg.json"],
                  ["represent", "--input", quartic_file, "--tol-root", "1e-8"],
                  ["check", "--input", quartic_file, "--seed", "5"],
                  ["verify", "--form", quartic_file, "--shift", shift_file, "--seed", "5"],
-                 ["points", "--input", quartic_file, "--tol-final", "1e-5"]):
+                 ["points", "--input", quartic_file, "--tol-final", "1e-5"],
+                 ["numrange", "--input", shift_file, "--against", shift_file, "--tol", "1e-3"]):
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert exited.value.code == 2
@@ -265,6 +266,34 @@ def test_points_on_an_overflowing_circle_is_numerical_failure(capsys, tmp_path, 
     assert captured.err.startswith("numerical failure:")
 
 
+@pytest.mark.parametrize("scale", SWEEP_SCALES)
+def test_every_command_fails_only_typed_across_scales(capsys, tmp_path, scale):
+    # the CLI side of the exception-boundary sweep: check, represent, points
+    # and curve on each form, then forward, verify, realize and numrange on
+    # the weights represent wrote; every run exits 0, 1 or 3, with no numpy
+    # warning (warnings are errors here) and no traceback
+    def run(*argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code in (0, 1, 3), (argv, err)
+        assert "Traceback" not in err
+
+    for n in range(3, 25, 3):
+        form = write_json(tmp_path / f"form{n}.json", _form_at_scale(n, 0, scale).to_json())
+        weights = str(tmp_path / f"weights{n}.json")
+        run("check", "--input", form)
+        run("represent", "--input", form, "--output", weights)
+        run("points", "--input", form)
+        run("curve", "--input", form)
+        if pathlib.Path(weights).exists():
+            run("forward", "--input", weights)
+            run("verify", "--form", form, "--shift", weights)
+            run("realize", "--input", weights)
+            run("numrange", "--input", weights)
+
+
 def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
     path = write_json(tmp_path / "nd.json",
                       {"n": 3, "weights": [[1, 0], [1, 0], [0, 1]]})
@@ -278,7 +307,10 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 # recorded again when the spectral route became the first route for smooth
 # forms, and its earlier stdout, from the direct route, is kept under
 # "represent quintic direct route".  The points runs were recorded later, to
-# pin the intersection stage of the direct route
+# pin the intersection stage of the direct route.  The points runs and the
+# direct-route represent runs were recorded again when the intersection points
+# got their closed-form solve; the stdout of the complex companion solve is
+# kept under "<name> companion solve"
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -336,6 +368,29 @@ def test_direct_route_keeps_quintic_golden_stdout():
                              np.random.default_rng(DEFAULT_CONFIG.seed))
     out = _format_json({"shift": W.to_json(), "verify": verify(form, W).to_json()})
     assert out + "\n" == json.loads(GOLDEN_PATH.read_text())["represent quintic direct route"]
+
+
+def test_golden_stdout_stays_near_the_companion_solve():
+    golden = json.loads(GOLDEN_PATH.read_text())
+
+    def complexes(pairs):
+        return np.array([complex(*pair) for pair in pairs])
+
+    def points(out):
+        return [complexes(p[axis] for p in out["reps"] + [e["point"] for e in out["S"] + out["Sbar"]])
+                for axis in "tuv"]
+
+    for name in ("points quartic", "points quintic"):
+        new, old = (json.loads(golden[key]) for key in (name, name + " companion solve"))
+        for key in ("orbit_mult", "at_infinity"):
+            assert new[key] == old[key]
+        assert [e["mult"] for e in new["S"]] == [e["mult"] for e in old["S"]]
+        for a, b in zip(points(new), points(old)):
+            assert np.max(np.abs(a - b)) <= 1e-14
+    for name in ("represent quartic", "represent quintic direct route"):
+        new, old = (complexes(json.loads(golden[key])["shift"]["weights"])
+                    for key in (name, name + " companion solve"))
+        assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
 
 
 @pytest.mark.parametrize("name", sorted(CURVE_CSV_SHA256))

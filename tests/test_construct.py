@@ -12,13 +12,13 @@ from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, Kind, ShiftMatrix,
                     normalize_pencil, represent, vanishing_form, verify)
 from hyprep import construct
 from hyprep.config import LM_LINE, TOL_PATTERN
-from hyprep.construct import (FormMatrix, _DivisionMemo, _represent_direct,
+from hyprep.construct import (_DivisionMemo, _represent_direct,
                               _represent_spectral, assemble_form_matrix,
                               pencil_from_adjugate)
 from hyprep.errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                            PatternViolation)
 from hyprep.forward import coefficient_error, forward_matching, realize_real
-from hyprep.hyperbolicity import _endpoints
+from hyprep.hyperbolicity import _endpoint_profiles
 from hyprep.invariants import eigenspace_basis
 from hyprep.poly import DROP_TOL, TrivariatePoly, conj_involution
 from tests.conftest import random_shift
@@ -104,9 +104,9 @@ def test_noether_division_trivial_multiple(quintic_form):
 def division_matrix_from_products(f, g11, ell, n):
     """The class-ell division matrix built column by column from the
     products monomial * f and monomial * g11."""
-    mon_rows = eigenspace_basis(n, 2 * (n - 1), ell).monomials
-    cols = [TrivariatePoly.monomial(e) * f for e in eigenspace_basis(n, n - 2, ell).monomials]
-    cols += [TrivariatePoly.monomial(e) * g11 for e in eigenspace_basis(n, n - 1, ell).monomials]
+    mon_rows = eigenspace_basis(n, 2 * (n - 1), ell)
+    cols = [TrivariatePoly.monomial(e) * f for e in eigenspace_basis(n, n - 2, ell)]
+    cols += [TrivariatePoly.monomial(e) * g11 for e in eigenspace_basis(n, n - 1, ell)]
     A = np.zeros((len(mon_rows), len(cols)), dtype=complex)
     for jcol, prod in enumerate(cols):
         for e, c in prod.terms.items():
@@ -139,29 +139,29 @@ def test_form_matrix_invariants(quartic_form):
     G = assemble_form_matrix(quartic_form, iset)
     n = quartic_form.n
     f = quartic_form.expand()
-    assert G.entry(0, 0).distance(f.dt()) == 0.0
+    assert G[0][0].distance(f.dt()) == 0.0
     for i in range(n):
         for j in range(n):
-            gij = G.entry(i, j)
+            gij = G[i][j]
             # hermitian symmetry under the conjugation involution
-            assert conj_involution(gij).distance(G.entry(j, i)) < 1e-12
+            assert conj_involution(gij).distance(G[j][i]) < 1e-12
             # eigenspace discipline is structural
             assert all((e[1] - e[2]) % n == (i - j) % n for e in gij.terms)
     # the division identity g11 gij - conj(g1i) g1j in <f>, checked as residual
     for i in range(1, n):
         for j in range(i, n):
-            h = G.entry(i, 0) * G.entry(0, j)
-            lhs = G.entry(0, 0) * G.entry(i, j) - h
-            _, b = noether_division(f, G.entry(0, 0), h, (i - j) % n, n)
-            assert b.distance(G.entry(i, j)) < 1e-8 * max(1.0, b.max_abs_coeff())
+            h = G[i][0] * G[0][j]
+            lhs = G[0][0] * G[i][j] - h
+            _, b = noether_division(f, G[0][0], h, (i - j) % n, n)
+            assert b.distance(G[i][j]) < 1e-8 * max(1.0, b.max_abs_coeff())
 
 
 def test_form_matrix_quartic_g22(quartic_form):
     iset = compute_intersections(quartic_form)
     G = assemble_form_matrix(quartic_form, iset)
     expect = TrivariatePoly(3, {(3, 0, 0): 1.0, (1, 1, 1): -18.0})
-    assert G.entry(1, 1).monic().distance(expect) < 1e-9
-    assert conj_involution(G.entry(1, 1)).distance(G.entry(1, 1)) < 1e-12
+    assert G[1][1].monic().distance(expect) < 1e-9
+    assert conj_involution(G[1][1]).distance(G[1][1]) < 1e-12
 
 
 def test_fitted_pencil_determinant_reproduces_form(quartic_form):
@@ -184,7 +184,7 @@ def test_singular_form_matrix_fails_typed(quartic_form):
     # quotient to fit: a typed failure, not numpy's LinAlgError (a
     # ValueError) and not an all-zero pencil
     zero = TrivariatePoly(3)
-    G = FormMatrix(4, tuple((zero,) * 4 for _ in range(4)))
+    G = tuple((zero,) * 4 for _ in range(4))
     with pytest.raises(AdjugateMismatch):
         pencil_from_adjugate(G, quartic_form, np.random.default_rng(Config().seed))
 
@@ -225,7 +225,7 @@ def test_pencil_pattern_check_matches_the_entry_loop(monkeypatch, quartic_form, 
     # that the pattern check sees them
     iset = compute_intersections(quartic_form)
     G = assemble_form_matrix(quartic_form, iset)
-    n = G.n
+    n = len(G)
     lstsq, fitted = np.linalg.lstsq, []
 
     def moved(a, b, rcond=None):
@@ -371,12 +371,12 @@ def test_represent_degree_16_fails_typed_and_quietly(monkeypatch, k):
 @pytest.mark.parametrize("scale", [1e2, 1e3, 1e6])
 def test_represent_certifies_large_scale_forward_images(scale):
     # coefficients up to scale^n: the endpoint solves of classify must keep
-    # the monic t^n, which a plain real_roots strips from about 1e14 on
+    # the monic t^n, which a plain _root_profiles strips from about 1e14 on
     for n in range(3, 13):
         for k in range(3):
             W = random_shift(np.random.default_rng([n, k, 600]), n)
             form = forward_matching(ShiftMatrix([w * scale for w in W.weights]))
-            assert [profile.degree() for _, profile in _endpoints(form)] == [n, n]
+            assert [profile.degree() for profile in _endpoint_profiles(form)] == [n, n]
             assert_certified(form, represent(form))
 
 
@@ -409,7 +409,7 @@ def test_represent_falls_back_to_the_direct_route(monkeypatch, quintic_form):
         represent(quintic_form)
 
 
-@pytest.mark.parametrize("n, k", [(3, 6), (5, 0)])
+@pytest.mark.parametrize("n, k", [(3, 2), (5, 0)])
 def test_represent_prefers_near_roundoff_and_keeps_a_certified_result(monkeypatch, n, k):
     # equal-moduli draws whose direct-route error lies in (1e-8, 1e-6] * scale:
     # certified, but short of roundoff, so the spectral route runs next
@@ -512,7 +512,9 @@ def test_represent_golden_weights(case):
     # of the construction shows; the input is the forward image of a seeded
     # shift, or (zero_weight) of one with its second weight set to zero,
     # which takes the spectral route; the forward images were recorded when
-    # the direct route came first for them, and are checked on it alone
+    # the direct route came first for them, and are checked on it alone.  They
+    # were recorded again when the intersection points got their closed-form
+    # solve; the weights of the complex companion solve are kept next to them
     rng = np.random.default_rng(case["seed"])
     W = random_shift(rng, case["n"])
     if case["kind"] == "zero_weight":
@@ -520,6 +522,15 @@ def test_represent_golden_weights(case):
     else:
         W = direct_route(forward_matching(W))
     assert [repr(w) for w in W.weights] == case["weights"]
+
+
+@pytest.mark.parametrize("case", [case for case in json.loads(GOLDEN_WEIGHTS.read_text())
+                                  if "companion_weights" in case],
+                         ids=lambda case: f"n{case['n']}-seed{case['seed']}")
+def test_golden_weights_stay_near_the_companion_solve(case):
+    new = np.array([complex(w) for w in case["weights"]])
+    old = np.array([complex(w) for w in case["companion_weights"]])
+    assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
 
 
 SPECTRAL_GOLDEN = pathlib.Path(__file__).with_name("spectral_golden.json")

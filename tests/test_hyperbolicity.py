@@ -363,21 +363,22 @@ def test_hypot_equals_python_abs_on_complex_values():
 
 
 def test_classify_solves_each_endpoint_once(monkeypatch, quintic_form):
-    seen = []
+    solve = hyperbolicity._root_profiles
+    calls = []
 
-    def counting(coeffs):
-        seen.append(list(coeffs))
-        return real_roots(coeffs)
+    def counting(rows):
+        calls.append([list(row) for row in rows])
+        return solve(rows)
 
-    monkeypatch.setattr("hyprep.hyperbolicity.real_roots", counting)
+    monkeypatch.setattr("hyprep.hyperbolicity._root_profiles", counting)
     classify(quintic_form)
-    assert len(seen) == 2
-    assert seen[0][-1] - seen[1][-1] == pytest.approx(2 * quintic_form.s)
-    # p + s is solved first; p - s is not solved once p + s fails
-    seen.clear()
+    # p + s and p - s, one row each, in one batch
+    assert len(calls) == 1 and len(calls[0]) == 2
+    assert calls[0][0][-1] - calls[0][1][-1] == pytest.approx(2 * quintic_form.s)
+    calls.clear()
     with pytest.raises(NotHyperbolic, match="form is not hyperbolic"):
         classify(InvariantForm(3, [0.0], 1.0, 0.0))
-    assert len(seen) == 1
+    assert len(calls) == 1 and len(calls[0]) == 2
 
 
 def test_classify_solves_once_when_s_vanishes(monkeypatch):

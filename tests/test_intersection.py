@@ -13,6 +13,7 @@ from hyprep.hyperbolicity import Kind, classify
 from hyprep.invariants import eigenspace_basis
 from hyprep.poly import TrivariatePoly
 from tests.conftest import random_shift
+from tests.test_hyperbolicity import _form_at_scale
 
 
 def reconstruct_derivative(form, fac):
@@ -159,10 +160,10 @@ def test_eigenclass_span_vanishing_extends_to_whole_orbit(quintic_form):
     for ell in range(n):
         basis = eigenspace_basis(n, n - 1, ell)
         E = np.array([[rep.t ** e[0] * rep.u ** e[1] * rep.v ** e[2]
-                       for e in basis.monomials] for rep in iset.reps])
+                       for e in basis] for rep in iset.reps])
         _, _, Vh = np.linalg.svd(E)
         g = Vh[-1].conj()
-        poly = TrivariatePoly(n - 1, dict(zip(basis.monomials, g)))
+        poly = TrivariatePoly(n - 1, dict(zip(basis, g)))
         worst = max(abs(poly.evaluate(*p.coords())) for p, _ in iset.S)
         assert worst < 1e-8
 
@@ -177,3 +178,13 @@ def test_real_simple_point_reroutes():
     orbit = [(seed.rotated(k, n), 1) for k in range(n)]
     with pytest.raises(RealSimplePoint):
         split_conjugate(orbit, n)
+
+
+@pytest.mark.parametrize("scale", [1e16, 1e48])
+@pytest.mark.parametrize("n", [15, 18, 21, 24])
+def test_high_degree_points_certify_at_large_scales(n, scale):
+    # the n-th roots of the quadratic's two roots are each circle's two
+    # orbits, exactly, so every orbit has its full size at any degree.  At
+    # scale 1 these forms still miss the residual budget (SolveFailed)
+    iset = compute_intersections(_form_at_scale(n, 0, scale))
+    assert iset.total_multiplicity() == n * (n - 1)

@@ -51,12 +51,12 @@ def test_boundary_sample_matches_per_angle_reference(n):
 
 
 def test_unitary_gauge_preserves_range(quartic_shift, quartic_shift_phased):
-    assert range_equal(quartic_shift, quartic_shift_phased, 180, 1e-9)
+    assert range_equal(quartic_shift, quartic_shift_phased, 180)
 
 
 def test_different_ranges_detected(quartic_shift):
     other = ShiftMatrix([4.0, 4.0, 6.0, 5.0])
-    assert not range_equal(quartic_shift, other, 64, 1e-9)
+    assert not range_equal(quartic_shift, other, 64)
 
 
 def test_real_weights_give_mirror_symmetric_sample(quartic_shift):
