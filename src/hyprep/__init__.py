@@ -6,8 +6,8 @@ from .construct import (HermitianPencil, assemble_form_matrix, extract_shift,
                         represent, vanishing_form)
 from .forward import (VerifyReport, forward_interpolate, forward_matching,
                       realize_real, verify)
-from .hyperbolicity import (Classification, Kind, RootProfile, classify,
-                            interlace_check, is_hyperbolic, real_roots)
+from .hyperbolicity import (Classification, Kind, classify, interlace_check,
+                            is_hyperbolic)
 from .intersection import (CircleFactorization, IntersectionSet, Point,
                            circle_factors, circle_intersect,
                            compute_intersections, infinity_points,
@@ -25,7 +25,7 @@ __all__ = [
     "TrivariatePoly", "rotate", "conj_involution",
     "InvariantForm", "eigenspace_basis",
     "eigenspace_dim_formula", "invariant_dim",
-    "RootProfile", "Classification", "Kind", "real_roots", "is_hyperbolic",
+    "Classification", "Kind", "is_hyperbolic",
     "classify", "interlace_check",
     "ShiftMatrix",
     "CircleFactorization", "IntersectionSet", "Point", "circle_factors",

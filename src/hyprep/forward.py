@@ -74,7 +74,8 @@ def forward_interpolate(W: ShiftMatrix) -> InvariantForm:
     Their mean is p, whose even coefficients are the c_r (for even n the
     constant term is c_(n/2)); half the constant-term differences of the
     two pairs are c0 and ct0.  Disagreement with the combinatorial oracle
-    is fatal: it can only mean an implementation bug.
+    beyond both 1e-9 of the coefficient scale and 16 times this oracle's
+    own roundoff bound is fatal: it can only mean an implementation bug.
     """
     n = W.n
     thetas = np.pi / n * np.array([0.0, 1.0, 0.5, 1.5])
@@ -84,9 +85,16 @@ def forward_interpolate(W: ShiftMatrix) -> InvariantForm:
     d = [q[-1] for q in polys]
     got = InvariantForm(n, p[2::2], (d[0] - d[1]) / 2, (d[2] - d[3]) / 2)
     want = forward_matching(W)
-    err = max(_coefficient_deltas(want, got).values())
-    if err > 1e-9 * max(1.0, want.coefficient_scale()):
-        raise OracleDisagreement(f"oracles differ by {err:.3e}")
+    # the roundoff bound of np.poly(-lam), largest over the phases: n eps
+    # (E_k + max|lam| E_(k-1)), with E = np.poly(-|lam|)
+    E = np.array([np.poly(-lam) for lam in np.abs(spectra)])
+    E[:, 1:] += np.abs(spectra).max(axis=1, keepdims=True) * E[:, :-1]
+    bound = 16 * n * np.finfo(float).eps * E.max(axis=0)
+    deltas = list(_coefficient_deltas(want, got).values())    # c_1.., c0, ct0
+    limits = np.maximum(1e-9 * max(1.0, want.coefficient_scale()),
+                        [*bound[2::2], bound[n], bound[n]])
+    if (np.array(deltas) > limits).any():
+        raise OracleDisagreement(f"oracles differ by {max(deltas):.3e}")
     return got
 
 

@@ -1,17 +1,13 @@
 """Hyperbolicity certification and the smooth/singular classification.
 
-For an invariant form the full hyperbolicity condition collapses to a pair
-of univariate checks: with p(t) = t^n + sum_r c_r t^(n-2r) and
-s = sqrt(c0^2 + ct0^2), the form is hyperbolic iff p + s and p - s have
-all real roots.  Repeated roots of either polynomial (or s = 0) make the
-form singular; the representation pipeline routes on the kind and on s.
-Multiplicities come from single-linkage clustering: two roots a, b merge
-when |a - b| <= CLUSTER_RADIUS (1 + max(|a|, |b|)).  The endpoint solves
-keep the full degree n at every coefficient scale.  As in np.roots, a
-polynomial whose coefficients are all real is solved in real arithmetic,
-so a double root that roundoff splits stays an exact conjugate pair (or
-two real roots); only one with a non-zero imaginary part gets a complex
-companion matrix.
+For an invariant form with p(t) = t^n + sum_r c_r t^(n-2r) and
+s = sqrt(c0^2 + ct0^2), hyperbolicity collapses to p + s and p - s being
+real rooted: every local minimum of p is at most -s and every local
+maximum at least s.  A critical value at -s (or s) is a double root of
+p + s (or p - s), which makes the form singular, as s = 0 does; the
+representation pipeline routes on the kind and on s.  An error in a
+critical point moves its value only to second order, so the critical
+points are not clustered.
 """
 
 import dataclasses
@@ -19,6 +15,7 @@ import enum
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -37,9 +34,6 @@ class RootProfile:
     @property
     def all_real(self) -> bool:
         return self.n_complex == 0
-
-    def degree(self) -> int:
-        return sum(m for _, m in self.roots)
 
     def max_multiplicity(self) -> int:
         return max((m for _, m in self.roots), default=0)
@@ -120,31 +114,24 @@ def _is_real(z, modulus):
     return abs(z.imag) <= TOL_ROOT * (1.0 + modulus)
 
 
-def _root_profiles(rows) -> list[RootProfile]:
-    """Root profiles of the rows of a 2-D coefficient array, each leading first.
+def _root_profiles(rows, radius: float = CLUSTER_RADIUS) -> list[RootProfile]:
+    """Root profiles of the rows of a 2-D real coefficient array, leading first.
 
-    Each row is solved as real_roots describes: a row whose imaginary parts
-    are all zero gets a float64 companion matrix, whatever the dtype of
-    rows, and its roots are cast to complex.  Rows that keep the same
-    coefficient columns after stripping, and are both real or both complex,
-    share one stacked companion eigensolve.  The roots of a row with no close
-    pair are its clusters, one root each; only the other rows go through the
-    union-find.  The first row that cannot be solved raises its
-    DegenerateInput.
+    Each row gets a float64 companion matrix, as in np.roots, so complex
+    roots come in exact conjugate pairs; rows that keep the same columns
+    after stripping share one stacked eigensolve.  Roots within radius
+    (1 + larger modulus) of each other are clustered into multiplicities (a
+    row with no close pair skips the union-find; radius 0 merges only equal
+    roots), and a cluster is real when |Im| <= TOL_ROOT (1 + |root|) at its
+    centroid.
+    The first row that cannot be solved raises its DegenerateInput.
     """
-    arr = np.asarray(rows)
+    arr = np.asarray(rows, dtype=float)
     n_rows, width = arr.shape
     if width == 0:
         raise DegenerateInput("empty or non-finite coefficient list")
-    if np.iscomplexobj(arr):
-        real_rows = (~arr.imag.any(axis=1)).tolist()
-        # np.hypot is Python's abs bit for bit; numpy's array abs is not
-        sizes, bigs = np.hypot(arr.real, arr.imag), np.abs(arr).max(axis=1, keepdims=True)
-    else:
-        arr = arr.astype(float, copy=False)
-        real_rows = [True] * n_rows
-        sizes = np.abs(arr)
-        bigs = sizes.max(axis=1, keepdims=True)
+    sizes = np.abs(arr)
+    bigs = sizes.max(axis=1, keepdims=True)
     # strip negligible leading coefficients so the companion matrix is sane:
     # start at the first coefficient above 1e-14 of the largest, or else at
     # the constant term, where a row that vanishes or is not finite starts too
@@ -155,9 +142,9 @@ def _root_profiles(rows) -> list[RootProfile]:
     # the eigenvalues of the companion matrix of the rest
     stops = (width - 1 - (arr != 0)[:, ::-1].argmax(axis=1)).tolist()
     failed, groups = {}, {}
-    for i, (start, stop, real) in enumerate(zip(starts, stops, real_rows)):
+    for i, (start, stop) in enumerate(zip(starts, stops)):
         if start < width - 1:
-            groups.setdefault((start, stop, real), []).append(i)
+            groups.setdefault((start, stop), []).append(i)
         elif not math.isfinite(bigs[i, 0]):
             failed[i] = "empty or non-finite coefficient list"
         elif bigs[i, 0] == 0.0:
@@ -165,20 +152,13 @@ def _root_profiles(rows) -> list[RootProfile]:
         else:
             failed[i] = "polynomial is constant after stripping"
     profiles = [None] * n_rows
-    for (lead, stop, real), g in groups.items():
+    for (lead, stop), g in groups.items():
         k, block = stop - lead, arr.take(g, axis=0)[:, lead:stop + 1]
         # each row times the power of two that puts its largest coefficient
         # in [0.5, 1): exact, so the quotients keep their bits, and a
         # subnormal leading coefficient no longer overflows the division
-        shift = -np.frexp(bigs.take(g, axis=0))[1]
-        if real:
-            # a real companion matrix, as in np.roots: its complex
-            # eigenvalues come in exact conjugate pairs
-            scaled = np.ldexp(block.real, shift)
-        else:
-            scaled = np.empty_like(block)
-            scaled.real, scaled.imag = np.ldexp(block.real, shift), np.ldexp(block.imag, shift)
-        companion = np.zeros((len(g), k * k), dtype=scaled.dtype)
+        scaled = np.ldexp(block, -np.frexp(bigs.take(g, axis=0))[1])
+        companion = np.zeros((len(g), k * k))
         companion[:, k::k + 1] = 1.0
         companion[:, :k] = -scaled[:, 1:] / scaled[:, :1]
         raw = np.linalg.eigvals(companion.reshape(len(g), k, k)).astype(complex, copy=False)
@@ -189,7 +169,7 @@ def _root_profiles(rows) -> list[RootProfile]:
             failed.update((i, "root solve returned non-finite values")
                           for i, ok in zip(g, finite) if not ok)
             g, raw = [i for i, ok in zip(g, finite) if ok], raw[finite]
-        close = _close_pairs(raw, CLUSTER_RADIUS)
+        close = _close_pairs(raw, radius)
         merged = close.any(axis=1).tolist()
         if not all(merged):
             # a singleton's centroid is (0 + z) / 1, which is z + 0 bit for bit;
@@ -210,45 +190,58 @@ def _root_profiles(rows) -> list[RootProfile]:
     return profiles
 
 
-def real_roots(coeffs) -> RootProfile:
-    """Roots of a univariate polynomial via its companion matrix.
+def _witnesses(form: InvariantForm):
+    """(plus, minus): whether p + s and p - s have a double root, read off
+    the critical values of p; None when the form is not hyperbolic.
 
-    The companion matrix is float64 when every coefficient is real (a
-    complex coefficient with a zero imaginary part included) and complex
-    otherwise, as np.roots takes it.  Roots are clustered into
-    multiplicities; a cluster counts as real when its centroid satisfies
-    |Im| <= TOL_ROOT * (1 + |root|).  This is the one-row case of
-    _root_profiles, which solves many polynomials at once bit for bit as
-    this function solves each.
+    With P(x) = x^m + c_1 x^(m-1) + ... + c_m, m = n // 2, e = n mod 2,
+    p(t) = t^e P(t^2) and p'(t) = t^(1-e) Q(t^2), Q_j = (n - 2j) c_j: the
+    critical points are t = 0 for even n and +/- sqrt(x) over the roots x of
+    Q, solved monic in y = x / 2^k with 2^k above its root bound.  The roots
+    are not clustered: a radius in y is absolute near 0 and would merge the
+    small critical points of a p whose roots span decades, and each point is
+    evaluated where it was found.  A non-real or negative x means p is not
+    real rooted.  p is even or odd, so t >= 0 decides: from the largest
+    down, minima and maxima alternate (a multiple root is both), starting
+    with a minimum.  Each critical value is compared with s within 64 eps
+    of its Horner bound.  For odd n a double root of p + s at t is one of
+    p - s at -t; for s = 0 the two coincide.
     """
-    return _root_profiles([list(coeffs)])[0]
-
-
-def _endpoint_profiles(form: InvariantForm) -> list[RootProfile]:
-    """Root profiles of p + s and p - s, or of p alone when s = 0, from one
-    _root_profiles call, each at its full degree n at every scale.
-
-    _root_profiles strips leading coefficients below 1e-14 of the largest,
-    so once a coefficient reaches 1e14 it would strip the monic t^n.  Such a
-    row is solved in tau = t / 2^k, with 2^k at least the root bound
-    max_j |a_j|^(1/j): the coefficients a_j 2^(-jk) are exact and about one
-    at most, and the roots are scaled back by 2^k, exactly.  Below that
-    scale a row keeps its coefficients as they are.
-    """
-    rows, shifts = [], []
-    for sign in (+1.0, -1.0) if form.s != 0.0 else (+1.0,):
-        coeffs = form.univariate()
-        coeffs[-1] += sign * form.s
-        big = max(abs(a) for a in coeffs)
-        k = 0
-        if math.isfinite(big) and 1.0 <= 1e-14 * big:
-            k = max(math.ceil(math.log2(abs(a)) / j) for j, a in enumerate(coeffs) if j and a)
-            coeffs = [math.ldexp(a, -j * k) for j, a in enumerate(coeffs)]
-        rows.append(coeffs)
-        shifts.append(k)
-    return [RootProfile(tuple((math.ldexp(x, k), m) for x, m in profile.roots),
-                        profile.n_complex) if k else profile
-            for profile, k in zip(_root_profiles(rows), shifts)]
+    n, s = form.n, form.s
+    m, e = divmod(n, 2)
+    c = (1.0,) + form.c
+    q = [c[j] * ((n - 2 * j) / n) for j in range((n + 1) // 2)]
+    k = math.frexp(max(abs(qj) ** (1.0 / j) for j, qj in enumerate(q) if j))[1]
+    profile = _root_profiles([[math.ldexp(qj, -k * j) for j, qj in enumerate(q)]], 0.0)[0]
+    if not profile.all_real or profile.roots[0][0] < -TOL_ROOT:
+        return None
+    points = [(max(float(y), 0.0), mult) for y, mult in reversed(profile.roots)]
+    if not e:
+        points.append((0.0, 1))
+    # p(sqrt(2^k y)) = 2^K sqrt(2^(k mod 2) y)^e sum_j a_j y^(m-j), with
+    # a_j = c_j 2^(-jk) and K = km + e floor(k / 2)
+    try:
+        a = [math.ldexp(cj, -k * j) for j, cj in enumerate(c)]
+        s_scaled = math.ldexp(s, -k * m - e * (k // 2))
+    except OverflowError:       # c_m (even n) or s dwarfs every critical value
+        return None
+    closed = {-1: False, 1: False}      # -1: a minimum at -s, 1: a maximum at s
+    side = -1
+    for y, mult in points:
+        value = bound = 0.0
+        for aj in a:
+            value, bound = value * y + aj, bound * y + abs(aj)
+        root = math.sqrt(math.ldexp(y, k % 2)) if e else 1.0
+        value, tol = value * root, 64 * sys.float_info.epsilon * bound * root
+        for kind in (side, -side)[:mult]:
+            margin = kind * value - s_scaled    # the gap p +/- s keeps here
+            if margin < -tol:
+                return None
+            closed[kind] = closed[kind] or margin <= tol
+        side *= (-1) ** mult
+    if e or s == 0.0:
+        return (closed[-1] or closed[1],) * 2
+    return closed[-1], closed[1]
 
 
 def _s_vanishes(form: InvariantForm) -> bool:
@@ -258,24 +251,25 @@ def _s_vanishes(form: InvariantForm) -> bool:
 
 def is_hyperbolic(form: InvariantForm) -> bool:
     """True iff both p(t) + s and p(t) - s have all real roots."""
-    return all(profile.all_real for profile in _endpoint_profiles(form))
+    return _witnesses(form) is not None
 
 
 def classify(form: InvariantForm) -> Classification:
     """Smooth/singular classification.
 
-    Singular when either endpoint polynomial p +/- s has a repeated root,
-    by root-cluster multiplicity, or when c0 = ct0 = 0.  A third singular
-    trigger (a real or repeated intersection point discovered downstream)
-    is handled by the representation pipeline, not here.
+    Singular when either endpoint polynomial p +/- s has a double root,
+    that is, when a critical value of p equals -s or s, or when
+    c0 = ct0 = 0.  A third singular trigger (a real or repeated
+    intersection point discovered downstream) is handled by the
+    representation pipeline, not here.
     """
-    profiles = _endpoint_profiles(form)
-    if not all(profile.all_real for profile in profiles):
+    witnesses = _witnesses(form)
+    if witnesses is None:
         raise NotHyperbolic("form is not hyperbolic")
-    witnesses = {"plus": profiles[0].max_multiplicity() > 1,
-                 "minus": profiles[-1].max_multiplicity() > 1}
-    singular = _s_vanishes(form) or any(witnesses.values())
-    return Classification(Kind.SINGULAR if singular else Kind.SMOOTH, form.s, witnesses)
+    plus, minus = witnesses
+    singular = _s_vanishes(form) or plus or minus
+    return Classification(Kind.SINGULAR if singular else Kind.SMOOTH, form.s,
+                          {"plus": plus, "minus": minus})
 
 
 def interlace_check(coeffs, a: float, b: float, c: float) -> bool:
@@ -283,13 +277,10 @@ def interlace_check(coeffs, a: float, b: float, c: float) -> bool:
     endpoints a < b at which p + a and p + b are real rooted."""
     if not (a < c < b):
         raise ValueError("need a < c < b")
-    base = list(np.asarray(list(coeffs), dtype=float))
-    for endpoint in (a, b):
-        shifted = list(base)
-        shifted[-1] += endpoint
-        if not real_roots(shifted).all_real:
+    rows = np.array([list(coeffs)] * 3, dtype=float)
+    rows[:, -1] += (a, b, c)
+    *ends, profile = _root_profiles(rows)
+    for endpoint, end in zip((a, b), ends):
+        if not end.all_real:
             raise HypothesisViolated(f"p + {endpoint} is not real rooted")
-    shifted = list(base)
-    shifted[-1] += c
-    profile = real_roots(shifted)
     return profile.all_real and profile.max_multiplicity() == 1

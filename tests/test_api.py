@@ -5,7 +5,7 @@ import hyprep
 PUBLIC_NAMES = [
     "BoundarySample", "CircleFactorization", "Classification", "Config",
     "DEFAULT_CONFIG", "HermitianPencil", "IntersectionSet",
-    "InvariantForm", "Kind", "Point", "RootProfile",
+    "InvariantForm", "Kind", "Point",
     "ShiftMatrix", "TrivariatePoly", "VerifyReport", "__version__",
     "assemble_form_matrix", "boundary_sample", "circle_factors",
     "circle_intersect", "classify", "compute_intersections",
@@ -13,7 +13,7 @@ PUBLIC_NAMES = [
     "eigenspace_dim_formula", "extract_shift", "forward_interpolate",
     "forward_matching", "infinity_points", "interlace_check", "invariant_dim",
     "is_hyperbolic", "noether_division", "normalize_pencil",
-    "pencil_from_adjugate", "range_equal", "real_roots", "realize_real",
+    "pencil_from_adjugate", "range_equal", "realize_real",
     "represent", "rotate", "split_conjugate", "vanishing_form",
     "verify",
 ]

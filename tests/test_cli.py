@@ -10,10 +10,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hyprep import DEFAULT_CONFIG, Config, InvariantForm, construct, represent, verify
+from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, ShiftMatrix, construct,
+                    represent, verify)
 from hyprep.cli import _format_json, main
 from hyprep.construct import _represent_direct
-from hyprep.forward import forward_matching
+from hyprep.forward import forward_interpolate, forward_matching
 from hyprep.hyperbolicity import _root_profiles
 from tests.conftest import random_shift
 from tests.test_hyperbolicity import SWEEP_SCALES, _form_at_scale
@@ -66,15 +67,15 @@ def test_check_nonhyperbolic(capsys, tmp_path):
 def test_check_solves_each_endpoint_once(capsys, monkeypatch, quartic_file):
     calls = []
 
-    def counting(rows):
-        calls.append(len(rows))
-        return _root_profiles(rows)
+    def counting(rows, *radius):
+        calls.append((len(rows), len(rows[0]) - 1))
+        return _root_profiles(rows, *radius)
 
     monkeypatch.setattr("hyprep.hyperbolicity._root_profiles", counting)
     code, out = run_cli(capsys, "check", "--input", quartic_file)
     assert code == 0
     assert json.loads(out)["hyperbolic"] is True
-    assert calls == [2]     # p + s and p - s, one batch of two rows
+    assert calls == [(1, 1)]    # the critical points of the quartic: one row of degree 1
 
 
 def test_represent_verify_realize_flow(capsys, tmp_path, quartic_file):
@@ -109,6 +110,20 @@ def test_forward(capsys, shift_file):
     data = json.loads(out)
     assert data["c"] == [-26.0, 72.0]
     assert data["c0"] == -72.0
+
+
+def test_forward_of_large_weights_with_a_zero_weight(capsys, tmp_path):
+    # c0 and ct0 are exactly 0, but the eigenvalue oracle's constant terms
+    # carry about 1e19 of roundoff: far above 1e-9 of the coefficient scale,
+    # inside the oracle's own bound, so the oracles agree (once exit 3)
+    weights = [w * 1e7 for w in random_shift(np.random.default_rng([5, 0, 901]), 5).weights]
+    weights[1] = 0j
+    W = ShiftMatrix(weights)
+    assert abs(forward_interpolate(W).c0) > 1e-9 * forward_matching(W).coefficient_scale()
+    path = write_json(tmp_path / "large.json", W.to_json())
+    code, out = run_cli(capsys, "forward", "--input", path)
+    assert code == 0
+    assert json.loads(out)["c"] == list(forward_matching(W).c)
 
 
 def test_points(capsys, quartic_file):

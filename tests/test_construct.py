@@ -18,7 +18,6 @@ from hyprep.construct import (_DivisionMemo, _represent_direct,
 from hyprep.errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                            PatternViolation)
 from hyprep.forward import coefficient_error, forward_matching, realize_real
-from hyprep.hyperbolicity import _endpoint_profiles
 from hyprep.invariants import eigenspace_basis
 from hyprep.poly import DROP_TOL, TrivariatePoly, conj_involution
 from tests.conftest import random_shift
@@ -370,13 +369,13 @@ def test_represent_degree_16_fails_typed_and_quietly(monkeypatch, k):
 
 @pytest.mark.parametrize("scale", [1e2, 1e3, 1e6])
 def test_represent_certifies_large_scale_forward_images(scale):
-    # coefficients up to scale^n: the endpoint solves of classify must keep
-    # the monic t^n, which a plain _root_profiles strips from about 1e14 on
+    # coefficients up to scale^n: classify solves for the critical points
+    # scaled by a power of two, so a generic form reads Smooth at every scale
     for n in range(3, 13):
         for k in range(3):
             W = random_shift(np.random.default_rng([n, k, 600]), n)
             form = forward_matching(ShiftMatrix([w * scale for w in W.weights]))
-            assert [profile.degree() for profile in _endpoint_profiles(form)] == [n, n]
+            assert classify(form).kind is Kind.SMOOTH
             assert_certified(form, represent(form))
 
 
@@ -464,7 +463,26 @@ def test_represent_certifies_singular_forms_with_headroom(kind, n):
     for k in range(10):
         form = singular_form(kind, n, np.random.default_rng([n, k, len(kind)]))
         assert classify(form).kind is Kind.SINGULAR
-        assert_certified(form, represent(form), headroom=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_certified(form, represent(form), headroom=10.0)
+
+
+@pytest.mark.parametrize("kind", ["equal_moduli", "even_repeated"])
+def test_closed_gaps_read_singular_and_certify_to_n24(kind):
+    # a double root of p + s or p - s is a critical value of p at -s or s:
+    # every draw has both witnesses, and above n = 10, where the test above
+    # stops, each certifies at the plain tol_final gate
+    for n in range(3, 25):
+        for k in range(10):
+            form = singular_form(kind, n, np.random.default_rng([n, k, len(kind)]))
+            cls = classify(form)
+            assert cls.kind is Kind.SINGULAR, (n, k)
+            assert cls.witnesses == {"plus": True, "minus": True}, (n, k)
+            if n > 10:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert_certified(form, represent(form))
 
 
 def test_spectral_route_gives_real_weights_when_ct0_vanishes():

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from hyprep import (ShiftMatrix, forward_interpolate, forward_matching,
-                    realize_real, verify)
-from hyprep.errors import NotDihedral
+from hyprep import (InvariantForm, ShiftMatrix, forward_interpolate,
+                    forward_matching, realize_real, verify)
+from hyprep.errors import NotDihedral, OracleDisagreement
 from tests.conftest import random_shift
 
 
@@ -67,6 +67,25 @@ def test_interpolate_agrees_with_matching_high_degree(n):
     rng = np.random.default_rng(1900 + n)
     for _ in range(10):
         assert_oracles_agree(random_shift(rng, n))
+
+
+@pytest.mark.parametrize("n", [3, 6, 11, 20])
+def test_interpolate_flags_a_coefficient_moved_by_1e_6(monkeypatch, n):
+    W = random_shift(np.random.default_rng(4100 + n), n)
+    form = forward_matching(W)
+    # the coefficients that a move of 1e-6 relative takes past 1e-9 of the scale
+    large = [r for r, c in enumerate(form.c) if abs(c) >= 1e-3 * form.coefficient_scale()]
+    assert large
+    for r in large:
+        def moved(W, match=forward_matching, r=r):
+            form = match(W)
+            c = list(form.c)
+            c[r] *= 1 + 1e-6
+            return InvariantForm(form.n, c, form.c0, form.ct0)
+
+        monkeypatch.setattr("hyprep.forward.forward_matching", moved)
+        with pytest.raises(OracleDisagreement):
+            forward_interpolate(W)
 
 
 def test_interpolate_quartic(quartic_shift):

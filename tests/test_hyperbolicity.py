@@ -8,18 +8,18 @@ import pytest
 
 from hyprep import (Classification, InvariantForm, Kind, ShiftMatrix, classify,
                     compute_intersections, curve_sample, interlace_check,
-                    is_hyperbolic, real_roots, represent)
+                    is_hyperbolic, represent)
 from hyprep import hyperbolicity
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
 from hyprep.errors import DegenerateInput, HyprepError, HypothesisViolated, NotHyperbolic
 from hyprep.forward import forward_matching
-from hyprep.hyperbolicity import cluster_roots
+from hyprep.hyperbolicity import _root_profiles, cluster_roots
 from tests.conftest import random_shift
 
 
 def test_real_roots_simple_quartic():
     # t^4 - 26 t^2 + 144 factors through T^2 - 26 T + 144, T = 8 and 18
-    prof = real_roots([1.0, 0.0, -26.0, 0.0, 144.0])
+    prof = _root_profiles([[1.0, 0.0, -26.0, 0.0, 144.0]])[0]
     assert prof.all_real
     got = sorted(r for r, m in prof.roots)
     expect = sorted([-math.sqrt(18), -math.sqrt(8), math.sqrt(8), math.sqrt(18)])
@@ -28,25 +28,25 @@ def test_real_roots_simple_quartic():
 
 
 def test_real_roots_double_zero():
-    prof = real_roots([1.0, 0.0, -26.0, 0.0, 0.0])
+    prof = _root_profiles([[1.0, 0.0, -26.0, 0.0, 0.0]])[0]
     mults = {round(r, 6): m for r, m in prof.roots}
     assert mults[0.0] == 2
-    assert prof.degree() == 4
+    assert sum(m for _, m in prof.roots) == 4
     s26 = math.sqrt(26)
     assert any(abs(r - s26) < 1e-9 for r, _ in prof.roots)
     assert any(abs(r + s26) < 1e-9 for r, _ in prof.roots)
 
 
 def test_real_roots_triple_zero():
-    prof = real_roots([1.0, 0.0, 0.0, 0.0])
+    prof = _root_profiles([[1.0, 0.0, 0.0, 0.0]])[0]
     assert prof.roots == ((0.0, 3),) or (len(prof.roots) == 1 and prof.roots[0][1] == 3)
 
 
 def test_real_roots_degenerate_input():
     with pytest.raises(DegenerateInput):
-        real_roots([0.0, 0.0])
+        _root_profiles([[0.0, 0.0]])
     with pytest.raises(DegenerateInput):
-        real_roots([])
+        _root_profiles([[]])
 
 
 def test_multiplicity_stable_under_squaring():
@@ -58,9 +58,9 @@ def test_multiplicity_stable_under_squaring():
         roots += 0.3 * np.arange(deg)
         p = np.poly(roots)
         p2 = np.polymul(p, p)
-        prof = real_roots(p2)
+        prof = _root_profiles([p2])[0]
         assert prof.all_real
-        assert prof.degree() == 2 * deg
+        assert sum(m for _, m in prof.roots) == 2 * deg
         assert all(m == 2 for _, m in prof.roots)
 
 
@@ -101,8 +101,9 @@ def test_interlace_check_examples():
 
 @pytest.mark.parametrize("n", range(4, 25))
 def test_generic_forward_images_classify_smooth(n):
-    # repeated roots are decided by root-cluster multiplicity alone, so the
-    # coefficient scale of a generic form cannot make it read Singular
+    # double roots are decided by critical values within roundoff of their
+    # Horner bound, so the coefficient scale of a generic form cannot make it
+    # read Singular
     for k in range(10):
         form = forward_matching(random_shift(np.random.default_rng(5000 + 100 * n + k), n))
         cls = classify(form)
@@ -116,6 +117,27 @@ def test_forward_images_are_hyperbolic():
         n = int(rng.integers(3, 9))
         W = random_shift(rng, n)
         assert is_hyperbolic(forward_matching(W))
+
+
+def test_critical_points_spread_over_decades_stay_apart():
+    # P has roots 1, 1e-7, 1.2e-7 and 3e-7, so two critical points x of
+    # p(t) = P(t^2) lie near 1.1e-7 and 2.4e-7, closer than any clustering
+    # radius in x / 2^k; at their centroid p is neither a minimum nor a maximum
+    P = np.poly([1.0, 1e-7, 1.2e-7, 3e-7])
+    want = Classification(Kind.SINGULAR, 0.0, {"plus": False, "minus": False})
+    assert classify(InvariantForm(8, P[1:], 0.0, 0.0)) == want
+    # shifts with five or six weights near 1e-4 put two or three pairs of
+    # roots of p within 1e-4 of 0.  Every critical value of these forms is at
+    # least 1% away from -s and s (80-digit mpmath on the float coefficients),
+    # and s vanishes
+    for n in range(15, 20):
+        for small in (5, 6):
+            weights = np.array(random_shift(np.random.default_rng([n, small, 77]), n).weights)
+            idx = np.arange(small) * n // small
+            weights[idx] *= 1e-4 * (1 + 0.3 * np.arange(small)) / np.abs(weights[idx])
+            form = forward_matching(ShiftMatrix(weights))
+            want = Classification(Kind.SINGULAR, form.s, {"plus": False, "minus": False})
+            assert classify(form) == want, (n, small)
 
 
 def test_smooth_restrictions_have_positive_root_gap(quintic_form):
@@ -134,7 +156,7 @@ def test_smooth_restrictions_have_positive_root_gap(quintic_form):
 
 
 # -- the root solver against a scalar reference ------------------------------
-# A scalar reference for real_roots and cluster_roots: np.roots, and a
+# A scalar reference for _root_profiles and cluster_roots: np.roots, and a
 # pure-Python union-find over every pair with Python's abs.  The vectorised
 # solver must give the same roots and n_complex bit for bit.
 
@@ -173,12 +195,9 @@ def _reference_cluster_roots(roots, radius):
     return out
 
 
-def _reference_real_roots(coeffs):
-    # np.roots in the coefficients' own arithmetic: real when every imaginary
-    # part is zero, as real_roots solves such a row, complex otherwise
-    arr = np.asarray(list(coeffs), dtype=complex)
-    if not arr.imag.any():
-        arr = arr.real
+def _reference_root_profile(coeffs):
+    # np.roots of a real row, in real arithmetic
+    arr = np.asarray(list(coeffs), dtype=float)
     if len(arr) == 0 or not np.all(np.isfinite(arr)):
         raise DegenerateInput("empty or non-finite coefficient list")
     biggest = np.max(np.abs(arr))
@@ -204,13 +223,13 @@ def _reference_real_roots(coeffs):
 
 def _assert_same_profile(coeffs):
     try:
-        expect = _reference_real_roots(coeffs)
+        expect = _reference_root_profile(coeffs)
     except DegenerateInput as exc:
         with pytest.raises(DegenerateInput) as raised:
-            real_roots(coeffs)
+            _root_profiles([list(coeffs)])
         assert str(raised.value) == str(exc)
         return
-    prof = real_roots(coeffs)
+    prof = _root_profiles([list(coeffs)])[0]
     assert (prof.roots, prof.n_complex) == expect
     assert repr(prof.roots) == repr(expect[0])
 
@@ -237,9 +256,11 @@ def test_real_roots_is_bit_identical_to_the_scalar_reference():
     rng = np.random.default_rng(2024)
     for deg in range(1, 25):
         for trial in range(12):
-            coeffs = np.poly(_clustered_roots(rng, deg))
+            # a real row: the real part of the coefficients of a complex root
+            # set, or those of a real root set, which keeps its clusters
+            coeffs = np.poly(_clustered_roots(rng, deg)).real
             if trial % 3 == 1:
-                coeffs = coeffs * (rng.uniform(0.1, 10) * np.exp(1j * rng.uniform(0, 6.3)))
+                coeffs = coeffs * rng.uniform(0.1, 10)
             if trial % 4 == 2:
                 # zero constant terms: exact zero roots appended by the solver
                 coeffs = np.concatenate([coeffs, np.zeros(int(rng.integers(1, 4)))])
@@ -248,8 +269,6 @@ def test_real_roots_is_bit_identical_to_the_scalar_reference():
                 coeffs = np.concatenate([[1e-17, 0.0], coeffs])
             _assert_same_profile(list(coeffs))
         _assert_same_profile(list(rng.standard_normal(deg + 1)))
-        _assert_same_profile(list(rng.standard_normal(deg + 1)
-                                  + 1j * rng.standard_normal(deg + 1)))
 
 
 def test_real_roots_matches_the_reference_on_edge_cases():
@@ -257,7 +276,7 @@ def test_real_roots_matches_the_reference_on_edge_cases():
         [], [0.0, 0.0], [float("nan"), 1.0], [1.0, float("inf")],
         [1e-20, 1.0], [2.0], [1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
         [1.0, 2.0], [1.0, 0.0, 1.0], [1.0, -2.0, 1.0, 0.0, 0.0],
-        [1e-15, 1.0, -3.0, 2.0], [1.0j, 0.0, 1.0], [1.0, 0.0, -26.0, 0.0, 144.0],
+        [1e-15, 1.0, -3.0, 2.0], [1.0, 0.0, -26.0, 0.0, 144.0],
     ]
     for coeffs in cases:
         _assert_same_profile(coeffs)
@@ -272,46 +291,35 @@ def _near_double_root_rows(rng, count, deg):
     return rows
 
 
-def test_complex_typed_real_rows_solve_in_real_arithmetic():
-    # zero imaginary parts make a real row, whatever the dtype: the same
-    # profile as the float row, and a split double root stays symmetric
-    # about the axis, so non-real clusters pair up
+def test_real_rows_keep_split_double_roots_paired():
+    # a real row is solved in real arithmetic, so a split double root stays
+    # symmetric about the axis and non-real clusters pair up
     rng = np.random.default_rng(31)
     for deg in range(2, 21):
         for row in _near_double_root_rows(rng, 5, deg):
-            as_complex = row.astype(complex)
-            assert as_complex.dtype == complex and not as_complex.imag.any()
-            prof = real_roots(as_complex)
-            assert repr(prof) == repr(real_roots(row))
-            assert prof.n_complex % 2 == 0
-            _assert_same_profile(as_complex)
-    # signed zeros are zeros
-    row = np.array([1.0, -2.0, 1.0]) + 1j * np.array([-0.0, 0.0, -0.0])
-    assert repr(real_roots(row)) == repr(real_roots(row.real))
+            assert _root_profiles([row])[0].n_complex % 2 == 0
+            _assert_same_profile(row)
 
 
 def test_root_profiles_of_mixed_rows_equal_per_row_solves():
-    # one call with real, complex and complex-typed real rows of mixed stripped
-    # degree and trailing zeros gives each row's real_roots bit for bit
+    # one call with rows of mixed stripped degree and trailing zeros gives
+    # each row's one-row solve bit for bit
     rng = np.random.default_rng(32)
     width = 9
     rows = []
     for k in range(60):
-        coeffs = np.poly(_clustered_roots(rng, int(rng.integers(1, width))))
+        coeffs = np.poly(_clustered_roots(rng, int(rng.integers(1, width)))).real
         if k % 3 == 1:
-            coeffs = coeffs * np.exp(1j * rng.uniform(0, 6.3))
+            coeffs = coeffs * rng.uniform(0.1, 10)
         if k % 4 == 2:
             coeffs = np.concatenate([coeffs, np.zeros(int(rng.integers(1, 3)))])
         if k % 5 == 3:
             coeffs = np.concatenate([[1e-17], coeffs])
-        coeffs = coeffs[-width:].astype(complex)
+        coeffs = coeffs[-width:]
         rows.append(np.concatenate([np.zeros(width - len(coeffs)), coeffs]))
     rows = np.array(rows)
-    assert 0 < sum(not row.imag.any() for row in rows) < len(rows)
     got = hyperbolicity._root_profiles(rows)
-    assert repr(got) == repr([real_roots(row) for row in rows])
-    assert repr(hyperbolicity._root_profiles(rows.real)) == repr(
-        [real_roots(row) for row in rows.real])
+    assert repr(got) == repr([hyperbolicity._root_profiles([row])[0] for row in rows])
     # the first row that cannot be solved raises, whichever test fails it
     bad = rows.copy()
     bad[[7, 11, 40]] = [np.zeros(width), [np.nan] * width, [0.0] * (width - 1) + [1.0]]
@@ -366,19 +374,19 @@ def test_classify_solves_each_endpoint_once(monkeypatch, quintic_form):
     solve = hyperbolicity._root_profiles
     calls = []
 
-    def counting(rows):
+    def counting(rows, *radius):
         calls.append([list(row) for row in rows])
-        return solve(rows)
+        return solve(rows, *radius)
 
     monkeypatch.setattr("hyprep.hyperbolicity._root_profiles", counting)
     classify(quintic_form)
-    # p + s and p - s, one row each, in one batch
-    assert len(calls) == 1 and len(calls[0]) == 2
-    assert calls[0][0][-1] - calls[0][1][-1] == pytest.approx(2 * quintic_form.s)
+    # the critical points of p, for p + s and p - s alike: one row of
+    # degree (n - 1) // 2
+    assert [len(rows) for rows in calls] == [1] and len(calls[0][0]) - 1 == 2
     calls.clear()
     with pytest.raises(NotHyperbolic, match="form is not hyperbolic"):
         classify(InvariantForm(3, [0.0], 1.0, 0.0))
-    assert len(calls) == 1 and len(calls[0]) == 2
+    assert [len(rows) for rows in calls] == [1] and len(calls[0][0]) - 1 == 1
 
 
 def test_classify_solves_once_when_s_vanishes(monkeypatch):
@@ -388,9 +396,9 @@ def test_classify_solves_once_when_s_vanishes(monkeypatch):
     solve = hyperbolicity._root_profiles
     calls = []
 
-    def counting(rows):
+    def counting(rows, *radius):
         calls.append(rows)
-        return solve(rows)
+        return solve(rows, *radius)
 
     monkeypatch.setattr("hyprep.hyperbolicity._root_profiles", counting)
     for form in forms:
@@ -410,10 +418,42 @@ def test_real_roots_of_a_subnormal_leading_coefficient():
     # power of two first, 1e-320 no longer overflows the complex division
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        prof = real_roots([1e-320, 1e-307])
+        prof = _root_profiles([[1e-320, 1e-307]])[0]
     assert prof.n_complex == 0 and len(prof.roots) == 1
     root, mult = prof.roots[0]
     assert mult == 1 and root == pytest.approx(-1e-307 / 1e-320, rel=1e-15)
+
+
+def _first_gap(form):
+    """min |p(mu_k)| over the critical points mu_k of p, computed apart from
+    the code under test: the roots lam of p from np.roots of P(t^2), and mu
+    the eigenvalues of the compression of diag(lam) to the complement of
+    the ones vector, which are the critical points of prod (t - lam_j)."""
+    n = form.n
+    lam = np.sqrt(np.maximum(np.roots([1.0, *form.c]).real, 0.0))
+    lam = np.concatenate([lam, -lam, [0.0] * (n % 2)])
+    V = np.linalg.qr(np.ones((n, 1)), mode="complete")[0][:, 1:]
+    mu = np.linalg.eigvalsh(V.T @ np.diag(lam) @ V)
+    return min(abs(np.prod(m - lam)) for m in mu)
+
+
+@pytest.mark.parametrize("n", range(3, 21))
+def test_classify_near_the_first_closing_gap(n):
+    # s a relative 1e-6 short of the smallest critical value |p(mu)| keeps
+    # every gap open (Smooth, no witness); 1e-6 past it closes one gap and
+    # p + s or p - s loses two real roots
+    for k in range(10):
+        form = forward_matching(random_shift(np.random.default_rng(5000 + 100 * n + k), n))
+        gap, phase = float(_first_gap(form)), math.atan2(form.ct0, form.c0)
+
+        def at(s):
+            return InvariantForm(n, form.c, s * math.cos(phase), s * math.sin(phase))
+
+        cls = classify(at(gap * (1 - 1e-6)))
+        assert cls.kind is Kind.SMOOTH, k
+        assert cls.witnesses == {"plus": False, "minus": False}, k
+        with pytest.raises(NotHyperbolic):
+            classify(at(gap * (1 + 1e-6)))
 
 
 # -- the exception boundary at every coefficient scale -----------------------
@@ -440,14 +480,21 @@ def _form_at_scale(n, k, scale):
 @pytest.mark.parametrize("scale", SWEEP_SCALES)
 def test_classify_and_curve_sample_fail_only_typed(scale):
     # each call returns or raises a HyprepError: no overflow, no internal
-    # ValueError or LinAlgError, and no numpy warning on the way.  At n = 24
-    # and scale 1e-12 the smallest circle overflows s_j^-n in the circle solve
+    # ValueError or LinAlgError, and no numpy warning on the way.  classify
+    # finds every forward image hyperbolic at every scale, and one with no
+    # zero weight (k = 0) free of double roots.  At n = 24 and scale 1e-12
+    # the smallest circle overflows s_j^-n in the circle solve
     for n in range(3, 25, 3):
         for k in range(3):
             form = _form_at_scale(n, k, scale)
             size = max(abs(x) for x in [*form.c, form.c0, form.ct0])
             assert scale / 2 <= size <= 2 * scale
-            for call in (classify, curve_sample, compute_intersections, represent):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                witnesses = classify(form).witnesses
+            if k == 0:
+                assert witnesses == {"plus": False, "minus": False}
+            for call in (curve_sample, compute_intersections, represent):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     try:

@@ -12,7 +12,7 @@ from hyprep import InvariantForm, ShiftMatrix, boundary_sample, curve_sample, ra
 from hyprep.errors import DegenerateInput
 from hyprep.forward import forward_matching
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
-from hyprep.hyperbolicity import cluster_roots, real_roots
+from hyprep.hyperbolicity import _root_profiles, cluster_roots
 from tests.conftest import random_shift
 from tests.test_construct import singular_form
 
@@ -206,8 +206,8 @@ def test_curve_sample_golden_stays_near_the_complex_companion_solve(
 
 
 # -- curve_sample against the per-angle loop it replaced ----------------------
-# The reference solves each ray on its own with the one-row real_roots, as
-# curve_sample did before it batched the rays; real_roots itself is pinned to
+# The reference solves each ray on its own with a one-row _root_profiles, as
+# curve_sample did before it batched the rays; the one-row solve is pinned to
 # a scalar reference in test_hyperbolicity.  The points must agree in repr,
 # element types included.
 
@@ -229,7 +229,7 @@ def _per_angle_rays(form, m):
         coeffs = _ray_coeffs(form, theta)
         if max(abs(c) for c in coeffs[:-1]) == 0.0:
             continue
-        rays.append((theta, real_roots(coeffs).roots))
+        rays.append((theta, _root_profiles([coeffs])[0].roots))
     return rays
 
 
