@@ -11,11 +11,14 @@ off-diagonal coefficients yields the shift weights.
 Entries never get adjugated symbolically: the pencil is recovered by
 evaluating adj at sample points and fitting the three coefficient matrices
 of a linear pencil, which is exact in exact arithmetic since the target is
-linear.  All n^2 entries and f are evaluated at all fit and holdout points
-in one batched pass (poly._evaluate_many), bit for bit as the scalar
-TrivariatePoly.evaluate would give them.  The curve divisions of one form
-matrix share one least-squares matrix per eigenspace class, written
-straight from the coefficients of f and df/dt by index arithmetic.
+linear.  All n^2 entries and f are evaluated at a block of candidate
+points in one batched pass (poly._evaluate_many), bit for bit as the
+scalar TrivariatePoly.evaluate would give them, and the adjugate quotient
+at every fit and holdout point comes from one stacked det and one stacked
+inv.  The curve divisions of one form matrix take one least-squares solve
+per eigenspace class, with one column per target, on a matrix cut out of
+one matrix of every class, written straight from the coefficients of f
+and df/dt by index arithmetic.
 
 That is the direct route, the paper's construction.  The spectral route
 is the second one: the weights of a Hermitian slice H(theta*) whose
@@ -48,7 +51,7 @@ from .forward import coefficient_error
 from .hyperbolicity import Kind, _s_vanishes, classify, cluster_roots
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
-from .poly import TrivariatePoly, _evaluate_many, conj_involution
+from .poly import TrivariatePoly, _evaluate_many, conj_involution, monomials_of_degree
 from .shift import ShiftMatrix
 
 
@@ -99,7 +102,7 @@ def vanishing_form(iset: IntersectionSet, ell: int) -> TrivariatePoly:
     else:
         vec = np.eye(len(basis), dtype=complex)[-1]
     terms = {e: vec[i] for i, e in enumerate(basis) if abs(vec[i]) > 0}
-    p = TrivariatePoly(n - 1, terms)
+    p = TrivariatePoly._unchecked(n - 1, terms)
     if p.is_zero():
         raise NoVanishingForm(f"class {ell}: nullspace vector vanished")
     return p.monic()
@@ -108,9 +111,10 @@ def vanishing_form(iset: IntersectionSet, ell: int) -> TrivariatePoly:
 @functools.lru_cache(maxsize=256)
 def _division_layout(n: int, ell: int):
     """Class-ell monomials of the two cofactors (degrees n-2 and n-1), the
-    number of class-ell target monomials (degree 2(n-1)), and the row table:
+    number of class-ell target monomials (degree 2(n-1)), the row table:
     rows[i, j] is the target row of t^i u^j v^(2n-2-i-j), or -1 outside the
-    class."""
+    class, and the index that cuts the class-ell matrix out of the matrix of
+    every class (_DivisionMemo)."""
     mon_a = eigenspace_basis(n, n - 2, ell)
     mon_b = eigenspace_basis(n, n - 1, ell)
     mon_rows = eigenspace_basis(n, 2 * (n - 1), ell)
@@ -118,42 +122,62 @@ def _division_layout(n: int, ell: int):
     for r, e in enumerate(mon_rows):
         rows[e[0], e[1]] = r
     rows.flags.writeable = False
-    return mon_a, mon_b, len(mon_rows), rows
+    every = [monomials_of_degree(d) for d in (2 * (n - 1), n - 2, n - 1)]
+    cut = np.ix_([every[0].index(e) for e in mon_rows],
+                 [every[1].index(e) for e in mon_a]
+                 + [len(every[1]) + every[2].index(e) for e in mon_b])
+    return mon_a, mon_b, len(mon_rows), rows, cut
+
+
+@functools.lru_cache(maxsize=64)
+def _every_class_layout(n: int):
+    """The row table of every target monomial (degree 2(n-1)), as in
+    _division_layout but over all classes, and the exponents of the
+    monomials of degrees n-2 and n-1."""
+    target = np.array(monomials_of_degree(2 * (n - 1)), dtype=np.intp)
+    rows = np.full((2 * n - 1, 2 * n - 1), -1, dtype=np.intp)
+    rows[target[:, 0], target[:, 1]] = np.arange(len(target))
+    cols = tuple(np.array(monomials_of_degree(d), dtype=np.intp) for d in (n - 2, n - 1))
+    for a in (rows, *cols):
+        a.flags.writeable = False
+    return rows, cols
 
 
 class _DivisionMemo:
-    """The division matrices of one (f, g11) pair, built once per class.
+    """The division matrices of one (f, g11) pair.
 
     Column e of the class-ell matrix holds the coefficients of the monomial
     multiple e*f (or e*g11).  Every monomial multiple of g has the
     coefficients of the product 1*g, shifted, and keeps the same terms under
     the DROP_TOL cut of the product, so those two products are all the
     polynomial arithmetic the matrices need; the rest is index arithmetic.
+    f and g11 are invariant, so e*f and e*g11 stay in the class of e: one
+    matrix over every monomial holds every class, and each class is cut
+    out of it once.
     """
 
     def __init__(self, f: TrivariatePoly, g11: TrivariatePoly, n: int):
         if f.degree != n or g11.degree != n - 1:
             raise ValueError("division needs deg f = n and deg g11 = n - 1")
+        if any((e[1] - e[2]) % n for g in (f, g11) for e in g.terms):
+            raise ValueError("division needs rotation-invariant f and g11")
         self.n = n
         one = TrivariatePoly.monomial((0, 0, 0))
-        self.parts = [(one * g).terms for g in (f, g11)]
+        rows, cols = _every_class_layout(n)
+        self.every = np.zeros((rows.size, len(cols[0]) + len(cols[1])), dtype=complex)
+        start = 0
+        for mon, g in zip(cols, (f, g11)):
+            terms = (one * g).terms
+            exp = np.array(list(terms), dtype=np.intp).reshape(-1, 3)
+            where = rows[mon[:, None, 0] + exp[None, :, 0], mon[:, None, 1] + exp[None, :, 1]]
+            self.every[where, start + np.arange(len(mon))[:, None]] = list(terms.values())
+            start += len(mon)
         self.systems = {}
 
     def system(self, ell: int):
         """The class-ell matrix A, its column norms, and A scaled by them."""
         if ell not in self.systems:
-            mon_a, mon_b, nrows, rows = _division_layout(self.n, ell)
-            A = np.zeros((nrows, len(mon_a) + len(mon_b)), dtype=complex)
-            start = 0
-            for mons, terms in zip((mon_a, mon_b), self.parts):
-                mon = np.array(mons, dtype=np.intp).reshape(-1, 3)
-                exp = np.array(list(terms), dtype=np.intp).reshape(-1, 3)
-                where = rows[mon[:, None, 0] + exp[None, :, 0],
-                             mon[:, None, 1] + exp[None, :, 1]]
-                if np.any(where < 0):
-                    raise ValueError(f"cofactor products leave class {ell}")
-                A[where, start + np.arange(len(mons))[:, None]] = list(terms.values())
-                start += len(mons)
+            A = self.every[_division_layout(self.n, ell)[4]]
             # column equilibration: the system is consistent in exact
             # arithmetic, so rescaling only improves the conditioning of the solve
             col = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
@@ -163,29 +187,33 @@ class _DivisionMemo:
 
 def _poly_from_vec(vec, monomials, degree) -> TrivariatePoly:
     terms = {e: c for e, c in zip(monomials, vec) if abs(c) > 0}
-    return TrivariatePoly(degree, terms)
+    return TrivariatePoly._unchecked(degree, terms)
 
 
-def _cofactor_solution(memo: _DivisionMemo, h: TrivariatePoly, ell: int):
-    """The coefficient vectors of the class-ell cofactors a and b of
-    h = a*f + b*g11, by least squares on memo's matrix, residual checked."""
+def _divide(memo: _DivisionMemo, ell: int, targets: list) -> tuple:
+    """Write every class-ell target h as a*f + b*g11: one least-squares
+    solve on memo's matrix with one column per target.  Returns the
+    coefficient vectors of a and b, stacked, one column per target, and each
+    column's residual relative to its target."""
     A, col, scaled = memo.system(ell)
-    mon_a, _, nrows, rows = _division_layout(memo.n, ell)
-    targets = list(h.terms)
-    exp = np.array(targets, dtype=np.intp).reshape(-1, 3)
+    _, _, nrows, rows, _ = _division_layout(memo.n, ell)
+    exp = np.array([e for h in targets for e in h.terms], dtype=np.intp).reshape(-1, 3)
     where = rows[exp[:, 0], exp[:, 1]]
     if np.any(where < 0):
-        e = targets[int(np.argmax(where < 0))]
+        e = tuple(exp[int(np.argmax(where < 0))].tolist())
         raise ValueError(f"target monomial {e} outside class {ell}")
-    rhs = np.zeros(nrows, dtype=complex)
-    rhs[where] = list(h.terms.values())
+    rhs = np.zeros((nrows, len(targets)), dtype=complex)
+    rhs[where, np.repeat(np.arange(len(targets)), [len(h.terms) for h in targets])] = [
+        c for h in targets for c in h.terms.values()]
     sol, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    sol = sol / col
-    resid = np.linalg.norm(A @ sol - rhs)
-    hnorm = max(np.linalg.norm(rhs), 1e-300)
-    if resid > TOL_NOETHER * hnorm:
-        raise NoetherResidual(f"division residual {resid / hnorm:.2e}")
-    return sol[: len(mon_a)], sol[len(mon_a):]
+    sol = sol / col[:, None]
+    resid = np.linalg.norm(A @ sol - rhs, axis=0)
+    return sol, resid / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
+
+
+def _check_division(relative: float):
+    if relative > TOL_NOETHER:
+        raise NoetherResidual(f"division residual {relative:.2e}")
 
 
 def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
@@ -198,9 +226,11 @@ def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
     """
     if h.degree != 2 * (n - 1):
         raise ValueError("division target must have degree 2(n-1)")
-    a_vec, b_vec = _cofactor_solution(_DivisionMemo(f, g11, n), h, ell)
-    mon_a, mon_b, _, _ = _division_layout(n, ell)
-    return _poly_from_vec(a_vec, mon_a, n - 2), _poly_from_vec(b_vec, mon_b, n - 1)
+    sol, relative = _divide(_DivisionMemo(f, g11, n), ell, [h])
+    _check_division(relative[0])
+    mon_a, mon_b, _, _, _ = _division_layout(n, ell)
+    return (_poly_from_vec(sol[: len(mon_a), 0], mon_a, n - 2),
+            _poly_from_vec(sol[len(mon_a):, 0], mon_b, n - 1))
 
 
 def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> tuple:
@@ -211,20 +241,32 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> tuple:
     triangle is filled by curve division (its df/dt cofactor), diagonals
     symmetrized to conjugation-fixed form (the averaging preserves the
     residual because the division target is itself conjugation fixed).
+    Once row one is known every target g_i1 g_1j is, so each class is
+    divided in one solve; the residuals are checked in row-major order.
     """
     n = form.n
     f = form.expand()
     g = [[None] * n for _ in range(n)]
-    g[0][0] = f.dt()
+    g[0][0] = form._derivative
     for j in range(1, n):
         g[0][j] = vanishing_form(iset, (0 - j) % n)
         g[j][0] = conj_involution(g[0][j])
     memo = _DivisionMemo(f, g[0][0], n)
+    classes = {}
     for i in range(1, n):
         for j in range(i, n):
-            ell = (i - j) % n
-            _, b_vec = _cofactor_solution(memo, g[i][0] * g[0][j], ell)
-            b = _poly_from_vec(b_vec, _division_layout(n, ell)[1], n - 1)
+            classes.setdefault((i - j) % n, []).append((i, j))
+    cofactor = {}
+    for ell, pairs in classes.items():
+        sol, relative = _divide(memo, ell, [g[i][0] * g[0][j] for i, j in pairs])
+        for k, ij in enumerate(pairs):
+            cofactor[ij] = sol[:, k], relative[k]
+    for i in range(1, n):
+        for j in range(i, n):
+            vec, relative = cofactor[i, j]
+            _check_division(relative)
+            mon_a, mon_b, _, _, _ = _division_layout(n, (i - j) % n)
+            b = _poly_from_vec(vec[len(mon_a):], mon_b, n - 1)
             if i == j:
                 b = 0.5 * (b + conj_involution(b))
             g[i][j] = b
@@ -233,24 +275,44 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> tuple:
     return tuple(tuple(row) for row in g)
 
 
-def _sample_points(form: InvariantForm, count: int,
-                   rng: np.random.Generator) -> list[tuple[float, float, float]]:
-    """Deterministic real sample points where |f| is comfortably large."""
-    f = form.expand()
+def _sample_points(form: InvariantForm, count: int, rng: np.random.Generator,
+                   polys=()) -> tuple[list, np.ndarray]:
+    """Deterministic real sample points (t, x + iy, x - iy) where |f| is
+    comfortably large, starting with (1, 0, 0), and the values there of
+    polys and then of f, one row per polynomial.
+
+    Candidates (t, x, y) are drawn in blocks, and every polynomial is
+    evaluated once per block.  Row (t, x, y) of a block is the next three
+    draws in order, and 2 uniform(-1, 1) is uniform(-2, 2) bit for bit, so
+    the candidates are those of one draw at a time; the generator is then
+    rewound to end where that loop would have left it, after the last
+    candidate used.
+    """
     scale = form.coefficient_scale()
     radius = 1.0 + scale
-    pts = [(1.0, 0.0, 0.0)]
-    guard = 0
+    polys = [*polys, form.expand()]
+    start = rng.bit_generator.state
+    pts, cols, drawn, tries = [], [], 0, 200 * count
     while len(pts) < count:
-        guard += 1
-        if guard > 200 * count:
+        if drawn == tries:
             raise AdjugateMismatch("could not find well-separated sample points")
-        t = float(rng.uniform(-2.0, 2.0)) * radius
-        x, y = (float(z) for z in rng.uniform(-1.0, 1.0, size=2) * radius)
-        val = f.evaluate(t, complex(x, y), complex(x, -y))
-        if abs(val) >= 0.1 * scale:
-            pts.append((t, x, y))
-    return pts
+        need = count - len(pts)
+        block = rng.uniform(-1.0, 1.0, size=(min(need + 2 + need // 4, tries - drawn), 3))
+        block[:, 0] *= 2.0
+        block *= radius
+        head = [] if pts else [[1.0, 0.0, 0.0]]     # kept without a test
+        z = [(t, complex(x, y), complex(x, -y)) for t, x, y in head + block.tolist()]
+        vals = _evaluate_many(polys, z)
+        # np.hypot is Python's abs bit for bit; np.abs of a complex array is not
+        keep = np.hypot(vals[-1].real, vals[-1].imag) >= 0.1 * scale
+        keep[:len(head)] = True
+        used = np.flatnonzero(keep)[:need]
+        pts.extend(z[k] for k in used.tolist())
+        cols.append(vals[:, used])
+        drawn += used[-1] + 1 - len(head) if len(pts) == count else len(block)
+    rng.bit_generator.state = start
+    rng.random(3 * drawn)
+    return pts, np.concatenate(cols, axis=1)
 
 
 def pencil_from_adjugate(G: tuple, form: InvariantForm,
@@ -265,38 +327,43 @@ def pencil_from_adjugate(G: tuple, form: InvariantForm,
     """
     n = len(G)
     n_fit, n_hold = max(8, n + 4), 3
-    pts = [(t, complex(x, y), complex(x, -y))
-           for t, x, y in _sample_points(form, n_fit + n_hold, rng)]
-    vals = _evaluate_many([g for row in G for g in row] + [form.expand()], pts)
+    pts, vals = _sample_points(form, n_fit + n_hold, rng, [g for row in G for g in row])
     Gvals = vals[:-1].T.reshape(len(pts), n, n)
-
-    def quotient(k):
-        # an overflowing, non-finite or singular quotient is a failed fit,
-        # not a crash
-        M = Gvals[k]
+    # the adjugate quotient at every point at once.  A singular, overflowing
+    # or non-finite quotient is a failed fit, not a crash; the last two are
+    # reported for the first such point, as a point-by-point fit would
+    try:
+        with np.errstate(all="ignore"):
+            adj = np.linalg.det(Gvals)[:, None, None] * np.linalg.inv(Gvals)
+    except np.linalg.LinAlgError:
+        raise AdjugateMismatch("form matrix is singular at a sample point") from None
+    failed = [None] * len(pts)
+    den = np.ones(len(pts), dtype=complex)
+    for k, x in enumerate(vals[-1].tolist()):
         try:
-            with np.errstate(all="ignore"):
-                q = np.linalg.det(M) * np.linalg.inv(M) / complex(vals[-1, k]) ** (n - 2)
+            den[k] = x ** (n - 2)
         except OverflowError:
-            raise AdjugateMismatch("adjugate quotient overflows") from None
-        except np.linalg.LinAlgError:
-            raise AdjugateMismatch("form matrix is singular at a sample point") from None
-        if not np.all(np.isfinite(q)):
-            raise AdjugateMismatch("adjugate quotient is not finite")
-        return q
+            failed[k] = "adjugate quotient overflows"
+    with np.errstate(all="ignore"):
+        Q = adj / den[:, None, None]
+    for k in np.flatnonzero(~np.isfinite(Q).reshape(len(pts), -1).all(axis=1)).tolist():
+        failed[k] = failed[k] or "adjugate quotient is not finite"
+    for message in filter(None, failed[:n_fit]):
+        raise AdjugateMismatch(message)
 
     Amat = np.asarray(pts[:n_fit])                                # (npts, 3)
-    B = np.asarray([quotient(k) for k in range(n_fit)]).reshape(n_fit, -1)
-    sol, *_ = np.linalg.lstsq(Amat, B, rcond=None)
+    sol, *_ = np.linalg.lstsq(Amat, Q[:n_fit].reshape(n_fit, -1), rcond=None)
     Mt = sol[0].reshape(n, n)
     Mu = sol[1].reshape(n, n)
     Mv = sol[2].reshape(n, n)
 
     mscale = max(np.max(np.abs(sol)), 1e-300)
     for k in range(n_fit, n_fit + n_hold):
+        if failed[k]:
+            raise AdjugateMismatch(failed[k])
         t, u, v = pts[k]
         pred = t * Mt + u * Mu + v * Mv
-        if np.max(np.abs(pred - quotient(k))) > TOL_PENCIL * mscale * 100:
+        if np.max(np.abs(pred - Q[k])) > TOL_PENCIL * mscale * 100:
             raise AdjugateMismatch("holdout residual above tolerance")
 
     # Hermitian pairing and the cyclic sparsity pattern

@@ -19,7 +19,7 @@ import numpy as np
 from .config import CLUSTER_RADIUS, TOL_PT, TOL_ROOT, TOL_SEP
 from .errors import (AmbiguousOrbit, LeadingZero, NonrealCircle,
                      RealSimplePoint, SolveFailed)
-from .hyperbolicity import cluster_roots
+from .hyperbolicity import _close_pairs, _link, cluster_roots
 from .invariants import InvariantForm
 from .poly import _evaluate_many
 
@@ -103,7 +103,12 @@ class IntersectionSet:
 
 
 def circle_factors(form: InvariantForm) -> CircleFactorization:
-    """Factor df/dt into circles by solving its even part in T = t^2."""
+    """Factor df/dt into circles by solving its even part in T = t^2.
+
+    Which roots are close is judged in T / 2^e, with 2^e above the largest
+    of them, so the clustering radius is relative to the largest circle
+    parameter at every coefficient scale.
+    """
     n = form.n
     k = 0 if n % 2 == 1 else 1
     m = (n - 1) // 2
@@ -113,8 +118,11 @@ def circle_factors(form: InvariantForm) -> CircleFactorization:
             coeffs[r] = (n - 2 * r) * cr / n
     if m == 0:
         return CircleFactorization(k, ())
-    raw = np.roots(coeffs)
-    clusters = cluster_roots(raw, CLUSTER_RADIUS)
+    raw = np.roots(coeffs).astype(complex)
+    e = math.frexp(float(np.max(np.abs(raw))))[1]
+    unit = np.empty_like(raw)
+    unit.real, unit.imag = np.ldexp(raw.real, -e), np.ldexp(raw.imag, -e)
+    clusters = _link(raw, _close_pairs(unit, CLUSTER_RADIUS))
     scale = max(1.0, form.coefficient_scale())
     svals = []
     for z, mult in clusters:
@@ -340,9 +348,9 @@ def compute_intersections(form: InvariantForm) -> IntersectionSet:
 
 
 def _check_residuals(form: InvariantForm, iset: IntersectionSet):
-    f = form.expand()
     tol = TOL_PT * (1.0 + form.coefficient_scale()) * 100
-    values = _evaluate_many([f, f.dt()], [p.coords() for p, _ in iset.S + iset.Sbar])
+    values = _evaluate_many([form.expand(), form._derivative],
+                            [p.coords() for p, _ in iset.S + iset.Sbar])
     for res in map(abs, values.T.ravel().tolist()):    # point by point, f first
         if res > tol:
             raise SolveFailed(f"stored point residual {res:.2e} above budget")

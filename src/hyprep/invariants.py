@@ -7,6 +7,7 @@ numbers: the coefficients c_r of t^(n-2r) (uv)^r, the coefficient c0 of
 """
 
 import dataclasses
+import functools
 import math
 
 from .poly import TrivariatePoly, monomials_of_degree
@@ -40,6 +41,12 @@ class InvariantForm:
         return math.hypot(self.c0, self.ct0)
 
     def expand(self) -> TrivariatePoly:
+        """The form as a polynomial in (t, u, v), built once per form and
+        shared by every caller, so it must not be mutated."""
+        return self._expansion
+
+    @functools.cached_property
+    def _expansion(self) -> TrivariatePoly:
         n = self.n
         terms = {(n, 0, 0): 1.0 + 0.0j}
         for r, cr in enumerate(self.c, start=1):
@@ -53,6 +60,11 @@ class InvariantForm:
         if top_v != 0:
             terms[(0, 0, n)] = terms.get((0, 0, n), 0.0) + top_v
         return TrivariatePoly(n, terms)
+
+    @functools.cached_property
+    def _derivative(self) -> TrivariatePoly:
+        """df/dt, built once per form and shared like expand()."""
+        return self._expansion.dt()
 
     def univariate(self) -> list:
         """Coefficients (leading first) of p(t) = t^n + sum_r c_r t^(n-2r)."""

@@ -42,12 +42,17 @@ class TrivariatePoly:
         for e in terms:
             if len(e) != 3 or min(e) < 0 or sum(e) != degree:
                 raise ValueError(f"exponent {e} not homogeneous of degree {degree}")
-        if terms:
-            biggest = max(abs(c) for c in terms.values())
-            cutoff = drop_tol * biggest
-            terms = {e: complex(c) for e, c in terms.items() if abs(c) > cutoff}
         self.degree = degree
-        self.terms = terms
+        self.terms = _cut(terms, drop_tol)
+
+    @classmethod
+    def _unchecked(cls, degree: int, terms: dict, drop_tol: float = 0.0) -> "TrivariatePoly":
+        """The constructor without its exponent check, for internal results
+        whose exponents are homogeneous of the degree by construction."""
+        p = object.__new__(cls)
+        p.degree = degree
+        p.terms = _cut(terms, drop_tol)
+        return p
 
     @classmethod
     def monomial(cls, e: tuple[int, int, int], coeff: complex = 1.0) -> "TrivariatePoly":
@@ -83,13 +88,13 @@ class TrivariatePoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, 0.0) + c
-        return TrivariatePoly(self.degree, out)
+        return TrivariatePoly._unchecked(self.degree, out)
 
     def __sub__(self, other: "TrivariatePoly") -> "TrivariatePoly":
         return self + (-other)
 
     def __neg__(self) -> "TrivariatePoly":
-        return TrivariatePoly(self.degree, {e: -c for e, c in self.terms.items()})
+        return TrivariatePoly._unchecked(self.degree, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, TrivariatePoly):
@@ -98,10 +103,10 @@ class TrivariatePoly:
                 for e2, c2 in other.terms.items():
                     e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
                     out[e] = out.get(e, 0.0) + c1 * c2
-            return TrivariatePoly(self.degree + other.degree, out,
-                                  drop_tol=DROP_TOL)
-        return TrivariatePoly(self.degree,
-                              {e: c * other for e, c in self.terms.items()})
+            return TrivariatePoly._unchecked(self.degree + other.degree, out,
+                                             drop_tol=DROP_TOL)
+        return TrivariatePoly._unchecked(self.degree,
+                                         {e: c * other for e, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -118,7 +123,7 @@ class TrivariatePoly:
         for (i, j, k), c in self.terms.items():
             if i > 0:
                 out[(i - 1, j, k)] = out.get((i - 1, j, k), 0.0) + i * c
-        return TrivariatePoly(max(self.degree - 1, 0), out)
+        return TrivariatePoly._unchecked(max(self.degree - 1, 0), out)
 
     def distance(self, other: "TrivariatePoly") -> float:
         """Max absolute coefficient difference."""
@@ -133,6 +138,15 @@ class TrivariatePoly:
             bits.append(f"{c:.4g}*t^{e[0]}u^{e[1]}v^{e[2]}")
         more = "..." if len(self.terms) > 6 else ""
         return f"TrivariatePoly({self.degree}, {' + '.join(bits)}{more})"
+
+
+def _cut(terms: dict, drop_tol: float) -> dict:
+    """The terms as complex numbers, without those at most drop_tol times
+    the largest modulus (exact zeros always go)."""
+    if not terms:
+        return terms
+    cutoff = drop_tol * max(abs(c) for c in terms.values())
+    return {e: complex(c) for e, c in terms.items() if abs(c) > cutoff}
 
 
 def _powers(z: complex, upto: int) -> list[complex]:
@@ -202,7 +216,7 @@ def rotate(p: TrivariatePoly, ell: int, n: int) -> TrivariatePoly:
     """
     w = cmath.exp(2j * cmath.pi / n)
     out = {e: c * w ** (ell * (e[1] - e[2])) for e, c in p.terms.items()}
-    return TrivariatePoly(p.degree, out)
+    return TrivariatePoly._unchecked(p.degree, out)
 
 
 def conj_involution(p: TrivariatePoly) -> TrivariatePoly:
@@ -215,4 +229,4 @@ def conj_involution(p: TrivariatePoly) -> TrivariatePoly:
     out = {}
     for (i, j, k), c in p.terms.items():
         out[(i, k, j)] = c.conjugate()
-    return TrivariatePoly(p.degree, out)
+    return TrivariatePoly._unchecked(p.degree, out)

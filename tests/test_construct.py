@@ -16,11 +16,12 @@ from hyprep.construct import (_DivisionMemo, _represent_direct,
                               _represent_spectral, assemble_form_matrix,
                               pencil_from_adjugate)
 from hyprep.errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
-                           PatternViolation)
+                           NoetherResidual, PatternViolation)
 from hyprep.forward import coefficient_error, forward_matching, realize_real
 from hyprep.invariants import eigenspace_basis
 from hyprep.poly import DROP_TOL, TrivariatePoly, conj_involution
 from tests.conftest import random_shift
+from tests.test_hyperbolicity import _form_at_scale
 
 PUBLISHED_G12_QUARTIC = TrivariatePoly(3, {(2, 0, 1): -4.0, (0, 3, 0): -36.0, (0, 1, 2): 36.0})
 
@@ -153,6 +154,122 @@ def test_form_matrix_invariants(quartic_form):
             lhs = G[0][0] * G[i][j] - h
             _, b = noether_division(f, G[0][0], h, (i - j) % n, n)
             assert b.distance(G[i][j]) < 1e-8 * max(1.0, b.max_abs_coeff())
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls of module.name, which still runs."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_form_matrix_solves_each_class_once(monkeypatch, quartic_form, quintic_form):
+    # the n(n-1)/2 divisions fall into the n - 1 classes 0, 2, ..., n - 1
+    for form in (quartic_form, quintic_form):
+        iset = compute_intersections(form)
+        lstsq = counting(monkeypatch, np.linalg, "lstsq")
+        assemble_form_matrix(form, iset)
+        assert len(lstsq) == form.n - 1
+        monkeypatch.undo()
+
+
+def test_pencil_fit_makes_one_det_and_one_inv(monkeypatch, quartic_form, quintic_form):
+    for form in (quartic_form, quintic_form):
+        G = assemble_form_matrix(form, compute_intersections(form))
+        det = counting(monkeypatch, np.linalg, "det")
+        inv = counting(monkeypatch, np.linalg, "inv")
+        pencil_from_adjugate(G, form, np.random.default_rng(Config().seed))
+        assert (len(det), len(inv)) == (1, 1)
+        monkeypatch.undo()
+
+
+def same_bits(p, q):
+    return p.degree == q.degree and list(p.terms.items()) == list(q.terms.items())
+
+
+def test_noether_division_equals_the_batched_column(quartic_form, quintic_form):
+    # one division on its own gives the column of the batched class solve
+    # bit for bit, for every entry of the form matrix
+    rng = np.random.default_rng(43)
+    forms = [quartic_form, quintic_form] + [forward_matching(random_shift(rng, n)) for n in (6, 7)]
+    for form in forms:
+        n = form.n
+        G = assemble_form_matrix(form, compute_intersections(form))
+        f = form.expand()
+        for i in range(1, n):
+            for j in range(i, n):
+                _, b = noether_division(f, G[0][0], G[i][0] * G[0][j], (i - j) % n, n)
+                if i == j:
+                    b = 0.5 * (b + conj_involution(b))
+                assert same_bits(b, G[i][j]), (n, i, j)
+
+
+def test_form_matrix_reports_the_row_major_first_division_failure(monkeypatch, quartic_form):
+    # a vanishing form moved off the points spoils every target in column 3
+    # and in row 3: (1,3) of class 2, (2,3) of class 3 and (3,3) of class 0.
+    # Classes are solved together, but the failure reported is the first in
+    # row-major order, with the message a division by itself gives
+    vanishing = construct.vanishing_form
+
+    def moved(iset, ell):
+        p = vanishing(iset, ell)
+        if ell == 1:
+            e = eigenspace_basis(4, 3, 1)[-1]
+            p = p + TrivariatePoly.monomial(e, 1e-3)
+        return p
+    monkeypatch.setattr(construct, "vanishing_form", moved)
+    iset = compute_intersections(quartic_form)
+    with pytest.raises(NoetherResidual) as caught:
+        assemble_form_matrix(quartic_form, iset)
+    f = quartic_form.expand()
+    g03 = moved(iset, 1)
+    with pytest.raises(NoetherResidual) as alone:
+        noether_division(f, f.dt(), conj_involution(moved(iset, 3)) * g03, 2, 4)
+    assert str(caught.value) == str(alone.value) == "division residual 4.47e-05"
+
+
+def reference_sample_points(form, count, rng):
+    """The sample points drawn one candidate at a time, as the pencil fit
+    first drew them."""
+    f = form.expand()
+    scale = form.coefficient_scale()
+    radius = 1.0 + scale
+    pts = [(1.0, 0.0, 0.0)]
+    for _ in range(200 * count):
+        if len(pts) == count:
+            return pts
+        t = float(rng.uniform(-2.0, 2.0)) * radius
+        x, y = (float(z) for z in rng.uniform(-1.0, 1.0, size=2) * radius)
+        if abs(f.evaluate(t, complex(x, y), complex(x, -y))) >= 0.1 * scale:
+            pts.append((t, x, y))
+    return pts if len(pts) == count else None
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e16, 1e48])
+@pytest.mark.parametrize("n", [4, 6, 9])
+def test_sample_points_leave_the_generator_as_one_draw_at_a_time(n, scale):
+    # the block draws give the same points and leave the generator in the
+    # state of the one-at-a-time loop, also when no point is found (n = 6
+    # and 9 at scale 1e48)
+    form = _form_at_scale(n, 0, scale)
+    count = max(8, n + 4) + 3
+    want_rng, got_rng = np.random.default_rng(7), np.random.default_rng(7)
+    want = reference_sample_points(form, count, want_rng)
+    if want is None:
+        with pytest.raises(AdjugateMismatch):
+            construct._sample_points(form, count, got_rng)
+    else:
+        pts, vals = construct._sample_points(form, count, got_rng)
+        assert pts == [(t, complex(x, y), complex(x, -y)) for t, x, y in want]
+        f = form.expand()
+        assert vals.shape == (1, count)
+        assert vals[0].tolist() == [f.evaluate(*p) for p in pts]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert got_rng.random() == want_rng.random()
 
 
 def test_form_matrix_quartic_g22(quartic_form):

@@ -1,13 +1,15 @@
 """Intersection of a form with its t-derivative: circles, orbits, conjugate split."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hyprep import (InvariantForm, circle_factors, circle_intersect,
+from hyprep import (DEFAULT_CONFIG, InvariantForm, circle_factors, circle_intersect,
                     compute_intersections, infinity_points)
-from hyprep.errors import LeadingZero, RealSimplePoint
+from hyprep.construct import _represent_direct
+from hyprep.errors import HyprepError, LeadingZero, RealSimplePoint
 from hyprep.forward import forward_matching
 from hyprep.hyperbolicity import Kind, classify
 from hyprep.invariants import eigenspace_basis
@@ -188,3 +190,28 @@ def test_high_degree_points_certify_at_large_scales(n, scale):
     # scale 1 these forms still miss the residual budget (SolveFailed)
     iset = compute_intersections(_form_at_scale(n, 0, scale))
     assert iset.total_multiplicity() == n * (n - 1)
+
+
+@pytest.mark.parametrize("n", range(6, 25, 3))
+def test_small_scale_circles_stay_apart(n):
+    # circle parameters of 1e-15 to 5e-13 are clustered relative to the
+    # largest of them, so they no longer merge into one repeated circle.
+    # From n = 15 on the points still fail, typed: the stored-point budget
+    # (n = 15, 18) or the circle trinomial overflows (n = 21, 24).  The
+    # direct route may fail on these forms too, but only typed
+    form = _form_at_scale(n, 0, 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fac = circle_factors(form)
+        try:
+            iset = compute_intersections(form)
+        except HyprepError:
+            assert n >= 15
+        else:
+            assert iset.total_multiplicity() == n * (n - 1)
+        try:
+            _represent_direct(form, DEFAULT_CONFIG.tol_final,
+                              np.random.default_rng(DEFAULT_CONFIG.seed))
+        except HyprepError:
+            pass
+    assert len(set(fac.s)) == len(fac.s) == (n - 1) // 2
