@@ -7,7 +7,8 @@ maximum at least s.  A critical value at -s (or s) is a double root of
 p + s (or p - s), which makes the form singular, as s = 0 does; the
 representation pipeline routes on the kind and on s.  An error in a
 critical point moves its value only to second order, so the critical
-points are not clustered.
+points are not clustered.  They are solved once per form, and the circle
+parameters of intersection.circle_factors are the same unclustered numbers.
 """
 
 import dataclasses
@@ -194,30 +195,22 @@ def _witnesses(form: InvariantForm):
     """(plus, minus): whether p + s and p - s have a double root, read off
     the critical values of p; None when the form is not hyperbolic.
 
-    With P(x) = x^m + c_1 x^(m-1) + ... + c_m, m = n // 2, e = n mod 2,
-    p(t) = t^e P(t^2) and p'(t) = t^(1-e) Q(t^2), Q_j = (n - 2j) c_j: the
-    critical points are t = 0 for even n and +/- sqrt(x) over the roots x of
-    Q, solved monic in y = x / 2^k with 2^k above its root bound.  The roots
-    are not clustered: a radius in y is absolute near 0 and would merge the
-    small critical points of a p whose roots span decades, and each point is
-    evaluated where it was found.  A non-real or negative x means p is not
-    real rooted.  p is even or odd, so t >= 0 decides: from the largest
-    down, minima and maxima alternate (a multiple root is both), starting
-    with a minimum.  Each critical value is compared with s within 64 eps
-    of its Horner bound.  For odd n a double root of p + s at t is one of
-    p - s at -t; for s = 0 the two coincide.
+    The critical points are t = 0 for even n and +/- sqrt(x) over the x of
+    form._critical_points, each evaluated where it was found; p is not real
+    rooted when that solve fails.  p is even or odd, so t >= 0 decides: from
+    the largest down, minima and maxima alternate (a multiple root is both),
+    starting with a minimum.  Each critical value is compared with s within
+    64 eps of its Horner bound.  For odd n a double root of p + s at t is one
+    of p - s at -t; for s = 0 the two coincide.
     """
     n, s = form.n, form.s
     m, e = divmod(n, 2)
     c = (1.0,) + form.c
-    q = [c[j] * ((n - 2 * j) / n) for j in range((n + 1) // 2)]
-    k = math.frexp(max(abs(qj) ** (1.0 / j) for j, qj in enumerate(q) if j))[1]
-    profile = _root_profiles([[math.ldexp(qj, -k * j) for j, qj in enumerate(q)]], 0.0)[0]
-    if not profile.all_real or profile.roots[0][0] < -TOL_ROOT:
+    if form._critical_points is None:
         return None
-    points = [(max(float(y), 0.0), mult) for y, mult in reversed(profile.roots)]
+    k, points = form._critical_points
     if not e:
-        points.append((0.0, 1))
+        points += ((0.0, 1),)
     # p(sqrt(2^k y)) = 2^K sqrt(2^(k mod 2) y)^e sum_j a_j y^(m-j), with
     # a_j = c_j 2^(-jk) and K = km + e floor(k / 2)
     try:

@@ -2,12 +2,14 @@
 
 For an invariant hyperbolic form the t-derivative factors (up to the
 scalar n and a possible factor of t) into circles t^2 - s_j uv with real
-s_j >= 0, so the n(n-1) common zeros come in closed form from a quadratic
-in u^n per circle, plus one in u^(n/2) on the line at infinity when n is
-even; every stored point is then checked against f and df/dt once.  The points
-fall into rotation orbits, and the orbits into conjugate pairs; one orbit
-per pair is kept in S, its mirror in Sbar, and a single representative per
-kept orbit forms the working set used by the construction.
+s_j >= 0: the critical points of p in t^2, read from the solve classify
+makes once per form.  The n(n-1) common zeros come in closed form from a
+quadratic in u^n per circle, plus one in u^(n/2) on the line at infinity
+when n is even; every stored point is then checked against f and df/dt
+once.  The points fall into rotation orbits, and the orbits into conjugate
+pairs; one orbit per pair is kept in S, its mirror in Sbar, and a single
+representative per kept orbit forms the working set used by the
+construction.
 """
 
 import cmath
@@ -16,10 +18,10 @@ import math
 
 import numpy as np
 
-from .config import CLUSTER_RADIUS, TOL_PT, TOL_ROOT, TOL_SEP
+from .config import CLUSTER_RADIUS, TOL_PT, TOL_SEP
 from .errors import (AmbiguousOrbit, LeadingZero, NonrealCircle,
                      RealSimplePoint, SolveFailed)
-from .hyperbolicity import _close_pairs, _link, cluster_roots
+from .hyperbolicity import cluster_roots
 from .invariants import InvariantForm
 from .poly import _evaluate_many
 
@@ -103,34 +105,12 @@ class IntersectionSet:
 
 
 def circle_factors(form: InvariantForm) -> CircleFactorization:
-    """Factor df/dt into circles by solving its even part in T = t^2.
-
-    Which roots are close is judged in T / 2^e, with 2^e above the largest
-    of them, so the clustering radius is relative to the largest circle
-    parameter at every coefficient scale.
-    """
-    n = form.n
-    k = 0 if n % 2 == 1 else 1
-    m = (n - 1) // 2
-    coeffs = [1.0] + [0.0] * m
-    for r, cr in enumerate(form.c, start=1):
-        if r <= m:
-            coeffs[r] = (n - 2 * r) * cr / n
-    if m == 0:
-        return CircleFactorization(k, ())
-    raw = np.roots(coeffs).astype(complex)
-    e = math.frexp(float(np.max(np.abs(raw))))[1]
-    unit = np.empty_like(raw)
-    unit.real, unit.imag = np.ldexp(raw.real, -e), np.ldexp(raw.imag, -e)
-    clusters = _link(raw, _close_pairs(unit, CLUSTER_RADIUS))
-    scale = max(1.0, form.coefficient_scale())
-    svals = []
-    for z, mult in clusters:
-        if abs(z.imag) > TOL_ROOT * (1.0 + abs(z)) * scale:
-            raise NonrealCircle(f"nonreal circle parameter {z}")
-        svals.extend([max(z.real, 0.0)] * mult)
-    svals.sort(reverse=True)
-    return CircleFactorization(k, tuple(svals))
+    """Factor df/dt into circles: the s_j are the critical points of p in t^2."""
+    if form._critical_points is None:
+        raise NonrealCircle("a circle parameter is non-real or negative")
+    k, points = form._critical_points
+    s = tuple(math.ldexp(y, k) for y, mult in points for _ in range(mult))
+    return CircleFactorization(1 - form.n % 2, s)
 
 
 def _trinomial_roots(A: complex, B: complex, C: complex, n: int) -> np.ndarray:
@@ -170,7 +150,9 @@ def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:
         raise ValueError("circle parameter must be positive")
     n = form.n
     A = complex(form.c0, -form.ct0) / 2
-    # a small circle overflows s_j^-n: a failed solve, not a numpy warning
+    # a small circle overflows s_j^-n in float64: a failed solve, not a
+    # numpy warning, nor the OverflowError of a Python float power
+    s_j = np.float64(s_j)
     with np.errstate(over="ignore", invalid="ignore"):
         B = 1.0 + sum(cr * s_j ** -r for r, cr in enumerate(form.c, start=1))
         C = complex(form.c0, form.ct0) / 2 * s_j ** -n

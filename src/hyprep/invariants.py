@@ -10,6 +10,7 @@ import dataclasses
 import functools
 import math
 
+from .config import TOL_ROOT
 from .poly import TrivariatePoly, monomials_of_degree
 
 
@@ -65,6 +66,28 @@ class InvariantForm:
     def _derivative(self) -> TrivariatePoly:
         """df/dt, built once per form and shared like expand()."""
         return self._expansion.dt()
+
+    @functools.cached_property
+    def _critical_points(self):
+        """(k, ((y, multiplicity), ...)): the critical points x = 2^k y of p in
+        t^2, descending, solved once per form; None when one is non-real or
+        below -TOL_ROOT in y (one just below 0 is 0).
+
+        With P(x) = x^m + c_1 x^(m-1) + ... + c_m, m = n // 2, e = n mod 2,
+        p(t) = t^e P(t^2) and p'(t) = t^(1-e) Q(t^2), Q_j = (n - 2j) c_j: the
+        x are the roots of Q, solved monic in y = x / 2^k with 2^k above its
+        root bound.  They are not clustered: a radius in y is absolute near
+        0 and would merge the small critical points of a p whose roots span
+        decades.
+        """
+        from .hyperbolicity import _root_profiles   # it imports this module
+        n = self.n
+        q = [1.0] + [(n - 2 * j) * cj / n for j, cj in enumerate(self.c[:(n - 1) // 2], start=1)]
+        k = math.frexp(max(abs(qj) ** (1.0 / j) for j, qj in enumerate(q) if j))[1]
+        profile = _root_profiles([[math.ldexp(qj, -k * j) for j, qj in enumerate(q)]], 0.0)[0]
+        if not profile.all_real or profile.roots[0][0] < -TOL_ROOT:
+            return None
+        return k, tuple((max(float(y), 0.0), mult) for y, mult in reversed(profile.roots))
 
     def univariate(self) -> list:
         """Coefficients (leading first) of p(t) = t^n + sum_r c_r t^(n-2r)."""

@@ -267,6 +267,16 @@ def test_represent_with_every_spectral_start_skipped_is_numerical_failure(
     assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
+def test_points_on_a_negative_circle_parameter_is_numerical_failure(capsys, tmp_path):
+    # the critical point of p in t^2 is at -1: a typed NonrealCircle, not
+    # a census with a triple point at infinity
+    path = write_json(tmp_path / "f.json", {"n": 4, "c": [2.0, 1.0], "c0": 0.5, "ct0": 0.0})
+    code = main(["points", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical failure:") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("k", range(3))
 def test_points_on_an_overflowing_circle_is_numerical_failure(capsys, tmp_path, k):
     # the smallest circle of these forms overflows s_j^-n: exit 3, not an
@@ -325,7 +335,10 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 # pin the intersection stage of the direct route.  The points runs and the
 # direct-route represent runs were recorded again when the intersection points
 # got their closed-form solve; the stdout of the complex companion solve is
-# kept under "<name> companion solve"
+# kept under "<name> companion solve".  "points quintic" and "represent
+# quintic direct route" were recorded once more when the circle parameters
+# became the critical points classify solves for; the stdout from the
+# np.roots solve of the circles is kept under "<name> np.roots circles"
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -395,17 +408,21 @@ def test_golden_stdout_stays_near_the_companion_solve():
         return [complexes(p[axis] for p in out["reps"] + [e["point"] for e in out["S"] + out["Sbar"]])
                 for axis in "tuv"]
 
-    for name in ("points quartic", "points quintic"):
-        new, old = (json.loads(golden[key]) for key in (name, name + " companion solve"))
-        for key in ("orbit_mult", "at_infinity"):
-            assert new[key] == old[key]
-        assert [e["mult"] for e in new["S"]] == [e["mult"] for e in old["S"]]
-        for a, b in zip(points(new), points(old)):
-            assert np.max(np.abs(a - b)) <= 1e-14
-    for name in ("represent quartic", "represent quintic direct route"):
-        new, old = (complexes(json.loads(golden[key])["shift"]["weights"])
-                    for key in (name, name + " companion solve"))
-        assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
+    pairs = [(name, name + " companion solve") for name in (
+        "points quartic", "points quintic", "represent quartic", "represent quintic direct route")]
+    pairs += [(name, name + " np.roots circles")
+              for name in ("points quintic", "represent quintic direct route")]
+    for name, old_name in pairs:
+        new, old = json.loads(golden[name]), json.loads(golden[old_name])
+        if name.startswith("points"):
+            for key in ("orbit_mult", "at_infinity"):
+                assert new[key] == old[key]
+            assert [e["mult"] for e in new["S"]] == [e["mult"] for e in old["S"]]
+            for a, b in zip(points(new), points(old)):
+                assert np.max(np.abs(a - b)) <= 1e-14
+        else:
+            new, old = (complexes(out["shift"]["weights"]) for out in (new, old))
+            assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
 
 
 @pytest.mark.parametrize("name", sorted(CURVE_CSV_SHA256))

@@ -649,7 +649,10 @@ def test_represent_golden_weights(case):
     # which takes the spectral route; the forward images were recorded when
     # the direct route came first for them, and are checked on it alone.  They
     # were recorded again when the intersection points got their closed-form
-    # solve; the weights of the complex companion solve are kept next to them
+    # solve; the weights of the complex companion solve are kept next to them.
+    # Seven (n = 7..12) were recorded once more when the circle parameters
+    # became the critical points classify solves for, with the weights from
+    # the np.roots solve of the circles kept as np_roots_circle_weights
     rng = np.random.default_rng(case["seed"])
     W = random_shift(rng, case["n"])
     if case["kind"] == "zero_weight":
@@ -664,8 +667,10 @@ def test_represent_golden_weights(case):
                          ids=lambda case: f"n{case['n']}-seed{case['seed']}")
 def test_golden_weights_stay_near_the_companion_solve(case):
     new = np.array([complex(w) for w in case["weights"]])
-    old = np.array([complex(w) for w in case["companion_weights"]])
-    assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
+    for key in ("companion_weights", "np_roots_circle_weights"):
+        if key in case:
+            old = np.array([complex(w) for w in case[key]])
+            assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
 
 
 SPECTRAL_GOLDEN = pathlib.Path(__file__).with_name("spectral_golden.json")

@@ -407,10 +407,23 @@ def test_classify_solves_once_when_s_vanishes(monkeypatch):
         want = Classification(Kind.SINGULAR, 0.0, {"plus": repeated, "minus": repeated})
         calls.clear()
         assert classify(form) == want
-        assert len(calls) == 1
-        calls.clear()
         assert is_hyperbolic(form)
+        # one solve for the pair: is_hyperbolic reads the one classify made
         assert len(calls) == 1
+
+
+def test_is_hyperbolic_and_classify_share_one_solve(monkeypatch, quintic_form):
+    solve = hyperbolicity._root_profiles
+    calls = []
+
+    def counting(rows, *radius):
+        calls.append(rows)
+        return solve(rows, *radius)
+
+    monkeypatch.setattr("hyprep.hyperbolicity._root_profiles", counting)
+    assert is_hyperbolic(quintic_form)
+    assert classify(quintic_form).kind is Kind.SMOOTH
+    assert len(calls) == 1
 
 
 def test_real_roots_of_a_subnormal_leading_coefficient():

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from hyprep import (DEFAULT_CONFIG, InvariantForm, circle_factors, circle_intersect,
-                    compute_intersections, infinity_points)
+                    compute_intersections, hyperbolicity, infinity_points)
 from hyprep.construct import _represent_direct
-from hyprep.errors import HyprepError, LeadingZero, RealSimplePoint
+from hyprep.config import CLUSTER_RADIUS
+from hyprep.errors import HyprepError, LeadingZero, NonrealCircle, RealSimplePoint
 from hyprep.forward import forward_matching
-from hyprep.hyperbolicity import Kind, classify
+from hyprep.hyperbolicity import Kind, classify, cluster_roots
 from hyprep.invariants import eigenspace_basis
 from hyprep.poly import TrivariatePoly
 from tests.conftest import random_shift
+from tests.test_construct import singular_form
 from tests.test_hyperbolicity import _form_at_scale
 
 
@@ -52,6 +54,60 @@ def test_circle_factors_single_circle_cubic():
     fac = circle_factors(form)
     assert fac.k == 0
     assert fac.s == (pytest.approx(a * a / 12),)
+
+
+def test_circle_factors_reuse_the_classify_solve(monkeypatch, quartic_form, quintic_form):
+    # the circle parameters are the critical points classify solved for:
+    # the points of a classified form take no further polynomial solve
+    calls = []
+
+    def counting(name, solve):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+        return wrapped
+
+    forms = (quartic_form, quintic_form)
+    for form in forms:
+        classify(form)
+    monkeypatch.setattr(np, "roots", counting("np.roots", np.roots))
+    monkeypatch.setattr("hyprep.hyperbolicity._root_profiles",
+                        counting("_root_profiles", hyperbolicity._root_profiles))
+    for form in forms:
+        assert compute_intersections(form).total_multiplicity() == form.n * (form.n - 1)
+    assert calls == []
+
+
+def test_negative_circle_parameter_is_nonreal_circle():
+    # p = t^4 + 2 t^2 + 1 has its critical point in t^2 at x = -1: not a
+    # circle, and not clamped to one at infinity
+    form = InvariantForm(4, [2.0, 1.0], 0.5, 0.0)
+    with pytest.raises(NonrealCircle):
+        circle_factors(form)
+    with pytest.raises(NonrealCircle):
+        compute_intersections(form)
+
+
+def _reference_circle_parameters(form):
+    """The circle parameters solved apart from classify: np.roots of
+    T^m + sum_r (n - 2r) c_r / n T^(m - r), m = (n - 1) // 2, clustered by
+    single linkage in T / 2^e, 2^e above the largest root, descending."""
+    n, m = form.n, (form.n - 1) // 2
+    raw = np.roots([1.0] + [(n - 2 * r) * cr / n for r, cr in enumerate(form.c[:m], start=1)])
+    unit = 2.0 ** math.frexp(float(np.max(np.abs(raw))))[1]
+    return sorted((z.real * unit for z, mult in cluster_roots(raw / unit, CLUSTER_RADIUS)
+                   for _ in range(mult)), reverse=True)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_circle_factors_match_the_np_roots_reference(n):
+    for k in range(10):
+        forms = (forward_matching(random_shift(np.random.default_rng(5000 + 100 * n + k), n)),
+                 singular_form("equal_moduli", n, np.random.default_rng([n, k, 12])))
+        for form in forms:
+            got, want = circle_factors(form).s, _reference_circle_parameters(form)
+            assert len(got) == len(want) == (n - 1) // 2
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * want[0]
 
 
 def test_circle_intersect_counts_and_residuals(quintic_form):
@@ -194,8 +250,9 @@ def test_high_degree_points_certify_at_large_scales(n, scale):
 
 @pytest.mark.parametrize("n", range(6, 25, 3))
 def test_small_scale_circles_stay_apart(n):
-    # circle parameters of 1e-15 to 5e-13 are clustered relative to the
-    # largest of them, so they no longer merge into one repeated circle.
+    # circle parameters of 1e-15 to 5e-13 are the critical points solved in
+    # units of a power of two above the largest of them, and not clustered,
+    # so they do not merge into one repeated circle.
     # From n = 15 on the points still fail, typed: the stored-point budget
     # (n = 15, 18) or the circle trinomial overflows (n = 21, 24).  The
     # direct route may fail on these forms too, but only typed
