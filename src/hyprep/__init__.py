@@ -10,8 +10,7 @@ from .hyperbolicity import (Classification, Kind, classify, interlace_check,
                             is_hyperbolic)
 from .intersection import (CircleFactorization, IntersectionSet, Point,
                            circle_factors, circle_intersect,
-                           compute_intersections, infinity_points,
-                           split_conjugate)
+                           compute_intersections, infinity_points)
 from .invariants import (InvariantForm, eigenspace_basis, eigenspace_dim_formula,
                          invariant_dim)
 from .numrange import BoundarySample, boundary_sample, curve_sample, range_equal
@@ -29,8 +28,7 @@ __all__ = [
     "classify", "interlace_check",
     "ShiftMatrix",
     "CircleFactorization", "IntersectionSet", "Point", "circle_factors",
-    "circle_intersect", "infinity_points", "split_conjugate",
-    "compute_intersections",
+    "circle_intersect", "infinity_points", "compute_intersections",
     "HermitianPencil", "vanishing_form", "noether_division",
     "assemble_form_matrix", "pencil_from_adjugate", "normalize_pencil",
     "extract_shift", "represent",

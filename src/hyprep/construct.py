@@ -114,7 +114,7 @@ def _division_layout(n: int, ell: int):
     number of class-ell target monomials (degree 2(n-1)), the row table:
     rows[i, j] is the target row of t^i u^j v^(2n-2-i-j), or -1 outside the
     class, and the index that cuts the class-ell matrix out of the matrix of
-    every class (_DivisionMemo)."""
+    every class (_division_matrix)."""
     mon_a = eigenspace_basis(n, n - 2, ell)
     mon_b = eigenspace_basis(n, n - 1, ell)
     mon_rows = eigenspace_basis(n, 2 * (n - 1), ell)
@@ -143,46 +143,32 @@ def _every_class_layout(n: int):
     return rows, cols
 
 
-class _DivisionMemo:
-    """The division matrices of one (f, g11) pair.
+def _division_matrix(f: TrivariatePoly, g11: TrivariatePoly, n: int) -> np.ndarray:
+    """The division matrix of one (f, g11) pair over every class.
 
-    Column e of the class-ell matrix holds the coefficients of the monomial
-    multiple e*f (or e*g11).  Every monomial multiple of g has the
-    coefficients of the product 1*g, shifted, and keeps the same terms under
-    the DROP_TOL cut of the product, so those two products are all the
-    polynomial arithmetic the matrices need; the rest is index arithmetic.
-    f and g11 are invariant, so e*f and e*g11 stay in the class of e: one
-    matrix over every monomial holds every class, and each class is cut
-    out of it once.
+    Column e holds the coefficients of the monomial multiple e*f (or
+    e*g11).  Every monomial multiple of g has the coefficients of the
+    product 1*g, shifted, and keeps the same terms under the DROP_TOL cut of
+    the product, so those two products are all the polynomial arithmetic
+    the matrix needs; the rest is index arithmetic.  f and g11 are
+    invariant, so e*f and e*g11 stay in the class of e: _divide cuts the
+    class-ell matrix out of this one.
     """
-
-    def __init__(self, f: TrivariatePoly, g11: TrivariatePoly, n: int):
-        if f.degree != n or g11.degree != n - 1:
-            raise ValueError("division needs deg f = n and deg g11 = n - 1")
-        if any((e[1] - e[2]) % n for g in (f, g11) for e in g.terms):
-            raise ValueError("division needs rotation-invariant f and g11")
-        self.n = n
-        one = TrivariatePoly.monomial((0, 0, 0))
-        rows, cols = _every_class_layout(n)
-        self.every = np.zeros((rows.size, len(cols[0]) + len(cols[1])), dtype=complex)
-        start = 0
-        for mon, g in zip(cols, (f, g11)):
-            terms = (one * g).terms
-            exp = np.array(list(terms), dtype=np.intp).reshape(-1, 3)
-            where = rows[mon[:, None, 0] + exp[None, :, 0], mon[:, None, 1] + exp[None, :, 1]]
-            self.every[where, start + np.arange(len(mon))[:, None]] = list(terms.values())
-            start += len(mon)
-        self.systems = {}
-
-    def system(self, ell: int):
-        """The class-ell matrix A, its column norms, and A scaled by them."""
-        if ell not in self.systems:
-            A = self.every[_division_layout(self.n, ell)[4]]
-            # column equilibration: the system is consistent in exact
-            # arithmetic, so rescaling only improves the conditioning of the solve
-            col = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
-            self.systems[ell] = (A, col, A / col)
-        return self.systems[ell]
+    if f.degree != n or g11.degree != n - 1:
+        raise ValueError("division needs deg f = n and deg g11 = n - 1")
+    if any((e[1] - e[2]) % n for g in (f, g11) for e in g.terms):
+        raise ValueError("division needs rotation-invariant f and g11")
+    one = TrivariatePoly.monomial((0, 0, 0))
+    rows, cols = _every_class_layout(n)
+    every = np.zeros((rows.size, len(cols[0]) + len(cols[1])), dtype=complex)
+    start = 0
+    for mon, g in zip(cols, (f, g11)):
+        terms = (one * g).terms
+        exp = np.array(list(terms), dtype=np.intp).reshape(-1, 3)
+        where = rows[mon[:, None, 0] + exp[None, :, 0], mon[:, None, 1] + exp[None, :, 1]]
+        every[where, start + np.arange(len(mon))[:, None]] = list(terms.values())
+        start += len(mon)
+    return every
 
 
 def _poly_from_vec(vec, monomials, degree) -> TrivariatePoly:
@@ -190,13 +176,17 @@ def _poly_from_vec(vec, monomials, degree) -> TrivariatePoly:
     return TrivariatePoly._unchecked(degree, terms)
 
 
-def _divide(memo: _DivisionMemo, ell: int, targets: list) -> tuple:
+def _divide(every: np.ndarray, n: int, ell: int, targets: list) -> tuple:
     """Write every class-ell target h as a*f + b*g11: one least-squares
-    solve on memo's matrix with one column per target.  Returns the
-    coefficient vectors of a and b, stacked, one column per target, and each
-    column's residual relative to its target."""
-    A, col, scaled = memo.system(ell)
-    _, _, nrows, rows, _ = _division_layout(memo.n, ell)
+    solve on the class-ell matrix cut out of _division_matrix, with one
+    column per target.  Returns the coefficient vectors of a and b, stacked,
+    one column per target, and each column's residual relative to its
+    target."""
+    _, _, nrows, rows, cut = _division_layout(n, ell)
+    A = every[cut]
+    # column equilibration: the system is consistent in exact arithmetic, so
+    # rescaling only improves the conditioning of the solve
+    col = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
     exp = np.array([e for h in targets for e in h.terms], dtype=np.intp).reshape(-1, 3)
     where = rows[exp[:, 0], exp[:, 1]]
     if np.any(where < 0):
@@ -205,7 +195,7 @@ def _divide(memo: _DivisionMemo, ell: int, targets: list) -> tuple:
     rhs = np.zeros((nrows, len(targets)), dtype=complex)
     rhs[where, np.repeat(np.arange(len(targets)), [len(h.terms) for h in targets])] = [
         c for h in targets for c in h.terms.values()]
-    sol, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
+    sol, *_ = np.linalg.lstsq(A / col, rhs, rcond=None)
     sol = sol / col[:, None]
     resid = np.linalg.norm(A @ sol - rhs, axis=0)
     return sol, resid / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
@@ -226,7 +216,7 @@ def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
     """
     if h.degree != 2 * (n - 1):
         raise ValueError("division target must have degree 2(n-1)")
-    sol, relative = _divide(_DivisionMemo(f, g11, n), ell, [h])
+    sol, relative = _divide(_division_matrix(f, g11, n), n, ell, [h])
     _check_division(relative[0])
     mon_a, mon_b, _, _, _ = _division_layout(n, ell)
     return (_poly_from_vec(sol[: len(mon_a), 0], mon_a, n - 2),
@@ -251,14 +241,14 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> tuple:
     for j in range(1, n):
         g[0][j] = vanishing_form(iset, (0 - j) % n)
         g[j][0] = conj_involution(g[0][j])
-    memo = _DivisionMemo(f, g[0][0], n)
+    every = _division_matrix(f, g[0][0], n)
     classes = {}
     for i in range(1, n):
         for j in range(i, n):
             classes.setdefault((i - j) % n, []).append((i, j))
     cofactor = {}
     for ell, pairs in classes.items():
-        sol, relative = _divide(memo, ell, [g[i][0] * g[0][j] for i, j in pairs])
+        sol, relative = _divide(every, n, ell, [g[i][0] * g[0][j] for i, j in pairs])
         for k, ij in enumerate(pairs):
             cofactor[ij] = sol[:, k], relative[k]
     for i in range(1, n):

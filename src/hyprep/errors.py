@@ -34,12 +34,9 @@ class LeadingZero(HyprepError):
     """Points at infinity requested while both top coefficients vanish."""
 
 
-class RealSimplePoint(HyprepError):
-    """A self-conjugate intersection orbit of odd multiplicity; reroute to the spectral route."""
-
-
 class AmbiguousOrbit(HyprepError):
-    """Orbit clustering could not be resolved; reroute to the spectral route rather than guess."""
+    """A point at infinity with vanishing u, or a circle degenerated to t^2 on an
+    odd-degree form: no orbit census; reroute to the spectral route rather than guess."""
 
 
 class NoVanishingForm(HyprepError):

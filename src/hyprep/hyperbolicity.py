@@ -9,6 +9,9 @@ representation pipeline routes on the kind and on s.  An error in a
 critical point moves its value only to second order, so the critical
 points are not clustered.  They are solved once per form, and the circle
 parameters of intersection.circle_factors are the same unclustered numbers.
+Whether the gap of p +/- s closes at each of them is decided once per form
+too (_gaps): classify and is_hyperbolic read the verdict, and
+intersection.compute_intersections reads its census off the same flags.
 """
 
 import dataclasses
@@ -191,12 +194,15 @@ def _root_profiles(rows, radius: float = CLUSTER_RADIUS) -> list[RootProfile]:
     return profiles
 
 
-def _witnesses(form: InvariantForm):
-    """(plus, minus): whether p + s and p - s have a double root, read off
-    the critical values of p; None when the form is not hyperbolic.
+def _gaps(form: InvariantForm):
+    """Whether the gap p +/- s closes at each critical point of p; None when
+    the form is not hyperbolic.  InvariantForm._gaps holds it, once per form.
 
-    The critical points are t = 0 for even n and +/- sqrt(x) over the x of
-    form._critical_points, each evaluated where it was found; p is not real
+    Returns (closed, plus, minus).  closed has one flag per point of
+    form._critical_points, then one for t = 0 when n is even; plus and
+    minus say whether p + s and p - s have a double root.  The critical
+    points are +/- sqrt(x) over the x of form._critical_points, each
+    evaluated where it was found, and t = 0 for even n; p is not real
     rooted when that solve fails.  p is even or odd, so t >= 0 decides: from
     the largest down, minima and maxima alternate (a multiple root is both),
     starting with a minimum.  Each critical value is compared with s within
@@ -218,7 +224,8 @@ def _witnesses(form: InvariantForm):
         s_scaled = math.ldexp(s, -k * m - e * (k // 2))
     except OverflowError:       # c_m (even n) or s dwarfs every critical value
         return None
-    closed = {-1: False, 1: False}      # -1: a minimum at -s, 1: a maximum at s
+    closed = []
+    ends = {-1: False, 1: False}    # -1: a minimum at -s, 1: a maximum at s
     side = -1
     for y, mult in points:
         value = bound = 0.0
@@ -226,15 +233,18 @@ def _witnesses(form: InvariantForm):
             value, bound = value * y + aj, bound * y + abs(aj)
         root = math.sqrt(math.ldexp(y, k % 2)) if e else 1.0
         value, tol = value * root, 64 * sys.float_info.epsilon * bound * root
+        here = False
         for kind in (side, -side)[:mult]:
             margin = kind * value - s_scaled    # the gap p +/- s keeps here
             if margin < -tol:
                 return None
-            closed[kind] = closed[kind] or margin <= tol
+            if margin <= tol:
+                ends[kind] = here = True
+        closed.append(here)
         side *= (-1) ** mult
     if e or s == 0.0:
-        return (closed[-1] or closed[1],) * 2
-    return closed[-1], closed[1]
+        return (tuple(closed),) + (ends[-1] or ends[1],) * 2
+    return tuple(closed), ends[-1], ends[1]
 
 
 def _s_vanishes(form: InvariantForm) -> bool:
@@ -244,7 +254,7 @@ def _s_vanishes(form: InvariantForm) -> bool:
 
 def is_hyperbolic(form: InvariantForm) -> bool:
     """True iff both p(t) + s and p(t) - s have all real roots."""
-    return _witnesses(form) is not None
+    return form._gaps is not None
 
 
 def classify(form: InvariantForm) -> Classification:
@@ -252,14 +262,12 @@ def classify(form: InvariantForm) -> Classification:
 
     Singular when either endpoint polynomial p +/- s has a double root,
     that is, when a critical value of p equals -s or s, or when
-    c0 = ct0 = 0.  A third singular trigger (a real or repeated
-    intersection point discovered downstream) is handled by the
-    representation pipeline, not here.
+    c0 = ct0 = 0.  A real intersection point is no third trigger: it lies
+    on a self-conjugate orbit, that is on a closed gap.
     """
-    witnesses = _witnesses(form)
-    if witnesses is None:
+    if form._gaps is None:
         raise NotHyperbolic("form is not hyperbolic")
-    plus, minus = witnesses
+    _, plus, minus = form._gaps
     singular = _s_vanishes(form) or plus or minus
     return Classification(Kind.SINGULAR if singular else Kind.SMOOTH, form.s,
                           {"plus": plus, "minus": minus})

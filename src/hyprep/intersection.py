@@ -3,13 +3,18 @@
 For an invariant hyperbolic form the t-derivative factors (up to the
 scalar n and a possible factor of t) into circles t^2 - s_j uv with real
 s_j >= 0: the critical points of p in t^2, read from the solve classify
-makes once per form.  The n(n-1) common zeros come in closed form from a
-quadratic in u^n per circle, plus one in u^(n/2) on the line at infinity
-when n is even; every stored point is then checked against f and df/dt
-once.  The points fall into rotation orbits, and the orbits into conjugate
-pairs; one orbit per pair is kept in S, its mirror in Sbar, and a single
-representative per kept orbit forms the working set used by the
-construction.
+makes once per form.  On each circle the common zeros are the n-th roots of
+the roots of a quadratic in u^n whose discriminant is
+s_j^-n (p(sqrt(s_j))^2 - s^2); on the line at infinity (n even) they are the
+(n/2)-th roots of one in u^(n/2) whose discriminant is p(0)^2 - s^2.  So the
+gap of p +/- s at each critical point, which classify tests once per form,
+settles the census.  An open gap gives two rotation orbits, each the
+conjugate of the other: one is kept in S, its mirror in Sbar.  A closed gap
+gives one self-conjugate orbit at the exact double root, its multiplicity
+split half to each.  Nothing is clustered or matched, and the count n(n-1)
+holds by construction.  Every stored point is checked against f and df/dt
+once, and a single representative per kept orbit forms the working set
+used by the construction.
 """
 
 import cmath
@@ -18,10 +23,9 @@ import math
 
 import numpy as np
 
-from .config import CLUSTER_RADIUS, TOL_PT, TOL_SEP
-from .errors import (AmbiguousOrbit, LeadingZero, NonrealCircle,
-                     RealSimplePoint, SolveFailed)
-from .hyperbolicity import cluster_roots
+from .config import TOL_PT
+from .errors import (AmbiguousOrbit, LeadingZero, NonrealCircle, NotHyperbolic,
+                     SolveFailed)
 from .invariants import InvariantForm
 from .poly import _evaluate_many
 
@@ -104,47 +108,58 @@ class IntersectionSet:
         }
 
 
-def circle_factors(form: InvariantForm) -> CircleFactorization:
-    """Factor df/dt into circles: the s_j are the critical points of p in t^2."""
+def _critical_points(form: InvariantForm) -> tuple:
     if form._critical_points is None:
         raise NonrealCircle("a circle parameter is non-real or negative")
-    k, points = form._critical_points
+    return form._critical_points
+
+
+def circle_factors(form: InvariantForm) -> CircleFactorization:
+    """Factor df/dt into circles: the s_j are the critical points of p in t^2."""
+    k, points = _critical_points(form)
     s = tuple(math.ldexp(y, k) for y, mult in points for _ in range(mult))
     return CircleFactorization(1 - form.n % 2, s)
 
 
-def _trinomial_roots(A: complex, B: complex, C: complex, n: int) -> np.ndarray:
-    """Roots of A u^2n + B u^n + C via the quadratic in z = u^n.
+def _trinomial_roots(A: complex, B: complex, C: complex, n: int,
+                     closed: bool) -> list[np.ndarray]:
+    """Roots of A u^2n + B u^n + C via the quadratic in z = u^n, one array of
+    n per root z: each is one rotation orbit, exactly.
 
     The two roots of the quadratic come from the cancellation-free formula,
-    whatever decades A, B and C span, and the n-th roots of each are one
-    rotation orbit, exactly.
+    whatever decades A, B and C span.  On a closed gap the discriminant
+    vanishes, and the one orbit is the n-th roots of the double root -B/(2A).
     """
-    disc = np.sqrt(B * B - 4.0 * A * C + 0j)
-    if abs(B - disc) > abs(B + disc):
-        q = -(B - disc) / 2.0
+    if closed:
+        zs = (-B / (2.0 * A),)
     else:
-        q = -(B + disc) / 2.0
-    if abs(q) == 0.0:   # B = 0 and A C = 0 is excluded by the caller
-        z1 = np.sqrt(-C / A + 0j)
-        z2 = -z1
-    else:
-        z1, z2 = q / A, C / q
+        disc = np.sqrt(B * B - 4.0 * A * C + 0j)
+        if abs(B - disc) > abs(B + disc):
+            q = -(B - disc) / 2.0
+        else:
+            q = -(B + disc) / 2.0
+        if abs(q) == 0.0:   # B = 0 and A C = 0 is excluded by the caller
+            z1 = np.sqrt(-C / A + 0j)
+            zs = (z1, -z1)
+        else:
+            zs = (q / A, C / q)
     out = []
-    for z in (z1, z2):
+    for z in zs:
         mag = abs(z) ** (1.0 / n)
         arg = cmath.phase(z)
-        out.extend(mag * cmath.exp(1j * (arg + 2 * math.pi * k) / n)
-                   for k in range(n))
-    return np.asarray(out)
+        out.append(np.asarray([mag * cmath.exp(1j * (arg + 2 * math.pi * k) / n)
+                               for k in range(n)]))
+    return out
 
 
-def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:
-    """The 2n common zeros of the form and one circle t^2 = s_j uv.
+def _circle_orbits(form: InvariantForm, s_j: float, closed: bool = False) -> list[list[Point]]:
+    """The common zeros of the form and one circle t^2 = s_j uv, one list per
+    rotation orbit.
 
     In the chart t = 1 the circle forces v = 1/(s_j u), and clearing
-    denominators from f(1, u, 1/(s_j u)) leaves a degree-2n trinomial in u,
-    a quadratic in u^n whose two roots give two rotation orbits.
+    denominators from f(1, u, 1/(s_j u)) leaves A w^2 + B w + conj(A) s_j^-n
+    in w = u^n, with B = p(sqrt(s_j)) s_j^(-n/2) and discriminant
+    s_j^-n (p(sqrt(s_j))^2 - s^2): the gap of p +/- s at the critical point.
     """
     if s_j <= 0:
         raise ValueError("circle parameter must be positive")
@@ -160,11 +175,19 @@ def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:
         raise LeadingZero("circle solve needs a nonzero top coefficient")
     if not all(map(cmath.isfinite, (A, B, C))):
         raise SolveFailed("circle trinomial coefficients are not finite")
-    return [Point(1.0 + 0j, u, 1.0 / (s_j * u)) for u in _trinomial_roots(A, B, C, n)]
+    return [[Point(1.0 + 0j, u, 1.0 / (s_j * u)) for u in roots]
+            for roots in _trinomial_roots(A, B, C, n, closed)]
 
 
-def infinity_points(form: InvariantForm) -> list[tuple[Point, int]]:
-    """Zeros of the form on the line t = 0, with multiplicities (n even)."""
+def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:
+    """The 2n common zeros of the form and one circle t^2 = s_j uv: the n-th
+    roots of the two roots of a quadratic in u^n, two rotation orbits."""
+    return [p for orbit in _circle_orbits(form, s_j) for p in orbit]
+
+
+def _infinity_orbits(form: InvariantForm, closed: bool) -> list[list[Point]]:
+    """The zeros of the form on the line t = 0 (n even), one list per
+    rotation orbit; closed when the gap of p +/- s closes at t = 0."""
     n = form.n
     if n % 2 == 1:
         raise ValueError("points at infinity only arise for even degree")
@@ -172,33 +195,25 @@ def infinity_points(form: InvariantForm) -> list[tuple[Point, int]]:
     if abs(A) <= 1e-300:
         raise LeadingZero("both top coefficients vanish")
     # A u^n + c_(n/2) (uv)^(n/2) + conj(A) v^n in the chart v = 1
-    roots = _trinomial_roots(A, form.c[-1], A.conjugate(), n // 2)
-    clusters = cluster_roots(roots, CLUSTER_RADIUS)
-    out = []
-    for u, mult in clusters:
-        out.append((_normalize(0j, u, 1.0 + 0j), mult))
-    return out
+    orbits = _trinomial_roots(A, form.c[-1], A.conjugate(), n // 2, closed)
+    if not closed:
+        # an open-gap orbit starts at its lexicographically smallest u: the
+        # last bits of the representative depend on the start, and the
+        # goldens pin this one
+        orbits = [sorted(roots, key=lambda u: (u.real, u.imag)) for roots in orbits]
+    return [[_normalize(0j, u, 1.0 + 0j) for u in roots] for roots in orbits]
 
 
-def _orbit_key(p: Point, n: int) -> tuple:
-    if p.at_infinity:
-        return (0, p.v ** (n // 2), 0.0 + 0j)
-    return (1, p.u ** n, p.v ** n)
+def infinity_points(form: InvariantForm) -> list[tuple[Point, int]]:
+    """Zeros of a hyperbolic form on the line t = 0, with multiplicities (n
+    even): double exactly where the gap of p +/- s closes at t = 0."""
+    closed = _closed_gaps(form)[-1]
+    return [(p, 2 if closed else 1) for orbit in _infinity_orbits(form, closed) for p in orbit]
 
 
-def _keys_match(ka: tuple, kb: tuple, tol: float) -> bool:
-    # relative comparison: orbit keys of near-degenerate forms collapse
-    # toward zero together, and must still be told apart
-    if ka[0] != kb[0]:
-        return False
-    return all(abs(a - b) <= tol * max(abs(a), abs(b), 1e-280)
-               for a, b in zip(ka[1:], kb[1:]))
-
-
-def _canonical_rep(members: list[Point], n: int) -> Point:
-    """Rotate any member so that arg(u) (affine) or arg(v) (infinity) falls
-    into the fundamental window of the rotation action on that stratum."""
-    p = members[0]
+def _canonical_rep(p: Point, n: int) -> Point:
+    """Rotate p so that arg(u) (affine) or arg(v) (infinity) falls into the
+    fundamental window of the rotation action on that stratum."""
     if not p.at_infinity:
         window = 2 * math.pi / n
         ell = int(math.floor((cmath.phase(p.u) % (2 * math.pi)) / window))
@@ -225,73 +240,53 @@ def _lex_key(p: Point) -> tuple:
     return (p.u.real, p.u.imag, p.v.real, p.v.imag)
 
 
-def split_conjugate(points: list[tuple[Point, int]], n: int) -> IntersectionSet:
-    """Group points into rotation orbits and split them into conjugate halves.
+def _kept_orbit(orbits: list[list[Point]], mult: int, n: int) -> Orbit:
+    """The orbit S keeps of one root pair of a quadratic, with multiplicity.
 
-    Self-conjugate orbits of even multiplicity 2m contribute m copies to
-    each half; a self-conjugate orbit of odd multiplicity means a real
-    intersection point and reroutes the caller to the spectral route.
+    Two roots (an open gap) are two distinct orbits, each the conjugate of
+    the other: which is called S is a convention, and the published worked
+    examples keep the lexicographically smaller canonical representative.
+    One root (a closed gap) is a self-conjugate orbit of multiplicity 2 mult,
+    split mult to each half.
     """
-    # cluster by rotation-invariant keys
-    buckets: list[dict] = []
-    for p, mult in points:
-        key = _orbit_key(p, n)
-        for b in buckets:
-            if _keys_match(b["key"], key, TOL_SEP * n):
-                b["members"].append(p)
-                b["mult"] += mult
-                break
-        else:
-            buckets.append({"key": key, "members": [p], "mult": mult})
+    rep = min((_canonical_rep(orbit[0], n) for orbit in orbits), key=_lex_key)
+    return Orbit(rep, _orbit_members(rep, n), mult, rep.at_infinity)
 
-    orbits = []
-    for b in buckets:
-        at_inf = b["members"][0].at_infinity
-        size = n // 2 if at_inf else n
-        if b["mult"] % size != 0:
-            raise AmbiguousOrbit(
-                f"orbit multiplicity {b['mult']} not divisible by orbit size {size}")
-        rep = _canonical_rep(b["members"], n)
-        orbits.append(Orbit(rep, _orbit_members(rep, n), b["mult"] // size, at_inf))
 
-    # pair orbits with their conjugates
-    keys = [_orbit_key(o.rep, n) for o in orbits]
-    conj_keys = [_orbit_key(o.rep.conjugated(), n) for o in orbits]
-    paired: list[int | None] = [None] * len(orbits)
-    for i in range(len(orbits)):
-        for j in range(len(orbits)):
-            if _keys_match(keys[j], conj_keys[i], TOL_SEP * n * 10):
-                paired[i] = j
-                break
-        if paired[i] is None:
-            raise AmbiguousOrbit("orbit has no conjugate partner")
+def _closed_gaps(form: InvariantForm) -> tuple:
+    """The closed-gap flags of hyperbolicity._gaps; raises NotHyperbolic."""
+    if form._gaps is None:
+        raise NotHyperbolic("form is not hyperbolic")
+    return form._gaps[0]
 
-    chosen: list[Orbit] = []
-    seen = set()
-    for i, o in enumerate(orbits):
-        j = paired[i]
-        if i in seen or j in seen:
-            continue
-        if i == j:
-            if o.mult % 2 == 1:
-                raise RealSimplePoint(
-                    f"self-conjugate orbit of odd multiplicity {o.mult} at {o.rep.coords()}")
-            chosen.append(Orbit(o.rep, o.points, o.mult // 2, o.at_infinity))
-            seen.add(i)
-        else:
-            other = orbits[j]
-            if o.mult != other.mult:
-                raise AmbiguousOrbit("conjugate orbits with unequal multiplicity")
-            # which side of a conjugate pair is called S is a convention; the
-            # published worked examples keep the lexicographically smaller
-            # canonical representative
-            chosen.append(o if _lex_key(o.rep) <= _lex_key(other.rep) else other)
-            seen.update((i, j))
 
+def compute_intersections(form: InvariantForm) -> IntersectionSet:
+    """Full intersection pipeline: circles, infinity points, conjugate split.
+
+    Each critical point of p in t^2 is a circle, whose two orbits are
+    conjugate, or one self-conjugate orbit where the gap of p +/- s closes.
+    So are the points at infinity, at t = 0; there they carry the
+    multiplicity 1 + 2 (critical points at 0).  The residuals of every
+    stored point are checked.
+    """
+    n = form.n
+    k, points = _critical_points(form)
+    closed = _closed_gaps(form)
+    chosen = []
+    for (y, mult), shut in zip(points, closed):
+        if y > 0.0:
+            chosen.append(_kept_orbit(_circle_orbits(form, math.ldexp(y, k), shut), mult, n))
+    zero_circles = sum(mult for y, mult in points if y == 0.0)
+    if n % 2 == 0:
+        chosen.append(_kept_orbit(_infinity_orbits(form, closed[-1]), 1 + 2 * zero_circles, n))
+    elif zero_circles:
+        # a circle degenerated to t^2 on an odd-degree form: the
+        # affine-points guarantee failed, so reroute
+        raise AmbiguousOrbit("degenerate circle on odd-degree form")
     chosen.sort(key=lambda o: (o.at_infinity, _lex_key(o.rep)))
     S = tuple((p, o.mult) for o in chosen for p in o.points)
     Sbar = tuple((p.conjugated(), m) for p, m in S)
-    return IntersectionSet(
+    iset = IntersectionSet(
         n=n,
         orbits=tuple(chosen),
         reps=tuple(o.rep for o in chosen),
@@ -300,31 +295,6 @@ def split_conjugate(points: list[tuple[Point, int]], n: int) -> IntersectionSet:
         S=S,
         Sbar=Sbar,
     )
-
-
-def compute_intersections(form: InvariantForm) -> IntersectionSet:
-    """Full intersection pipeline: circles, infinity points, conjugate split.
-
-    Validates the total count n(n-1) and the residuals of every stored point.
-    """
-    n = form.n
-    fac = circle_factors(form)
-    zero_circles = sum(1 for s in fac.s if s == 0.0)
-    pts: list[tuple[Point, int]] = []
-    for s in fac.s:
-        if s > 0.0:
-            pts.extend((p, 1) for p in circle_intersect(form, s))
-    inf_weight = fac.k + 2 * zero_circles
-    if inf_weight > 0:
-        if n % 2 == 1:
-            # a circle degenerated to t^2 on an odd-degree form: the
-            # affine-points guarantee failed, so reroute
-            raise AmbiguousOrbit("degenerate circle on odd-degree form")
-        pts.extend((p, m * inf_weight) for p, m in infinity_points(form))
-    total = sum(m for _, m in pts)
-    if total != n * (n - 1):
-        raise AmbiguousOrbit(f"found {total} points, expected {n * (n - 1)}")
-    iset = split_conjugate(pts, n)
     _check_residuals(form, iset)
     return iset
 

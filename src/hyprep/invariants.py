@@ -89,6 +89,13 @@ class InvariantForm:
             return None
         return k, tuple((max(float(y), 0.0), mult) for y, mult in reversed(profile.roots))
 
+    @functools.cached_property
+    def _gaps(self):
+        """hyperbolicity._gaps of the form, evaluated once per form: classify,
+        is_hyperbolic and intersection.compute_intersections read it."""
+        from .hyperbolicity import _gaps    # it imports this module
+        return _gaps(self)
+
     def univariate(self) -> list:
         """Coefficients (leading first) of p(t) = t^n + sum_r c_r t^(n-2r)."""
         coeffs = [0.0] * (self.n + 1)

@@ -97,6 +97,13 @@ def test_represent_verify_realize_flow(capsys, tmp_path, quartic_file):
     assert all(abs(im) == 0.0 for _, im in weights)
 
 
+def test_points_of_a_nonhyperbolic_form_exit_3(capsys, tmp_path):
+    path = write_json(tmp_path / "bad.json", {"n": 4, "c": [-26.0, 72.0], "c0": -100.0, "ct0": 0.0})
+    code, out = run_cli(capsys, "points", "--input", path)
+    assert code == 3
+    assert out == ""
+
+
 def test_verify_mismatch_exit_code(capsys, quartic_file, tmp_path):
     wrong = write_json(tmp_path / "wrong.json",
                        {"n": 4, "weights": [[4, 0], [4, 0], [6, 0], [5, 0]]})
@@ -338,7 +345,12 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 # kept under "<name> companion solve".  "points quintic" and "represent
 # quintic direct route" were recorded once more when the circle parameters
 # became the critical points classify solves for; the stdout from the
-# np.roots solve of the circles is kept under "<name> np.roots circles"
+# np.roots solve of the circles is kept under "<name> np.roots circles".
+# "points quartic" and "represent quartic" were recorded once more when the
+# census came from the closed-gap flags: the closed gap at infinity is the
+# exact double root, and the representative [0:1:1] no longer carries the
+# roundoff of the clustered split roots; the earlier stdout is kept under
+# "<name> clustered infinity"
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -412,6 +424,7 @@ def test_golden_stdout_stays_near_the_companion_solve():
         "points quartic", "points quintic", "represent quartic", "represent quintic direct route")]
     pairs += [(name, name + " np.roots circles")
               for name in ("points quintic", "represent quintic direct route")]
+    pairs += [(name, name + " clustered infinity") for name in ("points quartic", "represent quartic")]
     for name, old_name in pairs:
         new, old = json.loads(golden[name]), json.loads(golden[old_name])
         if name.startswith("points"):

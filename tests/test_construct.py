@@ -12,7 +12,7 @@ from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, Kind, ShiftMatrix,
                     normalize_pencil, represent, vanishing_form, verify)
 from hyprep import construct
 from hyprep.config import LM_LINE, TOL_PATTERN
-from hyprep.construct import (_DivisionMemo, _represent_direct,
+from hyprep.construct import (_division_layout, _division_matrix, _represent_direct,
                               _represent_spectral, assemble_form_matrix,
                               pencil_from_adjugate)
 from hyprep.errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
@@ -121,16 +121,16 @@ def test_division_matrix_equals_the_product_built_one(quintic_form):
     for form in forms:
         n = form.n
         f = form.expand()
-        memo = _DivisionMemo(f, f.dt(), n)
+        every = _division_matrix(f, f.dt(), n)
         for ell in range(n):
             want = division_matrix_from_products(f, f.dt(), ell, n)
-            got = memo.system(ell)[0]
+            got = every[_division_layout(n, ell)[4]]
             assert got.shape == want.shape
             assert np.array_equal(got.view(float), want.view(float))
     # the coefficient of t^2 (uv)^2 in f and of t (uv)^2 in df/dt is cut
     f = tiny.expand()
     assert abs(f.coeff((2, 2, 2))) < DROP_TOL * f.max_abs_coeff()
-    A = _DivisionMemo(f, f.dt(), 6).system(0)[0]
+    A = _division_matrix(f, f.dt(), 6)[_division_layout(6, 0)[4]]
     assert np.count_nonzero(A[:, 0]) == len(f.terms) - 1
 
 
@@ -525,7 +525,7 @@ def test_represent_falls_back_to_the_direct_route(monkeypatch, quintic_form):
         represent(quintic_form)
 
 
-@pytest.mark.parametrize("n, k", [(3, 2), (5, 0)])
+@pytest.mark.parametrize("n, k", [(12, 5), (14, 3)])
 def test_represent_prefers_near_roundoff_and_keeps_a_certified_result(monkeypatch, n, k):
     # equal-moduli draws whose direct-route error lies in (1e-8, 1e-6] * scale:
     # certified, but short of roundoff, so the spectral route runs next
@@ -539,6 +539,17 @@ def test_represent_prefers_near_roundoff_and_keeps_a_certified_result(monkeypatc
         raise ConvergenceFailed("spectral route error")
     monkeypatch.setattr(construct, "_represent_spectral", failing)
     assert represent(form).weights == W_direct.weights
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_direct_route_certifies_equal_moduli_near_roundoff(n):
+    # every gap of these forms is closed: each circle and the line at
+    # infinity carry one self-conjugate orbit, at the exact double root
+    for k in range(10):
+        form = singular_form("equal_moduli", n, np.random.default_rng([n, k, 12]))
+        _, err = _represent_direct(form, DEFAULT_CONFIG.tol_final,
+                                   np.random.default_rng(DEFAULT_CONFIG.seed))
+        assert err <= 1e-8 * max(1.0, form.coefficient_scale()), (n, k)
 
 
 @pytest.mark.parametrize("n", range(4, 25))

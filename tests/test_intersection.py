@@ -1,5 +1,6 @@
 """Intersection of a form with its t-derivative: circles, orbits, conjugate split."""
 
+import dataclasses
 import math
 import warnings
 
@@ -7,10 +8,12 @@ import numpy as np
 import pytest
 
 from hyprep import (DEFAULT_CONFIG, InvariantForm, circle_factors, circle_intersect,
-                    compute_intersections, hyperbolicity, infinity_points)
+                    compute_intersections, hyperbolicity, infinity_points, intersection,
+                    is_hyperbolic)
 from hyprep.construct import _represent_direct
 from hyprep.config import CLUSTER_RADIUS
-from hyprep.errors import HyprepError, LeadingZero, NonrealCircle, RealSimplePoint
+from hyprep.errors import (AmbiguousOrbit, HyprepError, LeadingZero, NonrealCircle,
+                           NotHyperbolic, SolveFailed)
 from hyprep.forward import forward_matching
 from hyprep.hyperbolicity import Kind, classify, cluster_roots
 from hyprep.invariants import eigenspace_basis
@@ -226,18 +229,6 @@ def test_eigenclass_span_vanishing_extends_to_whole_orbit(quintic_form):
         assert worst < 1e-8
 
 
-def test_real_simple_point_reroutes():
-    # a self-conjugate orbit of odd multiplicity is a real intersection
-    # point; the split must refuse it and send the caller to the
-    # spectral route
-    from hyprep import Point, split_conjugate
-    n = 4
-    seed = Point(1.0 + 0j, 0.5 + 0j, 0.5 + 0j)      # real affine point
-    orbit = [(seed.rotated(k, n), 1) for k in range(n)]
-    with pytest.raises(RealSimplePoint):
-        split_conjugate(orbit, n)
-
-
 @pytest.mark.parametrize("scale", [1e16, 1e48])
 @pytest.mark.parametrize("n", [15, 18, 21, 24])
 def test_high_degree_points_certify_at_large_scales(n, scale):
@@ -272,3 +263,156 @@ def test_small_scale_circles_stay_apart(n):
         except HyprepError:
             pass
     assert len(set(fac.s)) == len(fac.s) == (n - 1) // 2
+
+
+# The census as it was read before it came from the closed-gap flags: every
+# circle's 2n points and the clustered points at infinity, grouped into
+# orbits by matching the keys u^n, v^n (or v^(n/2) at infinity) within 1e-6 n
+# relative, and paired with conjugates by matching keys within 1e-5 n.
+def _reference_points(form):
+    n = form.n
+    pts = [(p, 1) for s in circle_factors(form).s if s > 0.0
+           for p in circle_intersect(form, s)]
+    if n % 2 == 0:
+        A = complex(form.c0, -form.ct0) / 2
+        roots = intersection._trinomial_roots(A, form.c[-1], A.conjugate(), n // 2, False)
+        pts += [(intersection._normalize(0j, u, 1.0 + 0j), m)
+                for u, m in cluster_roots(np.concatenate(roots), CLUSTER_RADIUS)]
+    return pts
+
+
+def _reference_key(p, n):
+    if p.at_infinity:
+        return (0, p.v ** (n // 2), 0.0 + 0j)
+    return (1, p.u ** n, p.v ** n)
+
+
+def _reference_keys_match(ka, kb, tol):
+    if ka[0] != kb[0]:
+        return False
+    return all(abs(a - b) <= tol * max(abs(a), abs(b), 1e-280)
+               for a, b in zip(ka[1:], kb[1:]))
+
+
+def _reference_split(points, n):
+    buckets = []
+    for p, mult in points:
+        key = _reference_key(p, n)
+        for b in buckets:
+            if _reference_keys_match(b["key"], key, 1e-6 * n):
+                b["members"].append(p)
+                b["mult"] += mult
+                break
+        else:
+            buckets.append({"key": key, "members": [p], "mult": mult})
+    orbits = []
+    for b in buckets:
+        at_inf = b["members"][0].at_infinity
+        size = n // 2 if at_inf else n
+        if b["mult"] % size != 0:
+            raise AmbiguousOrbit("orbit multiplicity not divisible by orbit size")
+        rep = intersection._canonical_rep(b["members"][0], n)
+        orbits.append(intersection.Orbit(rep, intersection._orbit_members(rep, n),
+                                         b["mult"] // size, at_inf))
+    keys = [_reference_key(o.rep, n) for o in orbits]
+    conj_keys = [_reference_key(o.rep.conjugated(), n) for o in orbits]
+    paired = [next(j for j in range(len(orbits))
+                   if _reference_keys_match(keys[j], conj_keys[i], 1e-5 * n))
+              for i in range(len(orbits))]
+    chosen, seen = [], set()
+    for i, o in enumerate(orbits):
+        j = paired[i]
+        if i in seen or j in seen:
+            continue
+        if i == j:
+            if o.mult % 2 == 1:
+                raise AssertionError("self-conjugate orbit of odd multiplicity")
+            chosen.append(intersection.Orbit(o.rep, o.points, o.mult // 2, o.at_infinity))
+            seen.add(i)
+        else:
+            other = orbits[j]
+            assert o.mult == other.mult
+            key = intersection._lex_key
+            chosen.append(o if key(o.rep) <= key(other.rep) else other)
+            seen.update((i, j))
+    chosen.sort(key=lambda o: (o.at_infinity, intersection._lex_key(o.rep)))
+    S = tuple((p, o.mult) for o in chosen for p in o.points)
+    return intersection.IntersectionSet(
+        n=n, orbits=tuple(chosen), reps=tuple(o.rep for o in chosen),
+        orbit_mult=tuple(o.mult for o in chosen),
+        at_infinity=tuple(o.at_infinity for o in chosen),
+        S=S, Sbar=tuple((p.conjugated(), m) for p, m in S))
+
+
+def _bits(value):
+    """Every number in an IntersectionSet with its type and exact bits."""
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(x) for x in value)
+    if isinstance(value, (intersection.Point, intersection.Orbit, intersection.IntersectionSet)):
+        return _bits(tuple(getattr(value, f.name) for f in dataclasses.fields(value)))
+    if isinstance(value, (complex, np.complexfloating)):
+        return type(value).__name__, float(value.real).hex(), float(value.imag).hex()
+    return value
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_census_equals_the_key_matching_split_on_open_gaps(n):
+    # on forward images every gap is open: the closed-gap census is the
+    # key-matching one, bit for bit, and fails the residual budget with it
+    for k in range(10):
+        form = forward_matching(random_shift(np.random.default_rng(5000 + 100 * n + k), n))
+        assert not any(form._gaps[0])
+        want = _reference_split(_reference_points(form), n)
+        try:
+            got = compute_intersections(form)
+        except SolveFailed:
+            with pytest.raises(SolveFailed):
+                intersection._check_residuals(form, want)
+        else:
+            assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("n, draws", [(16, (2, 3, 4, 6, 9)), (18, (0, 1, 2, 3, 4, 5, 8, 9)),
+                                      (20, (0, 4, 8, 9))])
+def test_closed_gaps_of_high_degree_give_full_census(n, draws):
+    # every gap of an equal-moduli form is closed.  Roundoff in the
+    # discriminant split each of these double roots into two orbits that
+    # the key matching read as two real orbits of odd multiplicity; the
+    # exact double root gives one self-conjugate orbit per circle, whose
+    # points pass the residual budget
+    for k in draws:
+        form = singular_form("equal_moduli", n, np.random.default_rng([n, k, 12]))
+        assert all(form._gaps[0])
+        iset = compute_intersections(form)
+        assert iset.total_multiplicity() == n * (n - 1)
+        assert iset.orbit_mult == (1,) * (n // 2)
+
+
+def test_points_of_a_nonhyperbolic_form_raise_not_hyperbolic():
+    # the quartic with s = 100 above |p(0)| = 72: the gap at t = 0 is
+    # negative, so there is no census, whatever the roots at infinity are
+    form = InvariantForm(4, [-26.0, 72.0], -100.0, 0.0)
+    assert not is_hyperbolic(form)
+    with pytest.raises(NotHyperbolic):
+        compute_intersections(form)
+    with pytest.raises(NotHyperbolic):
+        infinity_points(form)
+
+
+def test_classify_and_points_evaluate_the_critical_values_once(monkeypatch, quartic_form,
+                                                              quintic_form):
+    calls = []
+
+    def counting(form):
+        calls.append(form)
+        return gaps(form)
+
+    gaps = hyperbolicity._gaps
+    monkeypatch.setattr(hyperbolicity, "_gaps", counting)
+    for fixture in (quartic_form, quintic_form):
+        form = InvariantForm.from_json(fixture.to_json())
+        classify(form)
+        compute_intersections(form)
+        assert is_hyperbolic(form)
+        assert calls == [form]
+        calls.clear()
