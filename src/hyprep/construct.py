@@ -12,13 +12,12 @@ Entries never get adjugated symbolically: the pencil is recovered by
 evaluating adj at sample points and fitting the three coefficient matrices
 of a linear pencil, which is exact in exact arithmetic since the target is
 linear.  All n^2 entries and f are evaluated at a block of candidate
-points in one batched pass (poly._evaluate_many), bit for bit as the
-scalar TrivariatePoly.evaluate would give them, and the adjugate quotient
-at every fit and holdout point comes from one stacked det and one stacked
-inv.  The curve divisions of one form matrix take one least-squares solve
-per eigenspace class, with one column per target, on a matrix cut out of
-one matrix of every class, written straight from the coefficients of f
-and df/dt by index arithmetic.
+points in one batched pass (poly._evaluate_many, one matrix product), and
+the adjugate quotient at every fit and holdout point comes from one
+stacked det and one stacked inv.  The curve divisions of one form matrix
+take one least-squares solve per eigenspace class, with one column per
+target, on a matrix cut out of one matrix of every class, written straight
+from the coefficients of f and df/dt by index arithmetic.
 
 That is the direct route, the paper's construction.  The spectral route
 is the second one: the weights of a Hermitian slice H(theta*) whose

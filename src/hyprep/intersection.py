@@ -304,5 +304,5 @@ def _check_residuals(form: InvariantForm, iset: IntersectionSet):
     values = _evaluate_many([form.expand(), form._derivative],
                             [p.coords() for p, _ in iset.S + iset.Sbar])
     for res in map(abs, values.T.ravel().tolist()):    # point by point, f first
-        if res > tol:
+        if not res <= tol:
             raise SolveFailed(f"stored point residual {res:.2e} above budget")

@@ -111,11 +111,7 @@ class TrivariatePoly:
     __rmul__ = __mul__
 
     def evaluate(self, t: complex, u: complex, v: complex) -> complex:
-        tp = _powers(t, self.degree)
-        up = _powers(u, self.degree)
-        vp = _powers(v, self.degree)
-        return sum(c * tp[e[0]] * up[e[1]] * vp[e[2]]
-                   for e, c in self.terms.items())
+        return complex(_evaluate_many([self], [(t, u, v)])[0, 0])
 
     def dt(self) -> "TrivariatePoly":
         """Partial derivative in t."""
@@ -149,64 +145,32 @@ def _cut(terms: dict, drop_tol: float) -> dict:
     return {e: complex(c) for e, c in terms.items() if abs(c) > cutoff}
 
 
-def _powers(z: complex, upto: int) -> list[complex]:
-    out = [1.0 + 0.0j]
-    for _ in range(upto):
-        out.append(out[-1] * z)
-    return out
-
-
-def _cmul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) on split float arrays, rounded as Python rounds
-    a complex product; numpy's complex multiply may fuse a multiply-add."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _evaluate_many(polys, points) -> np.ndarray:
     """Values of the polynomials at the (t, u, v) points, one row per
-    polynomial, equal bit for bit to TrivariatePoly.evaluate.
-
-    The arithmetic is the same: the power recursion of _powers, each term
-    ((c * t^i) * u^j) * v^k in dict order, and the terms added left to
-    right from zero.  Polynomials with fewer terms skip the missing ones
-    rather than add zeros, which keeps the sign of a zero sum.  This relies
-    on `sum` adding complex numbers left to right and on `complex * float`
-    promoting the float to a complex number, as CPython 3.11 does.
-    """
-    # terms in dict order, one row per polynomial, padded to the longest
-    counts = np.array([len(p.terms) for p in polys], dtype=np.intp)
-    owner = np.repeat(np.arange(len(polys)), counts)
-    slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    coef = np.zeros((len(polys), int(counts.max(initial=0))), dtype=complex)
-    expo = np.zeros(coef.shape + (3,), dtype=np.intp)
-    coef[owner, slot] = [c for p in polys for c in p.terms.values()]
-    expo[owner, slot] = np.array([e for p in polys for e in p.terms],
-                                 dtype=np.intp).reshape(-1, 3)
-    z = np.array(points, dtype=complex).reshape(-1, 3).T     # (3, points)
-    degree = max((p.degree for p in polys), default=0)
-    pr = np.empty((degree + 1,) + z.shape)                  # powers of t, u, v
-    pi = np.empty_like(pr)
-    pr[0], pi[0] = 1.0, 0.0
-    # Python's complex arithmetic overflows to inf and nan without a warning
+    polynomial: their coefficient matrix over the distinct monomials times
+    the table of those monomials at the points, which comes from one
+    cumulative power array of the coordinates.  Where a value or a monomial
+    overflows, the values read nan (a monomial makes every value at its
+    point nan): which parts the matrix product would leave inf and which
+    nan depends on the kernel."""
+    index = {}
+    for p in polys:
+        for e in p.terms:
+            index.setdefault(e, len(index))
+    coef = np.zeros((len(polys), len(index)), dtype=complex)
+    owner = np.repeat(np.arange(len(polys)), [len(p.terms) for p in polys])
+    coef[owner, [index[e] for p in polys for e in p.terms]] = [
+        c for p in polys for c in p.terms.values()]
+    expo = np.array(list(index), dtype=np.intp).reshape(-1, 3)
+    z = np.asarray(points, dtype=complex).reshape(-1, 3).T         # (3, points)
+    steps = np.ones((int(expo.max(initial=0)) + 1,) + z.shape, dtype=complex)
+    steps[1:] = z
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(degree):
-            pr[k + 1], pi[k + 1] = _cmul(pr[k], pi[k], z.real, z.imag)
-        tr, ti = coef.real[:, :, None], coef.imag[:, :, None]
-        for var in range(3):
-            tr, ti = _cmul(tr, ti, pr[expo[:, :, var], var], pi[expo[:, :, var], var])
-        sr = np.zeros((len(polys), z.shape[1]))
-        si = np.zeros_like(sr)
-        for k in range(coef.shape[1]):
-            has = counts > k
-            if has.all():
-                sr += tr[:, k]
-                si += ti[:, k]
-            else:
-                sr[has] += tr[has, k]
-                si[has] += ti[has, k]
-    out = np.empty(sr.shape, dtype=complex)
-    out.real, out.imag = sr, si
-    return out
+        powers = np.cumprod(steps, axis=0)              # powers[k, var] = z[var]^k
+        table = powers[expo[:, 0], 0] * powers[expo[:, 1], 1] * powers[expo[:, 2], 2]
+        values = coef @ table
+    values[~np.isfinite(values)] = np.nan
+    return values
 
 
 def rotate(p: TrivariatePoly, ell: int, n: int) -> TrivariatePoly:

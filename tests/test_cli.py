@@ -350,7 +350,10 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 # census came from the closed-gap flags: the closed gap at infinity is the
 # exact double root, and the representative [0:1:1] no longer carries the
 # roundoff of the clustered split roots; the earlier stdout is kept under
-# "<name> clustered infinity"
+# "<name> clustered infinity".  "represent quartic" and "represent quintic
+# direct route" were recorded once more when poly._evaluate_many became one
+# matrix product; the stdout of the scalar-arithmetic evaluator is kept under
+# "<name> scalar evaluator"
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -425,6 +428,8 @@ def test_golden_stdout_stays_near_the_companion_solve():
     pairs += [(name, name + " np.roots circles")
               for name in ("points quintic", "represent quintic direct route")]
     pairs += [(name, name + " clustered infinity") for name in ("points quartic", "represent quartic")]
+    pairs += [(name, name + " scalar evaluator")
+              for name in ("represent quartic", "represent quintic direct route")]
     for name, old_name in pairs:
         new, old = json.loads(golden[name]), json.loads(golden[old_name])
         if name.startswith("points"):

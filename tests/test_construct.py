@@ -22,6 +22,7 @@ from hyprep.invariants import eigenspace_basis
 from hyprep.poly import DROP_TOL, TrivariatePoly, conj_involution
 from tests.conftest import random_shift
 from tests.test_hyperbolicity import _form_at_scale
+from tests.test_poly import agrees_with_reference
 
 PUBLISHED_G12_QUARTIC = TrivariatePoly(3, {(2, 0, 1): -4.0, (0, 3, 0): -36.0, (0, 1, 2): 36.0})
 
@@ -267,7 +268,7 @@ def test_sample_points_leave_the_generator_as_one_draw_at_a_time(n, scale):
         assert pts == [(t, complex(x, y), complex(x, -y)) for t, x, y in want]
         f = form.expand()
         assert vals.shape == (1, count)
-        assert vals[0].tolist() == [f.evaluate(*p) for p in pts]
+        assert all(agrees_with_reference(f, p, x) for p, x in zip(pts, vals[0].tolist()))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     assert got_rng.random() == want_rng.random()
 
@@ -663,7 +664,10 @@ def test_represent_golden_weights(case):
     # solve; the weights of the complex companion solve are kept next to them.
     # Seven (n = 7..12) were recorded once more when the circle parameters
     # became the critical points classify solves for, with the weights from
-    # the np.roots solve of the circles kept as np_roots_circle_weights
+    # the np.roots solve of the circles kept as np_roots_circle_weights.  All
+    # fourteen were recorded again when poly._evaluate_many became one matrix
+    # product, with the weights of the scalar-arithmetic evaluator kept as
+    # scalar_evaluator_weights
     rng = np.random.default_rng(case["seed"])
     W = random_shift(rng, case["n"])
     if case["kind"] == "zero_weight":
@@ -678,7 +682,7 @@ def test_represent_golden_weights(case):
                          ids=lambda case: f"n{case['n']}-seed{case['seed']}")
 def test_golden_weights_stay_near_the_companion_solve(case):
     new = np.array([complex(w) for w in case["weights"]])
-    for key in ("companion_weights", "np_roots_circle_weights"):
+    for key in ("companion_weights", "np_roots_circle_weights", "scalar_evaluator_weights"):
         if key in case:
             old = np.array([complex(w) for w in case[key]])
             assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
