@@ -14,10 +14,10 @@ of a linear pencil, which is exact in exact arithmetic since the target is
 linear.  All n^2 entries and f are evaluated at a block of candidate
 points in one batched pass (poly._evaluate_many, one matrix product), and
 the adjugate quotient at every fit and holdout point comes from one
-stacked det and one stacked inv.  The curve divisions of one form matrix
-take one least-squares solve per eigenspace class, with one column per
-target, on a matrix cut out of one matrix of every class, written straight
-from the coefficients of f and df/dt by index arithmetic.
+stacked det and one stacked inv.  The entries below row one are fitted on
+the real curve: one least-squares fit per eigenspace class, with one
+column per entry, on the points of one root solve.  The construction runs
+at unit equal moduli, on the form rescaled by a power of two.
 
 That is the direct route, the paper's construction.  The spectral route
 is the second one: the weights of a Hermitian slice H(theta*) whose
@@ -35,7 +35,6 @@ roundoff gives way to the spectral route, and is kept if that fails.
 
 import cmath
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -47,10 +46,10 @@ from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                      IndefiniteDiagonal, NoetherResidual, NoVanishingForm,
                      PatternViolation)
 from .forward import coefficient_error
-from .hyperbolicity import Kind, _s_vanishes, classify, cluster_roots
+from .hyperbolicity import Kind, _root_profiles, _s_vanishes, classify, cluster_roots
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
-from .poly import TrivariatePoly, _evaluate_many, conj_involution, monomials_of_degree
+from .poly import TrivariatePoly, _evaluate_many, conj_involution
 from .shift import ShiftMatrix
 
 
@@ -107,102 +106,9 @@ def vanishing_form(iset: IntersectionSet, ell: int) -> TrivariatePoly:
     return p.monic()
 
 
-@functools.lru_cache(maxsize=256)
-def _division_layout(n: int, ell: int):
-    """Class-ell monomials of the two cofactors (degrees n-2 and n-1), the
-    number of class-ell target monomials (degree 2(n-1)), the row table:
-    rows[i, j] is the target row of t^i u^j v^(2n-2-i-j), or -1 outside the
-    class, and the index that cuts the class-ell matrix out of the matrix of
-    every class (_division_matrix)."""
-    mon_a = eigenspace_basis(n, n - 2, ell)
-    mon_b = eigenspace_basis(n, n - 1, ell)
-    mon_rows = eigenspace_basis(n, 2 * (n - 1), ell)
-    rows = np.full((2 * n - 1, 2 * n - 1), -1, dtype=np.intp)
-    for r, e in enumerate(mon_rows):
-        rows[e[0], e[1]] = r
-    rows.flags.writeable = False
-    every = [monomials_of_degree(d) for d in (2 * (n - 1), n - 2, n - 1)]
-    cut = np.ix_([every[0].index(e) for e in mon_rows],
-                 [every[1].index(e) for e in mon_a]
-                 + [len(every[1]) + every[2].index(e) for e in mon_b])
-    return mon_a, mon_b, len(mon_rows), rows, cut
-
-
-@functools.lru_cache(maxsize=64)
-def _every_class_layout(n: int):
-    """The row table of every target monomial (degree 2(n-1)), as in
-    _division_layout but over all classes, and the exponents of the
-    monomials of degrees n-2 and n-1."""
-    target = np.array(monomials_of_degree(2 * (n - 1)), dtype=np.intp)
-    rows = np.full((2 * n - 1, 2 * n - 1), -1, dtype=np.intp)
-    rows[target[:, 0], target[:, 1]] = np.arange(len(target))
-    cols = tuple(np.array(monomials_of_degree(d), dtype=np.intp) for d in (n - 2, n - 1))
-    for a in (rows, *cols):
-        a.flags.writeable = False
-    return rows, cols
-
-
-def _division_matrix(f: TrivariatePoly, g11: TrivariatePoly, n: int) -> np.ndarray:
-    """The division matrix of one (f, g11) pair over every class.
-
-    Column e holds the coefficients of the monomial multiple e*f (or
-    e*g11).  Every monomial multiple of g has the coefficients of the
-    product 1*g, shifted, and keeps the same terms under the DROP_TOL cut of
-    the product, so those two products are all the polynomial arithmetic
-    the matrix needs; the rest is index arithmetic.  f and g11 are
-    invariant, so e*f and e*g11 stay in the class of e: _divide cuts the
-    class-ell matrix out of this one.
-    """
-    if f.degree != n or g11.degree != n - 1:
-        raise ValueError("division needs deg f = n and deg g11 = n - 1")
-    if any((e[1] - e[2]) % n for g in (f, g11) for e in g.terms):
-        raise ValueError("division needs rotation-invariant f and g11")
-    one = TrivariatePoly.monomial((0, 0, 0))
-    rows, cols = _every_class_layout(n)
-    every = np.zeros((rows.size, len(cols[0]) + len(cols[1])), dtype=complex)
-    start = 0
-    for mon, g in zip(cols, (f, g11)):
-        terms = (one * g).terms
-        exp = np.array(list(terms), dtype=np.intp).reshape(-1, 3)
-        where = rows[mon[:, None, 0] + exp[None, :, 0], mon[:, None, 1] + exp[None, :, 1]]
-        every[where, start + np.arange(len(mon))[:, None]] = list(terms.values())
-        start += len(mon)
-    return every
-
-
 def _poly_from_vec(vec, monomials, degree) -> TrivariatePoly:
     terms = {e: c for e, c in zip(monomials, vec) if abs(c) > 0}
     return TrivariatePoly._unchecked(degree, terms)
-
-
-def _divide(every: np.ndarray, n: int, ell: int, targets: list) -> tuple:
-    """Write every class-ell target h as a*f + b*g11: one least-squares
-    solve on the class-ell matrix cut out of _division_matrix, with one
-    column per target.  Returns the coefficient vectors of a and b, stacked,
-    one column per target, and each column's residual relative to its
-    target."""
-    _, _, nrows, rows, cut = _division_layout(n, ell)
-    A = every[cut]
-    # column equilibration: the system is consistent in exact arithmetic, so
-    # rescaling only improves the conditioning of the solve
-    col = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
-    exp = np.array([e for h in targets for e in h.terms], dtype=np.intp).reshape(-1, 3)
-    where = rows[exp[:, 0], exp[:, 1]]
-    if np.any(where < 0):
-        e = tuple(exp[int(np.argmax(where < 0))].tolist())
-        raise ValueError(f"target monomial {e} outside class {ell}")
-    rhs = np.zeros((nrows, len(targets)), dtype=complex)
-    rhs[where, np.repeat(np.arange(len(targets)), [len(h.terms) for h in targets])] = [
-        c for h in targets for c in h.terms.values()]
-    sol, *_ = np.linalg.lstsq(A / col, rhs, rcond=None)
-    sol = sol / col[:, None]
-    resid = np.linalg.norm(A @ sol - rhs, axis=0)
-    return sol, resid / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
-
-
-def _check_division(relative: float):
-    if relative > TOL_NOETHER:
-        raise NoetherResidual(f"division residual {relative:.2e}")
 
 
 def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
@@ -211,51 +117,107 @@ def noether_division(f: TrivariatePoly, g11: TrivariatePoly, h: TrivariatePoly,
 
     Group-averaging the classical cofactors lands them in the same
     eigenspace as h, so the unknowns can be restricted structurally to the
-    class-ell monomials and solved as one least-squares system.
+    class-ell monomials: column e of the system holds the coefficients of
+    the product e*f (or e*g11), and one least-squares solve gives a and b.
     """
-    if h.degree != 2 * (n - 1):
-        raise ValueError("division target must have degree 2(n-1)")
-    sol, relative = _divide(_division_matrix(f, g11, n), n, ell, [h])
-    _check_division(relative[0])
-    mon_a, mon_b, _, _, _ = _division_layout(n, ell)
-    return (_poly_from_vec(sol[: len(mon_a), 0], mon_a, n - 2),
-            _poly_from_vec(sol[len(mon_a):, 0], mon_b, n - 1))
+    if h.degree != 2 * (n - 1) or f.degree != n or g11.degree != n - 1:
+        raise ValueError("division needs deg f = n, deg g11 = n - 1, deg h = 2(n - 1)")
+    mon_a = eigenspace_basis(n, n - 2, ell)
+    mon_b = eigenspace_basis(n, n - 1, ell)
+    rows = {e: r for r, e in enumerate(eigenspace_basis(n, 2 * (n - 1), ell))}
+
+    def coefficients(p):
+        out = np.zeros(len(rows), dtype=complex)
+        for e, c in p.terms.items():
+            if e not in rows:
+                raise ValueError(f"monomial {e} outside class {ell}")
+            out[rows[e]] = c
+        return out
+    products = [TrivariatePoly.monomial(e) * f for e in mon_a]
+    products += [TrivariatePoly.monomial(e) * g11 for e in mon_b]
+    A = np.stack([coefficients(p) for p in products], axis=1)
+    rhs = coefficients(h)
+    # column equilibration: the system is consistent in exact arithmetic, so
+    # rescaling only improves the conditioning of the solve
+    norms = np.maximum(np.linalg.norm(A, axis=0), 1e-300)
+    sol = np.linalg.lstsq(A / norms, rhs, rcond=None)[0] / norms
+    relative = np.linalg.norm(A @ sol - rhs) / max(np.linalg.norm(rhs), 1e-300)
+    if relative > TOL_NOETHER:
+        raise NoetherResidual(f"division residual {relative:.2e}")
+    return (_poly_from_vec(sol[:len(mon_a)], mon_a, n - 2),
+            _poly_from_vec(sol[len(mon_a):], mon_b, n - 1))
+
+
+def _curve_points(form: InvariantForm) -> list:
+    """Real points (t, e^(i theta), e^(-i theta)) of the curve f = 0.
+
+    There f = p(t) + s cos(n theta - phi), phi = atan2(ct0, c0), and a
+    hyperbolic form has n real roots t at every theta; these are the roots at
+    the three angles n theta - phi = pi/2 + {-pi/3, 0, pi/3}, from one
+    root solve.
+    """
+    n = form.n
+    phi = math.atan2(form.ct0, form.c0)
+    turns = (-math.pi / 3, 0.0, math.pi / 3)
+    rows = np.array([form.univariate()] * 3)
+    rows[:, -1] -= [form.s * math.sin(turn) for turn in turns]
+    pts = []
+    for turn, profile in zip(turns, _root_profiles(rows, 0.0)):
+        u = cmath.exp(1j * (phi + 0.5 * math.pi + turn) / n)
+        pts += [(t, u, u.conjugate()) for t, _ in profile.roots]
+    return pts
 
 
 def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> tuple:
     """Build the full Hermitian grid of degree n-1 forms, as n rows of n;
     entry (i, j) lies in eigenspace class (i - j) mod n.
 
-    Row one holds df/dt and the vanishing forms; the remaining upper
-    triangle is filled by curve division (its df/dt cofactor), diagonals
-    symmetrized to conjugation-fixed form (the averaging preserves the
-    residual because the division target is itself conjugation fixed).
-    Once row one is known every target g_i1 g_1j is, so each class is
-    divided in one solve; the residuals are checked in row-major order.
+    Row one holds df/dt and the vanishing forms, and column one their
+    conjugates.  On the curve f = 0 the matrix has rank one, so there
+    g_11 g_ij = g_i1 g_1j, and a class form of degree n-1 is fixed by its
+    values on the curve: each remaining entry of the upper triangle is the
+    class form with the values g_i1 g_1j / g_11 at real curve points
+    (_curve_points), the b of the curve division g_i1 g_1j = a f + b g_11.
+    At a real point column one is the conjugate of row one, so row one is
+    evaluated once.  Each class is one least-squares fit, with one column
+    per entry, on rows scaled to unit norm and equilibrated columns; the
+    residuals are checked in row-major order.  Diagonal entries are
+    symmetrized to conjugation-fixed form, the rest of the grid is the
+    conjugate of the upper triangle.
     """
     n = form.n
-    f = form.expand()
     g = [[None] * n for _ in range(n)]
     g[0][0] = form._derivative
     for j in range(1, n):
         g[0][j] = vanishing_form(iset, (0 - j) % n)
         g[j][0] = conj_involution(g[0][j])
-    every = _division_matrix(f, g[0][0], n)
+    pts = _curve_points(form)
+    values = _evaluate_many(g[0], pts)
+    z = np.array(pts).T
+    powers = np.cumprod([np.ones_like(z)] + [z] * (n - 1), axis=0)     # powers[k] = z^k
     classes = {}
     for i in range(1, n):
         for j in range(i, n):
             classes.setdefault((i - j) % n, []).append((i, j))
-    cofactor = {}
+    fit = {}
     for ell, pairs in classes.items():
-        sol, relative = _divide(every, n, ell, [g[i][0] * g[0][j] for i, j in pairs])
+        basis = eigenspace_basis(n, n - 1, ell)
+        e = np.array(basis)
+        A = (powers[e[:, 0], 0] * powers[e[:, 1], 1] * powers[e[:, 2], 2]).T
+        i, j = np.array(pairs).T
+        rhs = (values[i].conj() * values[j] / values[0]).T
+        norms = np.linalg.norm(A, axis=1, keepdims=True)
+        A, rhs = A / norms, rhs / norms
+        cols = np.linalg.norm(A, axis=0)
+        sol = np.linalg.lstsq(A / cols, rhs, rcond=None)[0] / cols[:, None]
+        relative = np.linalg.norm(A @ sol - rhs, axis=0) / np.linalg.norm(rhs, axis=0)
         for k, ij in enumerate(pairs):
-            cofactor[ij] = sol[:, k], relative[k]
+            fit[ij] = _poly_from_vec(sol[:, k], basis, n - 1), relative[k]
     for i in range(1, n):
         for j in range(i, n):
-            vec, relative = cofactor[i, j]
-            _check_division(relative)
-            mon_a, mon_b, _, _, _ = _division_layout(n, (i - j) % n)
-            b = _poly_from_vec(vec[len(mon_a):], mon_b, n - 1)
+            b, relative = fit[i, j]
+            if not relative <= TOL_NOETHER:     # a nan residual fails too
+                raise NoetherResidual(f"curve fit residual {relative:.2e} at G[{i}][{j}]")
             if i == j:
                 b = 0.5 * (b + conj_involution(b))
             g[i][j] = b
@@ -403,12 +365,29 @@ def extract_shift(P: HermitianPencil) -> ShiftMatrix:
 # direct route
 
 
+def _at_unit_moduli(form: InvariantForm) -> tuple[InvariantForm, int]:
+    """(unit, k): the form of W / 2^k, where W represents this one and k is
+    the nearest integer to log2 of the equal moduli kappa = sqrt(-4 c_1 / n).
+    Its coefficients c_r 4^(-rk) and (c0, ct0) 2^(-nk) are exact; at k = 0
+    it is this form, with what it has cached."""
+    n, c = form.n, form.c
+    k = round(0.5 * math.log2(-4.0 * c[0] / n)) if c[0] < 0.0 else 0
+    if k == 0:
+        return form, 0
+    return InvariantForm(n, [math.ldexp(cr, -2 * r * k) for r, cr in enumerate(c, 1)],
+                         math.ldexp(form.c0, -n * k), math.ldexp(form.ct0, -n * k)), k
+
+
 def _represent_direct(form: InvariantForm, tol_final: float,
                       rng: np.random.Generator) -> tuple[ShiftMatrix, float]:
     """The direct construction, one attempt, with its certified coefficient
-    error; an error above tol_final * max(1, scale) raises."""
-    G = assemble_form_matrix(form, compute_intersections(form))
-    W = extract_shift(normalize_pencil(pencil_from_adjugate(G, form, rng)))
+    error; an error above tol_final * max(1, scale) raises.  It runs at unit
+    equal moduli (_at_unit_moduli), and its weights, scaled back, are
+    checked against this form."""
+    unit, k = _at_unit_moduli(form)
+    G = assemble_form_matrix(unit, compute_intersections(unit))
+    W = extract_shift(normalize_pencil(pencil_from_adjugate(G, unit, rng)))
+    W = ShiftMatrix([w * 2.0 ** k for w in W.weights])
     err = coefficient_error(form, W)
     if err > tol_final * max(1.0, form.coefficient_scale()):
         raise AdjugateMismatch(f"verification error {err:.2e} after extraction")
@@ -609,8 +588,8 @@ def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatr
     """Cyclic weighted shift matrix whose pencil determinant equals the form.
 
     Two routes build it.  The direct route is the paper's construction
-    (intersection points, vanishing forms, curve division, pencil fit) in
-    one attempt; it needs s > 0.  The spectral route solves an inverse
+    (intersection points, vanishing forms, curve fit, pencil fit) in one
+    attempt; it needs s > 0.  The spectral route solves an inverse
     eigenvalue problem for the Hermitian slice H(theta*) at which the
     identity of shift.py reads det(tI + H(theta*)) = p(t).  Each route
     returns certified weights or raises.

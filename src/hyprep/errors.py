@@ -44,7 +44,7 @@ class NoVanishingForm(HyprepError):
 
 
 class NoetherResidual(HyprepError):
-    """Curve division residual above tolerance."""
+    """Curve fit or division residual above tolerance."""
 
 
 class AdjugateMismatch(HyprepError):

@@ -115,6 +115,7 @@ class InvariantForm:
         return cls(data["n"], data["c"], data["c0"], data["ct0"])
 
 
+@functools.lru_cache(maxsize=1024)
 def eigenspace_basis(n: int, k: int, ell: int) -> tuple:
     """Monomials t^i u^j v^k' of degree k with j - k' = ell mod n, as
     exponent triples in global order.

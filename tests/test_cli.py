@@ -353,7 +353,10 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 # "<name> clustered infinity".  "represent quartic" and "represent quintic
 # direct route" were recorded once more when poly._evaluate_many became one
 # matrix product; the stdout of the scalar-arithmetic evaluator is kept under
-# "<name> scalar evaluator"
+# "<name> scalar evaluator".  The same two were recorded once more when a
+# curve fit replaced the curve division and the direct route came to run at
+# unit equal moduli; the stdout of the division is kept under
+# "<name> curve division"
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -428,7 +431,7 @@ def test_golden_stdout_stays_near_the_companion_solve():
     pairs += [(name, name + " np.roots circles")
               for name in ("points quintic", "represent quintic direct route")]
     pairs += [(name, name + " clustered infinity") for name in ("points quartic", "represent quartic")]
-    pairs += [(name, name + " scalar evaluator")
+    pairs += [(name, name + suffix) for suffix in (" scalar evaluator", " curve division")
               for name in ("represent quartic", "represent quintic direct route")]
     for name, old_name in pairs:
         new, old = json.loads(golden[name]), json.loads(golden[old_name])

@@ -1,4 +1,4 @@
-"""The construction pipeline: vanishing forms, curve division, pencil, weights."""
+"""The construction pipeline: vanishing forms, curve fit and division, pencil, weights."""
 
 import json
 import pathlib
@@ -12,16 +12,15 @@ from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, Kind, ShiftMatrix,
                     normalize_pencil, represent, vanishing_form, verify)
 from hyprep import construct
 from hyprep.config import LM_LINE, TOL_PATTERN
-from hyprep.construct import (_division_layout, _division_matrix, _represent_direct,
-                              _represent_spectral, assemble_form_matrix,
+from hyprep.construct import (_represent_direct, _represent_spectral, assemble_form_matrix,
                               pencil_from_adjugate)
 from hyprep.errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                            NoetherResidual, PatternViolation)
 from hyprep.forward import coefficient_error, forward_matching, realize_real
 from hyprep.invariants import eigenspace_basis
-from hyprep.poly import DROP_TOL, TrivariatePoly, conj_involution
+from hyprep.poly import TrivariatePoly, conj_involution
 from tests.conftest import random_shift
-from tests.test_hyperbolicity import _form_at_scale
+from tests.test_hyperbolicity import SWEEP_SCALES, _form_at_scale
 from tests.test_poly import agrees_with_reference
 
 PUBLISHED_G12_QUARTIC = TrivariatePoly(3, {(2, 0, 1): -4.0, (0, 3, 0): -36.0, (0, 1, 2): 36.0})
@@ -102,39 +101,6 @@ def test_noether_division_trivial_multiple(quintic_form):
     assert b_hat.max_abs_coeff() < 1e-9
 
 
-def division_matrix_from_products(f, g11, ell, n):
-    """The class-ell division matrix built column by column from the
-    products monomial * f and monomial * g11."""
-    mon_rows = eigenspace_basis(n, 2 * (n - 1), ell)
-    cols = [TrivariatePoly.monomial(e) * f for e in eigenspace_basis(n, n - 2, ell)]
-    cols += [TrivariatePoly.monomial(e) * g11 for e in eigenspace_basis(n, n - 1, ell)]
-    A = np.zeros((len(mon_rows), len(cols)), dtype=complex)
-    for jcol, prod in enumerate(cols):
-        for e, c in prod.terms.items():
-            A[mon_rows.index(e), jcol] = c
-    return A
-
-
-def test_division_matrix_equals_the_product_built_one(quintic_form):
-    rng = np.random.default_rng(41)
-    tiny = InvariantForm(6, [-3.0, 1e-13, 2.0], 5.0, 1.0)      # c2 falls below the cut
-    forms = [quintic_form, tiny] + [forward_matching(random_shift(rng, n)) for n in (4, 7, 8)]
-    for form in forms:
-        n = form.n
-        f = form.expand()
-        every = _division_matrix(f, f.dt(), n)
-        for ell in range(n):
-            want = division_matrix_from_products(f, f.dt(), ell, n)
-            got = every[_division_layout(n, ell)[4]]
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(float), want.view(float))
-    # the coefficient of t^2 (uv)^2 in f and of t (uv)^2 in df/dt is cut
-    f = tiny.expand()
-    assert abs(f.coeff((2, 2, 2))) < DROP_TOL * f.max_abs_coeff()
-    A = _division_matrix(f, f.dt(), 6)[_division_layout(6, 0)[4]]
-    assert np.count_nonzero(A[:, 0]) == len(f.terms) - 1
-
-
 def test_form_matrix_invariants(quartic_form):
     iset = compute_intersections(quartic_form)
     G = assemble_form_matrix(quartic_form, iset)
@@ -188,13 +154,27 @@ def test_pencil_fit_makes_one_det_and_one_inv(monkeypatch, quartic_form, quintic
         monkeypatch.undo()
 
 
-def same_bits(p, q):
-    return p.degree == q.degree and list(p.terms.items()) == list(q.terms.items())
+def test_form_matrix_makes_one_root_solve(monkeypatch, quartic_form, quintic_form):
+    # the curve points of every class fit come from one root solve of the
+    # three rows p + s cos(n theta - phi), each of degree n
+    for form in (quartic_form, quintic_form):
+        iset = compute_intersections(form)
+        solves = []
+
+        def counted(rows, *args, real=construct._root_profiles):
+            solves.append(np.shape(rows))
+            return real(rows, *args)
+        monkeypatch.setattr(construct, "_root_profiles", counted)
+        assemble_form_matrix(form, iset)
+        assert solves == [(3, form.n + 1)]
+        monkeypatch.undo()
 
 
-def test_noether_division_equals_the_batched_column(quartic_form, quintic_form):
-    # one division on its own gives the column of the batched class solve
-    # bit for bit, for every entry of the form matrix
+def test_curve_fit_agrees_with_noether_division(quartic_form, quintic_form):
+    # in exact arithmetic the fitted entry is the b of the division
+    # g_i1 g_1j = a f + b g_11; the two solves differ in roundoff only, so
+    # each fitted entry is within 1e-8 of the division's, relative to its
+    # largest coefficient
     rng = np.random.default_rng(43)
     forms = [quartic_form, quintic_form] + [forward_matching(random_shift(rng, n)) for n in (6, 7)]
     for form in forms:
@@ -206,14 +186,14 @@ def test_noether_division_equals_the_batched_column(quartic_form, quintic_form):
                 _, b = noether_division(f, G[0][0], G[i][0] * G[0][j], (i - j) % n, n)
                 if i == j:
                     b = 0.5 * (b + conj_involution(b))
-                assert same_bits(b, G[i][j]), (n, i, j)
+                assert b.distance(G[i][j]) <= 1e-8 * b.max_abs_coeff(), (n, i, j)
 
 
 def test_form_matrix_reports_the_row_major_first_division_failure(monkeypatch, quartic_form):
     # a vanishing form moved off the points spoils every target in column 3
-    # and in row 3: (1,3) of class 2, (2,3) of class 3 and (3,3) of class 0.
-    # Classes are solved together, but the failure reported is the first in
-    # row-major order, with the message a division by itself gives
+    # and in row 3: G[1][3] of class 2, G[2][3] of class 3 and G[3][3] of
+    # class 0.  Classes are fitted together, but the failure reported is the
+    # first in row-major order, and a division of that target fails too
     vanishing = construct.vanishing_form
 
     def moved(iset, ell):
@@ -224,13 +204,11 @@ def test_form_matrix_reports_the_row_major_first_division_failure(monkeypatch, q
         return p
     monkeypatch.setattr(construct, "vanishing_form", moved)
     iset = compute_intersections(quartic_form)
-    with pytest.raises(NoetherResidual) as caught:
+    with pytest.raises(NoetherResidual, match=r"^curve fit residual .* at G\[1\]\[3\]$"):
         assemble_form_matrix(quartic_form, iset)
     f = quartic_form.expand()
-    g03 = moved(iset, 1)
-    with pytest.raises(NoetherResidual) as alone:
-        noether_division(f, f.dt(), conj_involution(moved(iset, 3)) * g03, 2, 4)
-    assert str(caught.value) == str(alone.value) == "division residual 4.47e-05"
+    with pytest.raises(NoetherResidual, match="^division residual"):
+        noether_division(f, f.dt(), conj_involution(moved(iset, 3)) * moved(iset, 1), 2, 4)
 
 
 def reference_sample_points(form, count, rng):
@@ -468,8 +446,8 @@ def runtime_warnings(caught):
 @pytest.mark.parametrize("k", range(10))
 def test_represent_degree_16_fails_typed_and_quietly(monkeypatch, k):
     # at n = 16 the direct route's adjugate quotient overflows or turns
-    # non-finite: a typed failure, after one attempt, with no numpy
-    # RuntimeWarning on the way
+    # non-finite on nine of these ten draws: a typed failure, after one
+    # attempt, with no numpy RuntimeWarning on the way.  Draw 5 certifies
     calls = []
 
     def counted(*args, assemble=construct.assemble_form_matrix):
@@ -479,8 +457,11 @@ def test_represent_degree_16_fails_typed_and_quietly(monkeypatch, k):
     form = forward_matching(random_shift(np.random.default_rng(1760 + k), 16))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(HyprepError):
-            direct_route(form)
+        if k == 5:
+            assert_certified(form, direct_route(form))
+        else:
+            with pytest.raises(HyprepError):
+                direct_route(form)
     assert not runtime_warnings(caught)
     assert len(calls) == 1
 
@@ -526,10 +507,11 @@ def test_represent_falls_back_to_the_direct_route(monkeypatch, quintic_form):
         represent(quintic_form)
 
 
-@pytest.mark.parametrize("n, k", [(12, 5), (14, 3)])
+@pytest.mark.parametrize("n, k", [(14, 9), (16, 9)])
 def test_represent_prefers_near_roundoff_and_keeps_a_certified_result(monkeypatch, n, k):
     # equal-moduli draws whose direct-route error lies in (1e-8, 1e-6] * scale:
-    # certified, but short of roundoff, so the spectral route runs next
+    # certified, but short of roundoff, so the spectral route runs next.  They
+    # are the first two such draws over n = 12..18, k < 10, in order
     form = singular_form("equal_moduli", n, np.random.default_rng([n, k, 12]))
     scale = max(1.0, form.coefficient_scale())
     W_direct = direct_route(form)
@@ -542,7 +524,7 @@ def test_represent_prefers_near_roundoff_and_keeps_a_certified_result(monkeypatc
     assert represent(form).weights == W_direct.weights
 
 
-@pytest.mark.parametrize("n", range(3, 12))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_direct_route_certifies_equal_moduli_near_roundoff(n):
     # every gap of these forms is closed: each circle and the line at
     # infinity carry one self-conjugate orbit, at the exact double root
@@ -551,6 +533,17 @@ def test_direct_route_certifies_equal_moduli_near_roundoff(n):
         _, err = _represent_direct(form, DEFAULT_CONFIG.tol_final,
                                    np.random.default_rng(DEFAULT_CONFIG.seed))
         assert err <= 1e-8 * max(1.0, form.coefficient_scale()), (n, k)
+
+
+@pytest.mark.parametrize("scale", SWEEP_SCALES)
+@pytest.mark.parametrize("n", [3, 6, 9, 12])
+def test_direct_route_certifies_sweep_forms_at_every_scale(n, scale):
+    # the construction runs at unit equal moduli, whatever the coefficient
+    # scale of the form
+    form = _form_at_scale(n, 0, scale)
+    _, err = _represent_direct(form, DEFAULT_CONFIG.tol_final,
+                               np.random.default_rng(DEFAULT_CONFIG.seed))
+    assert err <= DEFAULT_CONFIG.tol_final * max(1.0, form.coefficient_scale())
 
 
 @pytest.mark.parametrize("n", range(4, 25))
@@ -667,7 +660,9 @@ def test_represent_golden_weights(case):
     # the np.roots solve of the circles kept as np_roots_circle_weights.  All
     # fourteen were recorded again when poly._evaluate_many became one matrix
     # product, with the weights of the scalar-arithmetic evaluator kept as
-    # scalar_evaluator_weights
+    # scalar_evaluator_weights.  All fourteen were recorded again when a curve
+    # fit replaced the curve division and the direct route came to run at unit
+    # equal moduli, with the weights of the division kept as division_weights
     rng = np.random.default_rng(case["seed"])
     W = random_shift(rng, case["n"])
     if case["kind"] == "zero_weight":
@@ -678,14 +673,17 @@ def test_represent_golden_weights(case):
 
 
 @pytest.mark.parametrize("case", [case for case in json.loads(GOLDEN_WEIGHTS.read_text())
-                                  if "companion_weights" in case],
+                                  if "exact_weights" in case],
                          ids=lambda case: f"n{case['n']}-seed{case['seed']}")
 def test_golden_weights_stay_near_the_companion_solve(case):
+    # exact_weights are the weights of the same construction on the same
+    # float64 inputs (row one, curve points, sample points), with every later
+    # step in 60 digits: tests/make_exact_weights.py writes them.  The older
+    # weight lists of the case are history; the division's are up to 2.7e-10
+    # from exact_weights
     new = np.array([complex(w) for w in case["weights"]])
-    for key in ("companion_weights", "np_roots_circle_weights", "scalar_evaluator_weights"):
-        if key in case:
-            old = np.array([complex(w) for w in case[key]])
-            assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
+    exact = np.array([complex(w) for w in case["exact_weights"]])
+    assert np.max(np.abs(new - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 SPECTRAL_GOLDEN = pathlib.Path(__file__).with_name("spectral_golden.json")
