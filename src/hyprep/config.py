@@ -11,8 +11,7 @@ import dataclasses
 # root engine
 TOL_ROOT = 1e-8         # |Im| <= TOL_ROOT * (1 + |root|) counts as real
 CLUSTER_RADIUS = 1e-6   # multiplicity clustering, scaled by (1 + |root|)
-# intersection points
-TOL_PT = 1e-8           # residual budget, scaled by (1 + coefficient scale)
+# numerical ranges
 TOL_RANGE = 1e-9        # support functions this close mean equal numerical ranges
 # construction stages
 TOL_VAN = 1e-7
@@ -21,7 +20,6 @@ TOL_PENCIL = 1e-7
 TOL_PATTERN = 1e-6
 DROP_TOL = 1e-12        # sparse polynomial coefficient cleanup; s below it is zero
 MAX_RETRIES = 5         # spectral-route starts; the equal-moduli one runs only below LM_LINE
-NEAR_ROUNDOFF = 1e-8    # represent takes the first route whose error, scaled, is below it
 # spectral route, in units of the equal moduli
 LM_STEPS = 100          # Levenberg-Marquardt steps per start
 LM_CONVERGED = 1e-10    # residual norm below which a rejected step ends a start
@@ -31,9 +29,9 @@ LM_LINE = 1e-3          # the equal-moduli start runs only if its residual is be
 
 @dataclasses.dataclass(frozen=True)
 class Config:
-    """The caller's choices: the seed of the construction's random draws
-    (sample points and spectral restarts) and the relative coefficient
-    error at which a representation is accepted."""
+    """The caller's choices: the seed of the spectral route's random
+    restarts (the direct route draws nothing at random) and the relative
+    coefficient error at which a representation is accepted."""
 
     seed: int = 7
     tol_final: float = 1e-6

@@ -11,13 +11,15 @@ off-diagonal coefficients yields the shift weights.
 Entries never get adjugated symbolically: the pencil is recovered by
 evaluating adj at sample points and fitting the three coefficient matrices
 of a linear pencil, which is exact in exact arithmetic since the target is
-linear.  All n^2 entries and f are evaluated at a block of candidate
-points in one batched pass (poly._evaluate_many, one matrix product), and
-the adjugate quotient at every fit and holdout point comes from one
-stacked det and one stacked inv.  The entries below row one are fitted on
-the real curve: one least-squares fit per eigenspace class, with one
-column per entry, on the points of one root solve.  The construction runs
-at unit equal moduli, on the form rescaled by a power of two.
+linear.  The sample points lie on one circle of the chart t = 1, fixed by
+c_1, on which f is bounded away from zero at every coefficient scale; all
+n^2 entries and f are evaluated there in one batched pass
+(poly._evaluate_many, one matrix product), and the adjugate quotient at
+every fit and holdout point comes from one stacked det and one stacked
+inv.  The entries below row one are fitted on the real curve: one
+least-squares fit per eigenspace class, with one column per entry, on the
+points of one root solve.  The construction runs at unit equal moduli, on
+the form rescaled by a power of two.
 
 That is the direct route, the paper's construction.  The spectral route
 is the second one: the weights of a Hermitian slice H(theta*) whose
@@ -27,24 +29,23 @@ from equal moduli leaves them equal, so that start runs only when its line
 meets the target (equal-moduli images); seeded restarts follow.  represent
 tries the spectral route first on smooth forms and the direct route first
 on singular forms with s > 0.  Forms with s = 0 take the spectral route
-alone.  The direct route makes one attempt.  represent returns the first
-result certified near roundoff (error at most NEAR_ROUNDOFF times the
-scale), else the first certified one: a direct-route result short of
-roundoff gives way to the spectral route, and is kept if that fails.
+alone.  The direct route makes one attempt and draws nothing at random.
+represent returns the first result that certifies.
 """
 
 import cmath
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
 from .config import (CLUSTER_RADIUS, DEFAULT_CONFIG, LM_CONVERGED, LM_LINE,
-                     LM_STALL, LM_STEPS, MAX_RETRIES, NEAR_ROUNDOFF, TOL_NOETHER,
-                     TOL_PATTERN, TOL_PENCIL, TOL_ROOT, TOL_VAN, Config)
+                     LM_STALL, LM_STEPS, MAX_RETRIES, TOL_NOETHER, TOL_PATTERN,
+                     TOL_PENCIL, TOL_ROOT, TOL_VAN, Config)
 from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
-                     IndefiniteDiagonal, NoetherResidual, NoVanishingForm,
-                     PatternViolation)
+                     IndefiniteDiagonal, NoetherResidual, NotHyperbolic,
+                     NoVanishingForm, PatternViolation)
 from .forward import coefficient_error
 from .hyperbolicity import Kind, _root_profiles, _s_vanishes, classify, cluster_roots
 from .intersection import IntersectionSet, compute_intersections
@@ -226,48 +227,27 @@ def assemble_form_matrix(form: InvariantForm, iset: IntersectionSet) -> tuple:
     return tuple(tuple(row) for row in g)
 
 
-def _sample_points(form: InvariantForm, count: int, rng: np.random.Generator,
-                   polys=()) -> tuple[list, np.ndarray]:
-    """Deterministic real sample points (t, x + iy, x - iy) where |f| is
-    comfortably large, starting with (1, 0, 0), and the values there of
-    polys and then of f, one row per polynomial.
+def _sample_points(form: InvariantForm, count: int, polys=()) -> tuple[list, np.ndarray]:
+    """Real sample points (1, r e^(i theta_k), r e^(-i theta_k)), with
+    theta_k = 2 pi (k + 1/2) / count and r = 1 / (2 sqrt(-2 c_1)), and the
+    values there of polys and then of f, one row per polynomial.
 
-    Candidates (t, x, y) are drawn in blocks, and every polynomial is
-    evaluated once per block.  Row (t, x, y) of a block is the next three
-    draws in order, and 2 uniform(-1, 1) is uniform(-2, 2) bit for bit, so
-    the candidates are those of one draw at a time; the generator is then
-    rewound to end where that loop would have left it, after the last
-    candidate used.
+    There f = r^n (p(1/r) + s cos(n theta - phi)) = prod (1 - r x_k), where
+    the x_k are the n real roots of p + s cos(n theta - phi), with
+    sum x_k^2 = -2 c_1.  So every factor lies in [1/2, 3/2], and f in
+    [2^-n, (3/2)^n], at every coefficient scale.  A form with c_1 >= 0 is
+    not hyperbolic with s > 0.
     """
-    scale = form.coefficient_scale()
-    radius = 1.0 + scale
-    polys = [*polys, form.expand()]
-    start = rng.bit_generator.state
-    pts, cols, drawn, tries = [], [], 0, 200 * count
-    while len(pts) < count:
-        if drawn == tries:
-            raise AdjugateMismatch("could not find well-separated sample points")
-        need = count - len(pts)
-        block = rng.uniform(-1.0, 1.0, size=(min(need + 2 + need // 4, tries - drawn), 3))
-        block[:, 0] *= 2.0
-        block *= radius
-        head = [] if pts else [[1.0, 0.0, 0.0]]     # kept without a test
-        z = [(t, complex(x, y), complex(x, -y)) for t, x, y in head + block.tolist()]
-        vals = _evaluate_many(polys, z)
-        # np.hypot is Python's abs bit for bit; np.abs of a complex array is not
-        keep = np.hypot(vals[-1].real, vals[-1].imag) >= 0.1 * scale
-        keep[:len(head)] = True
-        used = np.flatnonzero(keep)[:need]
-        pts.extend(z[k] for k in used.tolist())
-        cols.append(vals[:, used])
-        drawn += used[-1] + 1 - len(head) if len(pts) == count else len(block)
-    rng.bit_generator.state = start
-    rng.random(3 * drawn)
-    return pts, np.concatenate(cols, axis=1)
+    if not form.c[0] < 0.0:
+        raise NotHyperbolic("no sample circle: c_1 >= 0, so the form is not "
+                            "hyperbolic with s > 0")
+    r = 0.5 / math.sqrt(-2.0 * form.c[0])
+    u = r * np.exp(2j * math.pi * (np.arange(count) + 0.5) / count)
+    pts = [(1.0, z, z.conjugate()) for z in u.tolist()]
+    return pts, _evaluate_many([*polys, form.expand()], pts)
 
 
-def pencil_from_adjugate(G: tuple, form: InvariantForm,
-                         rng: np.random.Generator) -> HermitianPencil:
+def pencil_from_adjugate(G: tuple, form: InvariantForm) -> HermitianPencil:
     """Fit the linear pencil adj(G)/f^(n-2) from point evaluations.
 
     Because the true quotient is linear in (t, u, v), a least-squares fit of
@@ -278,29 +258,18 @@ def pencil_from_adjugate(G: tuple, form: InvariantForm,
     """
     n = len(G)
     n_fit, n_hold = max(8, n + 4), 3
-    pts, vals = _sample_points(form, n_fit + n_hold, rng, [g for row in G for g in row])
+    pts, vals = _sample_points(form, n_fit + n_hold, [g for row in G for g in row])
     Gvals = vals[:-1].T.reshape(len(pts), n, n)
-    # the adjugate quotient at every point at once.  A singular, overflowing
-    # or non-finite quotient is a failed fit, not a crash; the last two are
-    # reported for the first such point, as a point-by-point fit would
+    # the adjugate quotient at every point at once.  A singular form matrix
+    # or a quotient that is not finite is a failed fit, not a crash
     try:
         with np.errstate(all="ignore"):
             adj = np.linalg.det(Gvals)[:, None, None] * np.linalg.inv(Gvals)
+            Q = adj / vals[-1][:, None, None] ** (n - 2)
     except np.linalg.LinAlgError:
         raise AdjugateMismatch("form matrix is singular at a sample point") from None
-    failed = [None] * len(pts)
-    den = np.ones(len(pts), dtype=complex)
-    for k, x in enumerate(vals[-1].tolist()):
-        try:
-            den[k] = x ** (n - 2)
-        except OverflowError:
-            failed[k] = "adjugate quotient overflows"
-    with np.errstate(all="ignore"):
-        Q = adj / den[:, None, None]
-    for k in np.flatnonzero(~np.isfinite(Q).reshape(len(pts), -1).all(axis=1)).tolist():
-        failed[k] = failed[k] or "adjugate quotient is not finite"
-    for message in filter(None, failed[:n_fit]):
-        raise AdjugateMismatch(message)
+    if not np.isfinite(Q).all():
+        raise AdjugateMismatch("adjugate quotient is not finite")
 
     Amat = np.asarray(pts[:n_fit])                                # (npts, 3)
     sol, *_ = np.linalg.lstsq(Amat, Q[:n_fit].reshape(n_fit, -1), rcond=None)
@@ -310,8 +279,6 @@ def pencil_from_adjugate(G: tuple, form: InvariantForm,
 
     mscale = max(np.max(np.abs(sol)), 1e-300)
     for k in range(n_fit, n_fit + n_hold):
-        if failed[k]:
-            raise AdjugateMismatch(failed[k])
         t, u, v = pts[k]
         pred = t * Mt + u * Mu + v * Mv
         if np.max(np.abs(pred - Q[k])) > TOL_PENCIL * mscale * 100:
@@ -368,25 +335,30 @@ def extract_shift(P: HermitianPencil) -> ShiftMatrix:
 def _at_unit_moduli(form: InvariantForm) -> tuple[InvariantForm, int]:
     """(unit, k): the form of W / 2^k, where W represents this one and k is
     the nearest integer to log2 of the equal moduli kappa = sqrt(-4 c_1 / n).
-    Its coefficients c_r 4^(-rk) and (c0, ct0) 2^(-nk) are exact; at k = 0
-    it is this form, with what it has cached."""
+    Its coefficients c_r 4^(-rk) and (c0, ct0) 2^(-nk) are exact, and so are
+    its critical points x 4^(-k), which it takes over from this form's
+    solve; at k = 0 it is this form, with what it has cached."""
     n, c = form.n, form.c
     k = round(0.5 * math.log2(-4.0 * c[0] / n)) if c[0] < 0.0 else 0
     if k == 0:
         return form, 0
-    return InvariantForm(n, [math.ldexp(cr, -2 * r * k) for r, cr in enumerate(c, 1)],
-                         math.ldexp(form.c0, -n * k), math.ldexp(form.ct0, -n * k)), k
+    unit = InvariantForm(n, [math.ldexp(cr, -2 * r * k) for r, cr in enumerate(c, 1)],
+                         math.ldexp(form.c0, -n * k), math.ldexp(form.ct0, -n * k))
+    critical = form._critical_points
+    if critical is not None:
+        critical = (critical[0] - 2 * k, critical[1])
+    object.__setattr__(unit, "_critical_points", critical)
+    return unit, k
 
 
-def _represent_direct(form: InvariantForm, tol_final: float,
-                      rng: np.random.Generator) -> tuple[ShiftMatrix, float]:
+def _represent_direct(form: InvariantForm, tol_final: float) -> tuple[ShiftMatrix, float]:
     """The direct construction, one attempt, with its certified coefficient
     error; an error above tol_final * max(1, scale) raises.  It runs at unit
     equal moduli (_at_unit_moduli), and its weights, scaled back, are
     checked against this form."""
     unit, k = _at_unit_moduli(form)
     G = assemble_form_matrix(unit, compute_intersections(unit))
-    W = extract_shift(normalize_pencil(pencil_from_adjugate(G, unit, rng)))
+    W = extract_shift(normalize_pencil(pencil_from_adjugate(G, unit)))
     W = ShiftMatrix([w * 2.0 ** k for w in W.weights])
     err = coefficient_error(form, W)
     if err > tol_final * max(1.0, form.coefficient_scale()):
@@ -598,31 +570,23 @@ def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatr
     try the direct route first: an even-multiplicity self-conjugate orbit
     splits its multiplicity between the conjugate halves, so the direct
     route still applies to many of them.  Forms with s = 0 take the
-    spectral route alone.  The routes run in turn, sharing one seeded
-    random generator, until one certifies near roundoff (error at most
-    NEAR_ROUNDOFF * max(1, scale)); failing that, the first certified
-    result is returned, and failing that, the last route's error is raised.
+    spectral route alone.  The routes run in turn; the first result that
+    certifies is returned, and failing that, the last route's error is
+    raised.  Only the spectral restarts draw from the seeded generator.
     """
     cls = classify(form)    # raises NotHyperbolic
-    rng = np.random.default_rng(config.seed)
-    scale = max(1.0, form.coefficient_scale())
+    spectral = functools.partial(_represent_spectral, form, config.tol_final,
+                                 np.random.default_rng(config.seed))
+    direct = functools.partial(_represent_direct, form, config.tol_final)
     if _s_vanishes(form):
-        routes = [_represent_spectral]
+        routes = [spectral]
     elif cls.kind is Kind.SMOOTH:
-        routes = [_represent_spectral, _represent_direct]
+        routes = [spectral, direct]
     else:
-        routes = [_represent_direct, _represent_spectral]
-    certified = None
+        routes = [direct, spectral]
     for route in routes:
         try:
-            W, err = route(form, config.tol_final, rng)
+            return route()[0]
         except HyprepError as exc:
             last_error = exc
-            continue
-        if err <= NEAR_ROUNDOFF * scale:
-            return W
-        if certified is None:
-            certified = W
-    if certified is None:
-        raise last_error
-    return certified
+    raise last_error

@@ -13,21 +13,22 @@ conjugate of the other: one is kept in S, its mirror in Sbar.  A closed gap
 gives one self-conjugate orbit at the exact double root, its multiplicity
 split half to each.  Nothing is clustered or matched, and the count n(n-1)
 holds by construction.  Every stored point is checked against f and df/dt
-once, and a single representative per kept orbit forms the working set
-used by the construction.
+once, relative to the Horner bound of each value, and a single
+representative per kept orbit forms the working set used by the
+construction.
 """
 
 import cmath
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
-from .config import TOL_PT
 from .errors import (AmbiguousOrbit, LeadingZero, NonrealCircle, NotHyperbolic,
                      SolveFailed)
 from .invariants import InvariantForm
-from .poly import _evaluate_many
+from .poly import TrivariatePoly, _evaluate_many
 
 
 @dataclasses.dataclass(frozen=True)
@@ -300,9 +301,17 @@ def compute_intersections(form: InvariantForm) -> IntersectionSet:
 
 
 def _check_residuals(form: InvariantForm, iset: IntersectionSet):
-    tol = TOL_PT * (1.0 + form.coefficient_scale()) * 100
-    values = _evaluate_many([form.expand(), form._derivative],
-                            [p.coords() for p, _ in iset.S + iset.Sbar])
-    for res in map(abs, values.T.ravel().tolist()):    # point by point, f first
-        if not res <= tol:
-            raise SolveFailed(f"stored point residual {res:.2e} above budget")
+    """Every stored point is a zero of f and df/dt within 64 n eps of the
+    value's Horner bound: the sum of |coefficient| |monomial| there, the
+    absolute coefficients at the absolute coordinates.  A nan fails."""
+    polys = [form.expand(), form._derivative]
+    points = np.array([p.coords() for p, _ in iset.S + iset.Sbar])
+    absolute = [TrivariatePoly._unchecked(p.degree, {e: abs(c) for e, c in p.terms.items()})
+                for p in polys]
+    values = _evaluate_many(polys, points)
+    bounds = _evaluate_many(absolute, np.abs(points))
+    tol = 64 * form.n * sys.float_info.epsilon
+    # point by point, f first
+    for res, bound in zip(np.abs(values).T.ravel().tolist(), bounds.real.T.ravel().tolist()):
+        if not res <= tol * bound:
+            raise SolveFailed(f"stored point residual {res:.2e} above budget {tol * bound:.2e}")

@@ -48,8 +48,7 @@ def direct_route_inputs(form):
             return kept[name][1]
         setattr(construct, name, traced)
     try:
-        construct._represent_direct(form, DEFAULT_CONFIG.tol_final,
-                                    np.random.default_rng(DEFAULT_CONFIG.seed))
+        construct._represent_direct(form, DEFAULT_CONFIG.tol_final)
     finally:
         for name, function in real.items():
             setattr(construct, name, function)

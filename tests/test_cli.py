@@ -265,7 +265,7 @@ def test_represent_with_every_spectral_start_skipped_is_numerical_failure(
     # a generic smooth form on which the one spectral start is skipped and
     # the direct route fails: exit 3 with a message, never a traceback
     monkeypatch.setattr(construct, "MAX_RETRIES", 1)
-    form = forward_matching(random_shift(np.random.default_rng(1760), 13))
+    form = forward_matching(random_shift(np.random.default_rng([20, 2, 7]), 20))
     path = write_json(tmp_path / "f.json", {"n": form.n, "c": list(form.c),
                                             "c0": form.c0, "ct0": form.ct0})
     code = main(["represent", "--input", path])
@@ -356,7 +356,9 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 # "<name> scalar evaluator".  The same two were recorded once more when a
 # curve fit replaced the curve division and the direct route came to run at
 # unit equal moduli; the stdout of the division is kept under
-# "<name> curve division"
+# "<name> curve division".  The same two were recorded once more when the
+# pencil fit's sample points moved from a seeded random box to one fixed
+# circle; the stdout of the box is kept under "<name> random sample box"
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -407,11 +409,10 @@ def test_golden_stdout(capsys, tmp_path, name):
 
 
 def test_direct_route_keeps_quintic_golden_stdout():
-    # the direct route alone, with the seeded generator represent starts from,
-    # gives the weights the CLI printed while it was the first route
+    # the direct route alone gives the weights the CLI printed while it was
+    # the first route
     form = InvariantForm.from_json(GOLDEN_INPUTS["quintic_form"])
-    W, _ = _represent_direct(form, DEFAULT_CONFIG.tol_final,
-                             np.random.default_rng(DEFAULT_CONFIG.seed))
+    W, _ = _represent_direct(form, DEFAULT_CONFIG.tol_final)
     out = _format_json({"shift": W.to_json(), "verify": verify(form, W).to_json()})
     assert out + "\n" == json.loads(GOLDEN_PATH.read_text())["represent quintic direct route"]
 
@@ -431,7 +432,8 @@ def test_golden_stdout_stays_near_the_companion_solve():
     pairs += [(name, name + " np.roots circles")
               for name in ("points quintic", "represent quintic direct route")]
     pairs += [(name, name + " clustered infinity") for name in ("points quartic", "represent quartic")]
-    pairs += [(name, name + suffix) for suffix in (" scalar evaluator", " curve division")
+    pairs += [(name, name + suffix)
+              for suffix in (" scalar evaluator", " curve division", " random sample box")
               for name in ("represent quartic", "represent quintic direct route")]
     for name, old_name in pairs:
         new, old = json.loads(golden[name]), json.loads(golden[old_name])

@@ -10,7 +10,7 @@ import pytest
 from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, Kind, ShiftMatrix,
                     classify, compute_intersections, extract_shift, noether_division,
                     normalize_pencil, represent, vanishing_form, verify)
-from hyprep import construct
+from hyprep import construct, hyperbolicity
 from hyprep.config import LM_LINE, TOL_PATTERN
 from hyprep.construct import (_represent_direct, _represent_spectral, assemble_form_matrix,
                               pencil_from_adjugate)
@@ -149,7 +149,7 @@ def test_pencil_fit_makes_one_det_and_one_inv(monkeypatch, quartic_form, quintic
         G = assemble_form_matrix(form, compute_intersections(form))
         det = counting(monkeypatch, np.linalg, "det")
         inv = counting(monkeypatch, np.linalg, "inv")
-        pencil_from_adjugate(G, form, np.random.default_rng(Config().seed))
+        pencil_from_adjugate(G, form)
         assert (len(det), len(inv)) == (1, 1)
         monkeypatch.undo()
 
@@ -211,44 +211,28 @@ def test_form_matrix_reports_the_row_major_first_division_failure(monkeypatch, q
         noether_division(f, f.dt(), conj_involution(moved(iset, 3)) * moved(iset, 1), 2, 4)
 
 
-def reference_sample_points(form, count, rng):
-    """The sample points drawn one candidate at a time, as the pencil fit
-    first drew them."""
-    f = form.expand()
-    scale = form.coefficient_scale()
-    radius = 1.0 + scale
-    pts = [(1.0, 0.0, 0.0)]
-    for _ in range(200 * count):
-        if len(pts) == count:
-            return pts
-        t = float(rng.uniform(-2.0, 2.0)) * radius
-        x, y = (float(z) for z in rng.uniform(-1.0, 1.0, size=2) * radius)
-        if abs(f.evaluate(t, complex(x, y), complex(x, -y))) >= 0.1 * scale:
-            pts.append((t, x, y))
-    return pts if len(pts) == count else None
-
-
-@pytest.mark.parametrize("scale", [1.0, 1e3, 1e16, 1e48])
-@pytest.mark.parametrize("n", [4, 6, 9])
-def test_sample_points_leave_the_generator_as_one_draw_at_a_time(n, scale):
-    # the block draws give the same points and leave the generator in the
-    # state of the one-at-a-time loop, also when no point is found (n = 6
-    # and 9 at scale 1e48)
+@pytest.mark.parametrize("scale", SWEEP_SCALES)
+@pytest.mark.parametrize("n", [4, 6, 9, 15, 24])
+def test_sample_points_keep_f_within_its_factor_bounds(n, scale):
+    # f = prod (1 - r x_k) on the sample circle, each factor in [1/2, 3/2]:
+    # the points are fixed by c_1, and f stays inside [2^-n, (3/2)^n] at
+    # every coefficient scale, without a rejection test
     form = _form_at_scale(n, 0, scale)
     count = max(8, n + 4) + 3
-    want_rng, got_rng = np.random.default_rng(7), np.random.default_rng(7)
-    want = reference_sample_points(form, count, want_rng)
-    if want is None:
-        with pytest.raises(AdjugateMismatch):
-            construct._sample_points(form, count, got_rng)
-    else:
-        pts, vals = construct._sample_points(form, count, got_rng)
-        assert pts == [(t, complex(x, y), complex(x, -y)) for t, x, y in want]
-        f = form.expand()
-        assert vals.shape == (1, count)
-        assert all(agrees_with_reference(f, p, x) for p, x in zip(pts, vals[0].tolist()))
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    assert got_rng.random() == want_rng.random()
+    pts, vals = construct._sample_points(form, count)
+    assert pts == construct._sample_points(form, count)[0]
+    assert len(pts) == count and vals.shape == (1, count)
+    f = form.expand()
+    assert all(agrees_with_reference(f, p, x) for p, x in zip(pts, vals[0].tolist()))
+    assert np.all(np.abs(vals[0].imag) <= 1e-12 * vals[0].real)
+    assert np.all((2.0 ** -n <= vals[0].real) & (vals[0].real <= 1.5 ** n))
+
+
+def test_sample_points_of_a_form_without_a_sample_circle_fail_typed():
+    # c_1 >= 0: no hyperbolic form with s > 0, and no circle to sample on
+    form = InvariantForm(4, [1.0, 0.5], 0.5, 0.0)
+    with pytest.raises(HyprepError):
+        construct._sample_points(form, 11)
 
 
 def test_form_matrix_quartic_g22(quartic_form):
@@ -262,8 +246,7 @@ def test_form_matrix_quartic_g22(quartic_form):
 def test_fitted_pencil_determinant_reproduces_form(quartic_form):
     iset = compute_intersections(quartic_form)
     G = assemble_form_matrix(quartic_form, iset)
-    rng = np.random.default_rng(Config().seed)
-    P = normalize_pencil(pencil_from_adjugate(G, quartic_form, rng))
+    P = normalize_pencil(pencil_from_adjugate(G, quartic_form))
     f = quartic_form.expand()
     check = np.random.default_rng(1)
     for _ in range(10):
@@ -281,7 +264,7 @@ def test_singular_form_matrix_fails_typed(quartic_form):
     zero = TrivariatePoly(3)
     G = tuple((zero,) * 4 for _ in range(4))
     with pytest.raises(AdjugateMismatch):
-        pencil_from_adjugate(G, quartic_form, np.random.default_rng(Config().seed))
+        pencil_from_adjugate(G, quartic_form)
 
 
 def _pattern_by_entry_loop(Mt, Mu, tol):
@@ -339,7 +322,7 @@ def test_pencil_pattern_check_matches_the_entry_loop(monkeypatch, quartic_form, 
     monkeypatch.setattr(np.linalg, "lstsq", moved)
     monkeypatch.setattr(construct, "TOL_PENCIL", np.inf)
     try:
-        P = pencil_from_adjugate(G, quartic_form, np.random.default_rng(Config().seed))
+        P = pencil_from_adjugate(G, quartic_form)
         message = None
     except PatternViolation as exc:
         message = str(exc)
@@ -354,8 +337,7 @@ def test_pencil_pattern_check_matches_the_entry_loop(monkeypatch, quartic_form, 
 def test_pencil_rotation_covariance(quartic_form):
     iset = compute_intersections(quartic_form)
     G = assemble_form_matrix(quartic_form, iset)
-    rng = np.random.default_rng(Config().seed)
-    P = normalize_pencil(pencil_from_adjugate(G, quartic_form, rng))
+    P = normalize_pencil(pencil_from_adjugate(G, quartic_form))
     n = quartic_form.n
     w = np.exp(2j * np.pi / n)
     Om = np.diag([w ** k for k in range(n)])
@@ -434,9 +416,8 @@ def assert_certified(form, W, headroom=1.0):
 
 
 def direct_route(form):
-    """The direct route alone, from the seeded generator represent starts from."""
-    return _represent_direct(form, DEFAULT_CONFIG.tol_final,
-                             np.random.default_rng(DEFAULT_CONFIG.seed))[0]
+    """The direct route alone."""
+    return _represent_direct(form, DEFAULT_CONFIG.tol_final)[0]
 
 
 def runtime_warnings(caught):
@@ -445,9 +426,10 @@ def runtime_warnings(caught):
 
 @pytest.mark.parametrize("k", range(10))
 def test_represent_degree_16_fails_typed_and_quietly(monkeypatch, k):
-    # at n = 16 the direct route's adjugate quotient overflows or turns
-    # non-finite on nine of these ten draws: a typed failure, after one
-    # attempt, with no numpy RuntimeWarning on the way.  Draw 5 certifies
+    # at n = 16 the sample circle keeps f inside [2^-16, 1.5^16], so the
+    # adjugate quotient stays finite: the direct route fails on none of
+    # these ten draws, typed or not.  Each certifies after one attempt, with
+    # no numpy RuntimeWarning on the way
     calls = []
 
     def counted(*args, assemble=construct.assemble_form_matrix):
@@ -457,11 +439,7 @@ def test_represent_degree_16_fails_typed_and_quietly(monkeypatch, k):
     form = forward_matching(random_shift(np.random.default_rng(1760 + k), 16))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if k == 5:
-            assert_certified(form, direct_route(form))
-        else:
-            with pytest.raises(HyprepError):
-                direct_route(form)
+        assert_certified(form, direct_route(form))
     assert not runtime_warnings(caught)
     assert len(calls) == 1
 
@@ -507,21 +485,27 @@ def test_represent_falls_back_to_the_direct_route(monkeypatch, quintic_form):
         represent(quintic_form)
 
 
-@pytest.mark.parametrize("n, k", [(14, 9), (16, 9)])
-def test_represent_prefers_near_roundoff_and_keeps_a_certified_result(monkeypatch, n, k):
-    # equal-moduli draws whose direct-route error lies in (1e-8, 1e-6] * scale:
-    # certified, but short of roundoff, so the spectral route runs next.  They
-    # are the first two such draws over n = 12..18, k < 10, in order
-    form = singular_form("equal_moduli", n, np.random.default_rng([n, k, 12]))
-    scale = max(1.0, form.coefficient_scale())
-    W_direct = direct_route(form)
-    assert 1e-8 * scale < coefficient_error(form, W_direct) <= 1e-6 * scale
-    assert coefficient_error(form, represent(form)) <= 1e-8 * scale
+def test_represent_solves_for_the_critical_points_once(monkeypatch):
+    # an equal-moduli image at kappa = 1000 takes the direct route, which
+    # runs on the form rescaled by 2^-10: its critical points are this
+    # form's times 4^-10, exactly, carried over rather than solved again
+    phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=9)
+    form = forward_matching(ShiftMatrix(1e3 * np.exp(1j * phases)))
+    solves = []
 
-    def failing(*args):
-        raise ConvergenceFailed("spectral route error")
-    monkeypatch.setattr(construct, "_represent_spectral", failing)
-    assert represent(form).weights == W_direct.weights
+    def counted(rows, *args, real=hyperbolicity._root_profiles):
+        solves.append(np.shape(rows))
+        return real(rows, *args)
+    monkeypatch.setattr(hyperbolicity, "_root_profiles", counted)
+    seen = []
+
+    def traced(*args, route=construct._represent_direct):
+        seen.append(args[0])
+        return route(*args)
+    monkeypatch.setattr(construct, "_represent_direct", traced)
+    assert_certified(form, represent(form))
+    assert seen == [form] and solves == [(1, 5)]
+    assert construct._at_unit_moduli(form)[1] == 10
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -530,8 +514,7 @@ def test_direct_route_certifies_equal_moduli_near_roundoff(n):
     # infinity carry one self-conjugate orbit, at the exact double root
     for k in range(10):
         form = singular_form("equal_moduli", n, np.random.default_rng([n, k, 12]))
-        _, err = _represent_direct(form, DEFAULT_CONFIG.tol_final,
-                                   np.random.default_rng(DEFAULT_CONFIG.seed))
+        _, err = _represent_direct(form, DEFAULT_CONFIG.tol_final)
         assert err <= 1e-8 * max(1.0, form.coefficient_scale()), (n, k)
 
 
@@ -541,8 +524,7 @@ def test_direct_route_certifies_sweep_forms_at_every_scale(n, scale):
     # the construction runs at unit equal moduli, whatever the coefficient
     # scale of the form
     form = _form_at_scale(n, 0, scale)
-    _, err = _represent_direct(form, DEFAULT_CONFIG.tol_final,
-                               np.random.default_rng(DEFAULT_CONFIG.seed))
+    _, err = _represent_direct(form, DEFAULT_CONFIG.tol_final)
     assert err <= DEFAULT_CONFIG.tol_final * max(1.0, form.coefficient_scale())
 
 
@@ -662,7 +644,10 @@ def test_represent_golden_weights(case):
     # product, with the weights of the scalar-arithmetic evaluator kept as
     # scalar_evaluator_weights.  All fourteen were recorded again when a curve
     # fit replaced the curve division and the direct route came to run at unit
-    # equal moduli, with the weights of the division kept as division_weights
+    # equal moduli, with the weights of the division kept as division_weights.
+    # The forward images were recorded again when the pencil fit's sample
+    # points moved from a seeded random box to one fixed circle, with the
+    # weights of the box kept as random_box_weights
     rng = np.random.default_rng(case["seed"])
     W = random_shift(rng, case["n"])
     if case["kind"] == "zero_weight":
@@ -680,7 +665,7 @@ def test_golden_weights_stay_near_the_companion_solve(case):
     # float64 inputs (row one, curve points, sample points), with every later
     # step in 60 digits: tests/make_exact_weights.py writes them.  The older
     # weight lists of the case are history; the division's are up to 2.7e-10
-    # from exact_weights
+    # from exact_weights, and the random box's up to 7.2e-12
     new = np.array([complex(w) for w in case["weights"]])
     exact = np.array([complex(w) for w in case["exact_weights"]])
     assert np.max(np.abs(new - exact)) <= 1e-10 * np.max(np.abs(exact))
@@ -740,9 +725,10 @@ def test_equal_moduli_images_certify_from_the_first_start(n):
 
 def test_spectral_route_with_every_start_skipped_fails_typed(monkeypatch):
     # one start, skipped on a generic form: no candidate, a typed failure;
-    # the direct route fails on this form too, so represent raises
+    # the direct route fails on this form too (NoetherResidual), so
+    # represent raises
     monkeypatch.setattr(construct, "MAX_RETRIES", 1)
-    form = forward_matching(random_shift(np.random.default_rng(1760), 13))
+    form = forward_matching(random_shift(np.random.default_rng([20, 2, 7]), 20))
     assert classify(form).kind is Kind.SMOOTH
     with pytest.raises(ConvergenceFailed):
         _represent_spectral(form, DEFAULT_CONFIG.tol_final, np.random.default_rng(7))

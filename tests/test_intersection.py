@@ -20,7 +20,7 @@ from hyprep.invariants import eigenspace_basis
 from hyprep.poly import TrivariatePoly
 from tests.conftest import random_shift
 from tests.test_construct import singular_form
-from tests.test_hyperbolicity import _form_at_scale
+from tests.test_hyperbolicity import SWEEP_SCALES, _form_at_scale
 
 
 def reconstruct_derivative(form, fac):
@@ -229,39 +229,56 @@ def test_eigenclass_span_vanishing_extends_to_whole_orbit(quintic_form):
         assert worst < 1e-8
 
 
-@pytest.mark.parametrize("scale", [1e16, 1e48])
+@pytest.mark.parametrize("scale", [scale for scale in SWEEP_SCALES if scale >= 1e-3])
 @pytest.mark.parametrize("n", [15, 18, 21, 24])
 def test_high_degree_points_certify_at_large_scales(n, scale):
     # the n-th roots of the quadratic's two roots are each circle's two
-    # orbits, exactly, so every orbit has its full size at any degree.  At
-    # scale 1 these forms still miss the residual budget (SolveFailed)
+    # orbits, exactly, so every orbit has its full size at any degree, and
+    # every stored point is within its residual budget, which is relative to
+    # the Horner bound of each value
     iset = compute_intersections(_form_at_scale(n, 0, scale))
     assert iset.total_multiplicity() == n * (n - 1)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 12, 13])
+def test_a_moved_stored_point_fails_its_residual_budget(n):
+    # the budget, 64 n eps of the Horner bound, is no blanket: any one stored
+    # point moved by 1e-10 relative in u is caught.  From n = 16 on the bound
+    # outgrows the derivative at some points, and such a move is caught at
+    # only part of them (84 of the 276 at n = 24)
+    form = forward_matching(random_shift(np.random.default_rng(5000 + 100 * n), n))
+    iset = compute_intersections(form)
+    for k, (point, mult) in enumerate(iset.S):
+        moved = dataclasses.replace(point, u=point.u * (1.0 + 1e-10))
+        S = iset.S[:k] + ((moved, mult),) + iset.S[k + 1:]
+        with pytest.raises(SolveFailed, match="^stored point residual"):
+            intersection._check_residuals(form, dataclasses.replace(iset, S=S))
 
 
 @pytest.mark.parametrize("n", range(6, 25, 3))
 def test_small_scale_circles_stay_apart(n):
     # circle parameters of 1e-15 to 5e-13 are the critical points solved in
     # units of a power of two above the largest of them, and not clustered,
-    # so they do not merge into one repeated circle.
-    # From n = 15 on the points still fail, typed: the stored-point budget
-    # (n = 15, 18) or the circle trinomial overflows (n = 21, 24).  The
-    # direct route may fail on these forms too, but only typed
+    # so they do not merge into one repeated circle.  Up to n = 18 the points
+    # pass their budget and the direct route certifies.  At n = 21 and 24 the
+    # circle trinomial overflows: the points of the form fail, typed.  The
+    # direct route, which runs at unit equal moduli, may fail there too, but
+    # only typed
     form = _form_at_scale(n, 0, 1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fac = circle_factors(form)
-        try:
-            iset = compute_intersections(form)
-        except HyprepError:
-            assert n >= 15
+        if n <= 18:
+            assert compute_intersections(form).total_multiplicity() == n * (n - 1)
+            _, err = _represent_direct(form, DEFAULT_CONFIG.tol_final)
+            assert err <= DEFAULT_CONFIG.tol_final
         else:
-            assert iset.total_multiplicity() == n * (n - 1)
-        try:
-            _represent_direct(form, DEFAULT_CONFIG.tol_final,
-                              np.random.default_rng(DEFAULT_CONFIG.seed))
-        except HyprepError:
-            pass
+            with pytest.raises(SolveFailed, match="^circle trinomial"):
+                compute_intersections(form)
+            try:
+                _represent_direct(form, DEFAULT_CONFIG.tol_final)
+            except HyprepError:
+                pass
     assert len(set(fac.s)) == len(fac.s) == (n - 1) // 2
 
 
@@ -372,14 +389,13 @@ def test_census_equals_the_key_matching_split_on_open_gaps(n):
             assert _bits(got) == _bits(want)
 
 
-@pytest.mark.parametrize("n, draws", [(16, (2, 3, 4, 6, 9)), (18, (0, 1, 2, 3, 4, 5, 8, 9)),
-                                      (20, (0, 4, 8, 9))])
+@pytest.mark.parametrize("n, draws", [(n, range(10)) for n in (16, 18, 20)])
 def test_closed_gaps_of_high_degree_give_full_census(n, draws):
     # every gap of an equal-moduli form is closed.  Roundoff in the
     # discriminant split each of these double roots into two orbits that
     # the key matching read as two real orbits of odd multiplicity; the
     # exact double root gives one self-conjugate orbit per circle, whose
-    # points pass the residual budget
+    # points pass the residual budget on every draw
     for k in draws:
         form = singular_form("equal_moduli", n, np.random.default_rng([n, k, 12]))
         assert all(form._gaps[0])
