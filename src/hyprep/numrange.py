@@ -6,10 +6,13 @@ sin(theta) Im(A); a maximizing unit eigenvector x touches the boundary at
 the point x* A x.  Two matrices have equal ranges iff their support
 functions agree.  The real points of the associated curve are sampled
 separately in the t = 1 chart: along each ray the curve restricts to a
-real univariate polynomial in the radius, and the rays are solved as rows
-of one batch, one stacked companion eigensolve per degree.  The rows are
-real, so their companion matrices are float64, as np.roots takes a real
-polynomial.
+real univariate polynomial in the radius.  The form is invariant under
+rotation by 2 pi / n, so the polynomial depends on the ray's angle only
+through n theta mod 2 pi; with that phase reduced exactly, the m grid rays
+fall into m / gcd(m, n) classes of equal rows, and one period of classes
+is solved as the rows of one batch, one stacked companion eigensolve per
+degree.  The rows are real, so their companion matrices are float64, as
+np.roots takes a real polynomial.  Points are returned as Python floats.
 """
 
 import dataclasses
@@ -59,7 +62,12 @@ def boundary_sample(W, m: int = 720) -> BoundarySample:
 
 
 def samples_agree(s1: BoundarySample, s2: BoundarySample) -> bool:
-    """Two boundary samples on the same angle grid agree within TOL_RANGE."""
+    """Two boundary samples on the same angle grid agree within TOL_RANGE.
+
+    Samples on different angle grids cannot be compared: ValueError.
+    """
+    if s1.angles != s2.angles:
+        raise ValueError("boundary samples have different angle grids")
     return max(abs(a - b) for a, b in zip(s1.support, s2.support)) <= TOL_RANGE
 
 
@@ -71,17 +79,22 @@ def range_equal(W1, W2, m: int = 720) -> bool:
 def curve_sample(form: InvariantForm, m: int = 720) -> list[tuple[float, float]]:
     """Real points of the curve in the t = 1 chart, sampled by angle.
 
-    Restricting to the ray (1, rho e^(i theta), rho e^(-i theta)) gives the
-    real polynomial 1 + sum_r c_r rho^(2r) + (c0 cos n theta +
-    ct0 sin n theta) rho^n; its real roots are emitted as (x, y) points, in
-    angle order.  The rays are solved together: rows that are equal bit for
-    bit are solved once, and the rest share one stacked real companion
-    eigensolve per degree.
+    Restricting to the ray (1, rho e^(i theta), rho e^(-i theta)) at
+    theta_k = 2 pi k / m gives the real polynomial 1 + sum_r c_r rho^(2r) +
+    (c0 cos phi_k + ct0 sin phi_k) rho^n, with the phase phi_k = n theta_k
+    reduced exactly to 2 pi ((n k) mod m) / m.  Rays k and k + m / gcd(m, n)
+    then share a row bit for bit, so only one period of m / gcd(m, n) rows is
+    solved: rows equal bit for bit are solved once, and the rest share one
+    stacked real companion eigensolve per degree.  Each ray's real roots are
+    emitted at its own angle as (x, y) pairs of Python floats, in angle order.
     """
+    if m < 1:
+        return []
     n = form.n
-    thetas = [2 * math.pi * k / m for k in range(m)]
-    rows = np.zeros((len(thetas), n + 1))
-    rows[:, 0] = [form.c0 * math.cos(n * t) + form.ct0 * math.sin(n * t) for t in thetas]
+    period = m // math.gcd(m, n)
+    rows = np.zeros((period, n + 1))
+    phases = [2 * math.pi * (n * k % m) / m for k in range(period)]
+    rows[:, 0] = [form.c0 * math.cos(p) + form.ct0 * math.sin(p) for p in phases]
     for r, cr in enumerate(form.c, start=1):
         # for even n the r = n/2 term shares the rho^n slot with the top pair
         rows[:, n - 2 * r] += cr
@@ -93,14 +106,17 @@ def curve_sample(form: InvariantForm, m: int = 720) -> list[tuple[float, float]]
     for k, key in keys.items():
         first.setdefault(key, k)
     solved = dict(zip(first, _root_profiles(rows[list(first.values())])))
-    radii = [[r for r, _ in solved[key].roots] for key in keys.values()]
-    counts = [len(ray) for ray in radii]
-    rho = np.fromiter(itertools.chain.from_iterable(radii), float, sum(counts))
-    # math.cos and math.sin of each ray's angle, repeated over its radii; a
-    # numpy float64 product equals Python's bit for bit
-    cos = np.repeat([math.cos(thetas[k]) for k in keys], counts)
-    sin = np.repeat([math.sin(thetas[k]) for k in keys], counts)
-    return list(zip(rho * cos, rho * sin))
+    # a constant row has no points; the period repeats m / period times
+    # around the circle
+    radii = [[r for r, _ in solved[keys[k]].roots] if k in keys else [] for k in range(period)]
+    counts = [len(ray) for ray in radii] * (m // period)
+    rho = np.tile(np.fromiter(itertools.chain.from_iterable(radii), float), m // period)
+    # math.cos and math.sin of each ray's own angle, repeated over its radii;
+    # a numpy float64 product equals Python's bit for bit
+    thetas = [2 * math.pi * k / m for k in range(m)]
+    cos = np.repeat([math.cos(t) for t in thetas], counts)
+    sin = np.repeat([math.sin(t) for t in thetas], counts)
+    return list(zip((rho * cos).tolist(), (rho * sin).tolist()))
 
 
 def write_boundary_csv(sample: BoundarySample, path: str):

@@ -16,8 +16,10 @@ from hyprep.cli import _format_json, main
 from hyprep.construct import _represent_direct
 from hyprep.forward import forward_interpolate, forward_matching
 from hyprep.hyperbolicity import _root_profiles
+from hyprep.numrange import write_curve_csv
 from tests.conftest import random_shift
 from tests.test_hyperbolicity import SWEEP_SCALES, _form_at_scale
+from tests.test_numrange import _per_angle_points, _per_angle_rays, _product_phase
 
 
 def run_cli(capsys, *argv):
@@ -384,10 +386,17 @@ GOLDEN_RUNS = {     # name: (command, input, extra arguments)
     "curve quintic": ("curve", "quintic_form", "--angles", "720"),
 }
 # sha256 of the --csv file of each curve run; stdout holds only the point
-# count.  Recorded again when real rays got real companion matrices: the
-# points moved in their last bits, their count did not (test_numrange holds
-# the complex-companion reference)
+# count.  Recorded again when real rays got real companion matrices, and
+# again when the ray phase n theta was reduced exactly: each time the points
+# moved in their last bits and their count did not (test_numrange holds the
+# complex-companion and product-phase references)
 CURVE_CSV_SHA256 = {
+    "curve quartic": "b77b0b4ca31469eaa77858f8f216cb0eaebb1f859c4a8be275d0be85b11e5483",
+    "curve quintic": "391611900893e92884a7a33951b6aa2f8ea0f7df011cd783d8dddc215c9d44e6",
+}
+# the sums before the phase was reduced, which the per-angle loop at the
+# rounded product n theta still gives
+CURVE_CSV_SHA256_PRODUCT_PHASE = {
     "curve quartic": "ed8c78d275b764e87900202896f0a19e004dead1b306d9b394d6d40f8a384b00",
     "curve quintic": "d91b50b80645784d6242406292fadf9f7e70f470e8fe1cf074fa681832dc1fc1",
 }
@@ -455,3 +464,14 @@ def test_golden_curve_csv(capsys, tmp_path, name):
     assert code == 0
     assert out == json.loads(GOLDEN_PATH.read_text())[name]
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == CURVE_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_CSV_SHA256_PRODUCT_PHASE))
+def test_golden_curve_csv_at_the_product_phase(tmp_path, name):
+    _, key, _, angles = GOLDEN_RUNS[name]
+    form = InvariantForm.from_json(GOLDEN_INPUTS[key])
+    csv_path = tmp_path / "curve.csv"
+    write_curve_csv(_per_angle_points(_per_angle_rays(form, int(angles), _product_phase)),
+                    str(csv_path))
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+        CURVE_CSV_SHA256_PRODUCT_PHASE[name]

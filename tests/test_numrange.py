@@ -8,7 +8,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from hyprep import InvariantForm, ShiftMatrix, boundary_sample, curve_sample, range_equal
+from hyprep import (InvariantForm, ShiftMatrix, boundary_sample, curve_sample, numrange,
+                    range_equal)
+from hyprep.numrange import samples_agree
 from hyprep.errors import DegenerateInput
 from hyprep.forward import forward_matching
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
@@ -48,6 +50,27 @@ def test_boundary_sample_matches_per_angle_reference(n):
         x, y = s.points[k]
         assert abs(s.support[k] - top) <= tol
         assert abs(x * math.cos(theta) + y * math.sin(theta) - s.support[k]) <= tol
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20])
+def test_boundary_sample_has_the_rotation_symmetry(n):
+    # A is unitarily similar to e^(2 pi i / n) A, so for n | m the support
+    # function repeats every m / n angles and the touch points rotate by
+    # e^(2 pi i / n)
+    W = random_shift(np.random.default_rng(4200 + n), n)
+    s = boundary_sample(W, 720)
+    tol = 1e-12 * max(W.moduli())
+    h = np.array(s.support)
+    z = np.array([complex(x, y) for x, y in s.points])
+    step = 720 // n
+    assert np.max(np.abs(np.roll(h, -step) - h)) <= tol
+    assert np.max(np.abs(np.roll(z, -step) - np.exp(2j * math.pi / n) * z)) <= tol
+
+
+def test_samples_on_different_angle_grids_are_not_compared(quartic_shift):
+    with pytest.raises(ValueError, match="different angle grids"):
+        samples_agree(boundary_sample(quartic_shift, 64), boundary_sample(quartic_shift, 96))
+    assert samples_agree(boundary_sample(quartic_shift, 64), boundary_sample(quartic_shift, 64))
 
 
 def test_unitary_gauge_preserves_range(quartic_shift, quartic_shift_phased):
@@ -169,13 +192,22 @@ def _golden_form(case, quartic_form, quintic_form):
     return {"quartic": quartic_form, "quintic": quintic_form}[case["kind"]]
 
 
+def _float64_digest(points):
+    """sha256 of the repr the points had while curve_sample returned numpy
+    float64 pairs, as the complex_sha256 and product_phase_sha256 sums were
+    recorded."""
+    return hashlib.sha256(repr([(np.float64(x), np.float64(y))
+                                for x, y in points]).encode()).hexdigest()
+
+
 def _complex_companion_rays(form, m):
     """(theta, real roots) of each ray that is not constant, solved as the
-    golden sums were first recorded: a complex companion matrix per ray."""
+    golden sums were first recorded: a complex companion matrix per ray, at
+    the phase n theta."""
     rays = []
     for k in range(m):
         theta = 2 * math.pi * k / m
-        coeffs = np.asarray(_ray_coeffs(form, theta), dtype=complex)
+        coeffs = np.asarray(_ray_coeffs(form, _product_phase(form.n, k, m)), dtype=complex)
         size = np.abs(coeffs)
         if size[:-1].max() == 0.0:
             continue
@@ -195,8 +227,7 @@ def test_curve_sample_golden_stays_near_the_complex_companion_solve(
     # by at most 1e-9 of its radius
     form = _golden_form(case, quartic_form, quintic_form)
     old = _complex_companion_rays(form, 720)
-    digest = hashlib.sha256(repr(_per_angle_points(old)).encode()).hexdigest()
-    assert digest == case["complex_sha256"]
+    assert _float64_digest(_per_angle_points(old)) == case["complex_sha256"]
     assert [len(roots) for _, roots in _per_angle_rays(form, 720)] == \
         [len(roots) for _, roots in old]
     got = np.array(curve_sample(form, 720))
@@ -211,22 +242,34 @@ def test_curve_sample_golden_stays_near_the_complex_companion_solve(
 # a scalar reference in test_hyperbolicity.  The points must agree in repr,
 # element types included.
 
-def _ray_coeffs(form, theta):
+def _reduced_phase(n, k, m):
+    """n theta_k reduced exactly: 2 pi ((n k) mod m) / m, as curve_sample
+    takes it, so that rays one period apart share their row bit for bit."""
+    return 2 * math.pi * (n * k % m) / m
+
+
+def _product_phase(n, k, m):
+    """n theta_k as the rounded product, as curve_sample took it until the
+    rays were solved once per rotation class (the product_phase_sha256 sums)."""
+    return n * (2 * math.pi * k / m)
+
+
+def _ray_coeffs(form, phase):
     n = form.n
     coeffs = [0.0] * (n + 1)
-    coeffs[0] = form.c0 * math.cos(n * theta) + form.ct0 * math.sin(n * theta)
+    coeffs[0] = form.c0 * math.cos(phase) + form.ct0 * math.sin(phase)
     for r, cr in enumerate(form.c, start=1):
         coeffs[n - 2 * r] += cr
     coeffs[n] = 1.0
     return coeffs
 
 
-def _per_angle_rays(form, m):
+def _per_angle_rays(form, m, phase=_reduced_phase):
     """(theta, real roots) of each ray that is not constant, one solve per ray."""
     rays = []
     for k in range(m):
         theta = 2 * math.pi * k / m
-        coeffs = _ray_coeffs(form, theta)
+        coeffs = _ray_coeffs(form, phase(form.n, k, m))
         if max(abs(c) for c in coeffs[:-1]) == 0.0:
             continue
         rays.append((theta, _root_profiles([coeffs])[0].roots))
@@ -237,13 +280,47 @@ def _per_angle_points(rays):
     pts = []
     for theta, roots in rays:
         for rho, _ in roots:
-            pts.append((rho * math.cos(theta), rho * math.sin(theta)))
+            pts.append((float(rho) * math.cos(theta), float(rho) * math.sin(theta)))
     return pts
 
 
 def _assert_matches_per_angle_reference(form):
     for m in (-1, 0, 1, 8, 33, 720):
         assert repr(curve_sample(form, m)) == repr(_per_angle_points(_per_angle_rays(form, m)))
+
+
+def _assert_near_the_product_phase(form, tol=1e-9):
+    # the reduced phase moves each row's top coefficient by the rounding of
+    # n theta_k: every ray keeps its point count, and every point moves by at
+    # most tol of its radius
+    new, old = _per_angle_rays(form, 720), _per_angle_rays(form, 720, _product_phase)
+    assert [(theta, len(roots)) for theta, roots in new] == \
+        [(theta, len(roots)) for theta, roots in old]
+    got, want = np.array(curve_sample(form, 720)), np.array(_per_angle_points(old))
+    assert np.all(np.hypot(*(got - want).T) <= tol * np.hypot(*want.T))
+
+
+@pytest.mark.parametrize("case", json.loads(GOLDEN_CURVES.read_text()),
+                         ids=lambda case: f"{case['kind']}-n{case['n']}")
+def test_curve_sample_golden_stays_near_the_product_phase(case, quartic_form, quintic_form):
+    # the golden sums were recorded again when the phase was reduced exactly;
+    # the per-angle loop at the product phase still gives the old sums, kept
+    # as product_phase_sha256
+    form = _golden_form(case, quartic_form, quintic_form)
+    old = _per_angle_points(_per_angle_rays(form, 720, _product_phase))
+    assert _float64_digest(old) == case["product_phase_sha256"]
+    _assert_near_the_product_phase(form)
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_curve_sample_stays_near_the_product_phase(n):
+    # above n = 20 a ray's radii can cluster so tightly that the companion
+    # solve at either phase is itself off by a few 1e-9 of a radius (at n = 23
+    # up to 3.9e-9 against a 60-digit solve, where the two phases differ by
+    # 6.0e-9), so the bound there is 1e-8
+    _assert_near_the_product_phase(
+        forward_matching(random_shift(np.random.default_rng(5200 + n), n)),
+        1e-9 if n <= 20 else 1e-8)
 
 
 def _mixed_degree_form(n, seed):
@@ -291,11 +368,45 @@ def test_curve_sample_raises_as_the_per_angle_loop(form):
     assert str(raised.value) == str(expected.value) == "polynomial is constant after stripping"
 
 
+def _counting_root_profiles(monkeypatch):
+    """Patch numrange's _root_profiles to record how many rows each call gets."""
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return _root_profiles(rows)
+
+    monkeypatch.setattr(numrange, "_root_profiles", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12, 15, 16, 18])
+def test_curve_sample_solves_one_row_per_rotation_class(monkeypatch, n):
+    # n divides 720: the rays fall into 720 / n classes; rays one period apart
+    # have equal radii bit for bit, and curve_sample matches the per-angle loop
+    form = forward_matching(random_shift(np.random.default_rng(5300 + n), n))
+    period = 720 // math.gcd(720, n)
+    rays = _per_angle_rays(form, 720)
+    assert len(rays) == 720
+    for k in range(720):
+        assert rays[k][1] == rays[(k + period) % 720][1]
+    calls = _counting_root_profiles(monkeypatch)
+    assert repr(curve_sample(form, 720)) == repr(_per_angle_points(rays))
+    assert sum(calls) <= period
+
+
+def test_curve_sample_solves_one_row_when_s_is_zero(monkeypatch):
+    form = forward_matching(random_shift(np.random.default_rng(5312), 12))
+    calls = _counting_root_profiles(monkeypatch)
+    assert len(curve_sample(InvariantForm(12, form.c, 0.0, 0.0), 720)) % 720 == 0
+    assert calls == [1]
+
+
 def test_curve_sample_solves_once_per_stripped_degree(monkeypatch):
     form = _mixed_degree_form(6, 62)
     degrees = set()
     for k in range(720):
-        coeffs = _ray_coeffs(form, 2 * math.pi * k / 720)
+        coeffs = _ray_coeffs(form, _reduced_phase(6, k, 720))
         big = max(abs(c) for c in coeffs)
         degrees.add(len(coeffs) - 1 - next(i for i, c in enumerate(coeffs) if abs(c) > 1e-14 * big))
     assert len(degrees) == 2
