@@ -488,7 +488,7 @@ def _modulus_system(form: InvariantForm):
     return system, kappa, unit
 
 
-def _modulus_weights(form: InvariantForm, rng: np.random.Generator):
+def _modulus_weights(form: InvariantForm, rng):
     """s > 0: moduli r with spec H(theta*) = roots of p and prod r = |T|,
     one candidate shift per start that runs.
 
@@ -500,12 +500,18 @@ def _modulus_weights(form: InvariantForm, rng: np.random.Generator):
     stays on the line r = rho * 1; on that line only rho = 1 matches the
     sum of the squared eigenvalues.  So the equal-moduli start runs only
     when its residual is below LM_LINE, that is, when the line meets the
-    target; otherwise it draws nothing and yields nothing.
+    target; otherwise it draws nothing and yields nothing.  rng is a seed or
+    a numpy Generator; the generator is made at the first restart, so a
+    call that certifies from equal moduli builds none.
     """
     n = form.n
     system, kappa, unit = _modulus_system(form)
     for attempt in range(MAX_RETRIES):
-        r = np.ones(n) if attempt == 0 else rng.uniform(0.5, 1.5, n)
+        if attempt == 0:
+            r = np.ones(n)
+        else:
+            rng = np.random.default_rng(rng)    # a Generator passes unaltered
+            r = rng.uniform(0.5, 1.5, n)
         F, J = system(r)
         if attempt == 0 and np.linalg.norm(F) > LM_LINE:
             continue
@@ -532,11 +538,10 @@ def _modulus_weights(form: InvariantForm, rng: np.random.Generator):
         yield ShiftMatrix(list(r[:-1]) + [r[-1] * unit])
 
 
-def _represent_spectral(form: InvariantForm, tol_final: float,
-                        rng: np.random.Generator) -> tuple[ShiftMatrix, float]:
+def _represent_spectral(form: InvariantForm, tol_final: float, rng) -> tuple[ShiftMatrix, float]:
     """The spectral route: the first candidate whose coefficient error is
     within tol_final * max(1, scale), the gate of the direct route, with
-    that error."""
+    that error.  rng is the seed, or the Generator, of the restarts."""
     scale = max(1.0, form.coefficient_scale())
     if _s_vanishes(form):
         candidates = [_path_weights(form)]
@@ -575,8 +580,7 @@ def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatr
     raised.  Only the spectral restarts draw from the seeded generator.
     """
     cls = classify(form)    # raises NotHyperbolic
-    spectral = functools.partial(_represent_spectral, form, config.tol_final,
-                                 np.random.default_rng(config.seed))
+    spectral = functools.partial(_represent_spectral, form, config.tol_final, config.seed)
     direct = functools.partial(_represent_direct, form, config.tol_final)
     if _s_vanishes(form):
         routes = [spectral]

@@ -1,16 +1,21 @@
 """Numerical range sampling through support functions.
 
 The numerical range of A is compact and convex, and its support function
-in direction theta is the top eigenvalue of cos(theta) Re(A) +
+in direction theta is the top eigenvalue of H(theta) = cos(theta) Re(A) +
 sin(theta) Im(A); a maximizing unit eigenvector x touches the boundary at
 the point x* A x.  Two matrices have equal ranges iff their support
-functions agree.  The real points of the associated curve are sampled
-separately in the t = 1 chart: along each ray the curve restricts to a
-real univariate polynomial in the radius.  The form is invariant under
-rotation by 2 pi / n, so the polynomial depends on the ray's angle only
-through n theta mod 2 pi; with that phase reduced exactly, the m grid rays
-fall into m / gcd(m, n) classes of equal rows, and one period of classes
-is solved as the rows of one batch, one stacked companion eigensolve per
+functions agree.  H(theta + pi) = -H(theta), so on a grid of an even
+number of angles one eigensolve serves theta and theta + pi: the bottom
+eigenpair at theta gives the support and the touch point at theta + pi.
+The real points of the associated curve are sampled separately in the
+t = 1 chart: along each ray the curve restricts to a real univariate
+polynomial in the radius, and the point of radius -rho at theta is the
+point of radius rho at theta + pi, so each ray keeps its positive radii
+alone, the points of its half-ray.  The form is invariant under rotation
+by 2 pi / n, so the polynomial depends on the ray's angle only through
+n theta mod 2 pi; with that phase reduced exactly, the m grid rays fall
+into m / gcd(m, n) classes of equal rows, and one period of classes is
+solved as the rows of one batch, one stacked companion eigensolve per
 degree.  The rows are real, so their companion matrices are float64, as
 np.roots takes a real polynomial.  Points are returned as Python floats.
 """
@@ -35,21 +40,34 @@ class BoundarySample:
 
 
 def _support_batch(W: ShiftMatrix, thetas) -> tuple[np.ndarray, np.ndarray]:
-    """Support values and complex touch points x* A x, one eigh for all angles.
+    """Support values and complex touch points x* A x on the uniform grid
+    thetas = [2 pi k / m], one eigh for all angles.
 
-    x* A x does not depend on the phase of the eigenvector x.
+    For even m the second half of the grid is the first turned by pi, and
+    H(theta + pi) = -H(theta): the eigh runs on the first half alone, and
+    theta + pi takes minus the bottom eigenvalue of H(theta), touched by
+    its bottom eigenvector.  x* A x does not depend on the phase of x.
     """
     A = W.matrix()
-    vals, vecs = np.linalg.eigh(hermitian_slices(A, thetas))
-    x = vecs[:, :, -1]
+    m = len(thetas)
+    half = m // 2 if m % 2 == 0 else m
+    vals, vecs = np.linalg.eigh(hermitian_slices(A, thetas[:half]))
+    h, x = vals[:, -1], vecs[:, :, -1]
+    if half < m:
+        h = np.concatenate((h, -vals[:, 0]))
+        x = np.concatenate((x, vecs[:, :, 0]))
     # one matrix-vector product per angle: the last bits of the touch points
     # depend on this arithmetic, so keep it
     touch = np.sum(x.conj() * (A @ x[:, :, None])[:, :, 0], axis=1)
-    return vals[:, -1], touch
+    # + 0.0 turns an exact zero support, negated or not, into +0.0
+    return h + 0.0, touch
 
 
 def boundary_sample(W, m: int = 720) -> BoundarySample:
-    """Support function and touch points on a uniform angle grid."""
+    """Support function and touch points on the grid theta_k = 2 pi k / m.
+
+    For even m one eigh of m / 2 slices serves theta_k and theta_k + pi.
+    """
     if m < 8:
         raise ValueError("need at least 8 angles")
     thetas = [2 * math.pi * k / m for k in range(m)]
@@ -85,8 +103,11 @@ def curve_sample(form: InvariantForm, m: int = 720) -> list[tuple[float, float]]
     reduced exactly to 2 pi ((n k) mod m) / m.  Rays k and k + m / gcd(m, n)
     then share a row bit for bit, so only one period of m / gcd(m, n) rows is
     solved: rows equal bit for bit are solved once, and the rest share one
-    stacked real companion eigensolve per degree.  Each ray's real roots are
-    emitted at its own angle as (x, y) pairs of Python floats, in angle order.
+    stacked real companion eigensolve per degree.  The point of radius -rho
+    at theta is the point of radius rho at theta + pi, so each ray keeps its
+    positive real roots alone, the points of its half-ray; for even m that
+    returns each point once.  They are emitted at the ray's own angle as
+    (x, y) pairs of Python floats, in angle order.
     """
     if m < 1:
         return []
@@ -106,9 +127,10 @@ def curve_sample(form: InvariantForm, m: int = 720) -> list[tuple[float, float]]
     for k, key in keys.items():
         first.setdefault(key, k)
     solved = dict(zip(first, _root_profiles(rows[list(first.values())])))
-    # a constant row has no points; the period repeats m / period times
-    # around the circle
-    radii = [[r for r, _ in solved[keys[k]].roots] if k in keys else [] for k in range(period)]
+    # a constant row has no points, and the constant term 1 no zero root; the
+    # period repeats m / period times around the circle
+    radii = [[r for r, _ in solved[keys[k]].roots if r > 0] if k in keys else []
+             for k in range(period)]
     counts = [len(ray) for ray in radii] * (m // period)
     rho = np.tile(np.fromiter(itertools.chain.from_iterable(radii), float), m // period)
     # math.cos and math.sin of each ray's own angle, repeated over its radii;

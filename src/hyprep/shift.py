@@ -11,8 +11,10 @@ tI + H(theta) with H(theta) = cos(theta) Re(A) + sin(theta) Im(A), so
     det(tI + H(theta)) = p(t) + c0 cos(n theta) + ct0 sin(n theta),
 
 and the top eigenvalue of H(theta) is the support function of the
-numerical range of A.  Both the numerical range and the eigenvalue forward
-oracle are built on hermitian_slices.
+numerical range of A.  H(theta + pi) = -H(theta), so the support function
+at theta + pi is minus the bottom eigenvalue of H(theta).  Both the
+numerical range and the eigenvalue forward oracle are built on
+hermitian_slices.
 """
 
 import dataclasses

@@ -1,5 +1,10 @@
 """The package's public surface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import hyprep
 
 PUBLIC_NAMES = [
@@ -24,3 +29,14 @@ def test_public_names():
     assert sorted(hyprep.__all__) == PUBLIC_NAMES
     for name in hyprep.__all__:
         assert getattr(hyprep, name) is not None
+
+
+def test_import_leaves_numpy_random_out():
+    # only the spectral route's restarts draw at random, and they make their
+    # generator when they first draw: importing the package loads no
+    # numpy.random
+    src = pathlib.Path(hyprep.__file__).parent.parent
+    code = "import sys, hyprep; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out == "False\n"

@@ -162,6 +162,21 @@ def test_numrange_csv_and_equality(capsys, tmp_path, shift_file):
     assert csv_path.read_text().splitlines()[0] == "theta,h,x,y"
 
 
+@pytest.mark.parametrize("weights", [[[0, 0], [0, 0], [0, 0]], [[1.8, 0], [0, 0], [0, 0]]])
+@pytest.mark.parametrize("angles", [8, 9, 720])
+def test_numrange_csv_has_no_negative_zero(capsys, tmp_path, weights, angles):
+    # the supports at theta + pi are negated bottom eigenvalues; an exact
+    # zero support is printed as 0, not -0
+    csv_path = tmp_path / "range.csv"
+    code, _ = run_cli(capsys, "numrange", "--input", write_json(tmp_path / "w.json",
+                                                               {"weights": weights}),
+                      "--angles", str(angles), "--csv", str(csv_path))
+    assert code == 0
+    fields = [v for line in csv_path.read_text().splitlines()[1:] for v in line.split(",")]
+    assert len(fields) == 4 * angles
+    assert not [v for v in fields if v.startswith("-") and float(v) == 0.0]
+
+
 def test_numrange_against_samples_each_matrix_once(capsys, monkeypatch, tmp_path,
                                                    shift_file):
     import hyprep.cli
@@ -360,7 +375,11 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 # unit equal moduli; the stdout of the division is kept under
 # "<name> curve division".  The same two were recorded once more when the
 # pencil fit's sample points moved from a seeded random box to one fixed
-# circle; the stdout of the box is kept under "<name> random sample box"
+# circle; the stdout of the box is kept under "<name> random sample box".
+# The numrange and curve runs were recorded again when one eigh came to
+# serve theta and theta + pi and each curve ray came to keep its positive
+# radii alone: the support values moved in their last bits and the curve
+# counts halved; the earlier stdout is kept under "<name> full circle"
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -389,8 +408,16 @@ GOLDEN_RUNS = {     # name: (command, input, extra arguments)
 # count.  Recorded again when real rays got real companion matrices, and
 # again when the ray phase n theta was reduced exactly: each time the points
 # moved in their last bits and their count did not (test_numrange holds the
-# complex-companion and product-phase references)
+# complex-companion and product-phase references).  Recorded once more when
+# each ray came to keep its positive radii alone: the points that stayed
+# kept their bits
 CURVE_CSV_SHA256 = {
+    "curve quartic": "a3aa70b801f6947561ee930c697ec05ce0c606240d51773dec796e3a824c23cb",
+    "curve quintic": "ae91ba074ee7f61725191dd8dec9296f68826a74116ac3effe9b7a4f9befdae5",
+}
+# the sums before each ray kept its half-ray alone, which the per-angle loop
+# that keeps every real radius still gives
+CURVE_CSV_SHA256_FULL_CIRCLE = {
     "curve quartic": "b77b0b4ca31469eaa77858f8f216cb0eaebb1f859c4a8be275d0be85b11e5483",
     "curve quintic": "391611900893e92884a7a33951b6aa2f8ea0f7df011cd783d8dddc215c9d44e6",
 }
@@ -471,7 +498,33 @@ def test_golden_curve_csv_at_the_product_phase(tmp_path, name):
     _, key, _, angles = GOLDEN_RUNS[name]
     form = InvariantForm.from_json(GOLDEN_INPUTS[key])
     csv_path = tmp_path / "curve.csv"
-    write_curve_csv(_per_angle_points(_per_angle_rays(form, int(angles), _product_phase)),
-                    str(csv_path))
+    write_curve_csv(_per_angle_points(_per_angle_rays(form, int(angles), _product_phase),
+                                      signed=True), str(csv_path))
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
         CURVE_CSV_SHA256_PRODUCT_PHASE[name]
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_CSV_SHA256_FULL_CIRCLE))
+def test_golden_curve_csv_on_the_full_circle(tmp_path, name):
+    _, key, _, angles = GOLDEN_RUNS[name]
+    form = InvariantForm.from_json(GOLDEN_INPUTS[key])
+    csv_path = tmp_path / "curve.csv"
+    write_curve_csv(_per_angle_points(_per_angle_rays(form, int(angles)), signed=True),
+                    str(csv_path))
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+        CURVE_CSV_SHA256_FULL_CIRCLE[name]
+
+
+def test_golden_stdout_stays_near_the_full_circle():
+    # at 720 angles the curve keeps one of each point's two radii, and the
+    # support values at theta + pi, read off the eigh at theta, move by at
+    # most 1e-14
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for kind in ("quartic", "quintic"):
+        new, old = (json.loads(golden[f"curve {kind}{suffix}"]) for suffix in ("", " full circle"))
+        assert 2 * new["points"] == old["points"]
+        new, old = (json.loads(golden[f"numrange {kind}{suffix}"])
+                    for suffix in ("", " full circle"))
+        assert new["angles"] == old["angles"]
+        for key in ("h_min", "h_max"):
+            assert abs(new[key] - old[key]) <= 1e-14

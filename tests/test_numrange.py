@@ -15,6 +15,7 @@ from hyprep.errors import DegenerateInput
 from hyprep.forward import forward_matching
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
 from hyprep.hyperbolicity import _root_profiles, cluster_roots
+from hyprep.shift import hermitian_slices
 from tests.conftest import random_shift
 from tests.test_construct import singular_form
 
@@ -31,25 +32,78 @@ def test_support_zero_matrix():
     assert set(s.support) == {0.0} and set(s.points) == {(0.0, 0.0)}
 
 
+@pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [1.8, 0.0, 0.0], [0.0, 2.0, 1.0 - 1.0j, 3.0]])
+@pytest.mark.parametrize("m", [8, 9, 720])
+def test_supports_of_a_shift_with_a_zero_weight_are_not_negative_zeros(weights, m):
+    # a shift has trace 0, so 0 lies in its range and every support value is
+    # at least +0.0; an exact zero, negated at theta + pi or taken from a
+    # slice of -0 entries, must come out as +0.0
+    s = boundary_sample(ShiftMatrix(weights), m)
+    assert all(math.copysign(1.0, h) == 1.0 for h in s.support)
+
+
 def test_support_touch_point_consistency(quartic_shift):
     sample = boundary_sample(quartic_shift, 64)
     for theta, h, (x, y) in zip(sample.angles, sample.support, sample.points):
         assert abs(x * math.cos(theta) + y * math.sin(theta) - h) < 1e-9
 
 
-@pytest.mark.parametrize("n", [3, 4, 7, 12])
+@pytest.mark.parametrize("n", range(3, 25))
 def test_boundary_sample_matches_per_angle_reference(n):
+    # for even m the second half of the grid is read off the bottom eigenpairs
+    # of the first: its supports and touch-point lines stay within 1e-14 of
+    # an eigvalsh of H(theta) at the angle itself
     rng = np.random.default_rng(4100 + n)
     W = random_shift(rng, n)
     A = W.matrix()
-    s = boundary_sample(W, 96)
     ReA, ImA = (A + A.conj().T) / 2, (A - A.conj().T) / 2j
     tol = 1e-14 * max(1.0, max(W.moduli()))
-    for k, theta in enumerate(s.angles):
-        top = np.linalg.eigh(math.cos(theta) * ReA + math.sin(theta) * ImA)[0][-1]
-        x, y = s.points[k]
-        assert abs(s.support[k] - top) <= tol
-        assert abs(x * math.cos(theta) + y * math.sin(theta) - s.support[k]) <= tol
+    for m in (8, 64, 720, 33, 721):
+        s = boundary_sample(W, m)
+        assert s.angles == tuple(2 * math.pi * k / m for k in range(m))
+        for k, theta in enumerate(s.angles):
+            top = np.linalg.eigvalsh(math.cos(theta) * ReA + math.sin(theta) * ImA)[-1]
+            x, y = s.points[k]
+            assert abs(s.support[k] - top) <= tol
+            assert abs(x * math.cos(theta) + y * math.sin(theta) - top) <= tol
+
+
+def _counting_eigh(monkeypatch):
+    """Patch np.linalg.eigh to record how many slices each call gets."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("m", [8, 64, 720, 9, 33, 721])
+def test_boundary_sample_solves_one_slice_per_half_turn(monkeypatch, m):
+    # H(theta + pi) = -H(theta): for even m one eigh of m / 2 slices serves
+    # the whole grid, for odd m one of m slices
+    W = random_shift(np.random.default_rng(4300), 6)
+    calls = _counting_eigh(monkeypatch)
+    assert len(boundary_sample(W, m).support) == m
+    assert calls == [m // 2 if m % 2 == 0 else m]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12, 18])
+def test_samplers_match_their_per_angle_references_at_odd_m(n):
+    # no grid angle is another turned by pi: one slice per angle, whose top
+    # eigenvalue is that of an eigh of the slice alone, bit for bit, and the
+    # curve keeps each ray's half-ray
+    W = random_shift(np.random.default_rng(4400 + n), n)
+    form = forward_matching(W)
+    for m in (9, 33, 721):
+        s = boundary_sample(W, m)
+        tops = [np.linalg.eigh(hermitian_slices(W.matrix(), [theta]))[0][0, -1]
+                for theta in s.angles]
+        assert list(s.support) == tops
+        assert repr(curve_sample(form, m)) == repr(_per_angle_points(_per_angle_rays(form, m)))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20])
@@ -186,6 +240,17 @@ def test_curve_sample_golden(case, quartic_form, quintic_form):
     assert digest == case["sha256"]
 
 
+@pytest.mark.parametrize("case", json.loads(GOLDEN_CURVES.read_text()),
+                         ids=lambda case: f"{case['kind']}-n{case['n']}")
+def test_curve_sample_golden_on_the_full_circle(case, quartic_form, quintic_form):
+    # the golden sums were recorded again when each ray came to keep its
+    # positive radii alone; the per-angle loop that keeps every real radius
+    # still gives the old sums, kept as full_circle_sha256
+    form = _golden_form(case, quartic_form, quintic_form)
+    signed = _per_angle_points(_per_angle_rays(form, 720), signed=True)
+    assert hashlib.sha256(repr(signed).encode()).hexdigest() == case["full_circle_sha256"]
+
+
 def _golden_form(case, quartic_form, quintic_form):
     if case["kind"] == "forward":
         return forward_matching(random_shift(np.random.default_rng(case["seed"]), case["n"]))
@@ -227,7 +292,7 @@ def test_curve_sample_golden_stays_near_the_complex_companion_solve(
     # by at most 1e-9 of its radius
     form = _golden_form(case, quartic_form, quintic_form)
     old = _complex_companion_rays(form, 720)
-    assert _float64_digest(_per_angle_points(old)) == case["complex_sha256"]
+    assert _float64_digest(_per_angle_points(old, signed=True)) == case["complex_sha256"]
     assert [len(roots) for _, roots in _per_angle_rays(form, 720)] == \
         [len(roots) for _, roots in old]
     got = np.array(curve_sample(form, 720))
@@ -239,8 +304,9 @@ def test_curve_sample_golden_stays_near_the_complex_companion_solve(
 # -- curve_sample against the per-angle loop it replaced ----------------------
 # The reference solves each ray on its own with a one-row _root_profiles, as
 # curve_sample did before it batched the rays; the one-row solve is pinned to
-# a scalar reference in test_hyperbolicity.  The points must agree in repr,
-# element types included.
+# a scalar reference in test_hyperbolicity.  It keeps each ray's positive
+# radii, the half-ray rule.  The points must agree in repr, element types
+# included.
 
 def _reduced_phase(n, k, m):
     """n theta_k reduced exactly: 2 pi ((n k) mod m) / m, as curve_sample
@@ -276,11 +342,15 @@ def _per_angle_rays(form, m, phase=_reduced_phase):
     return rays
 
 
-def _per_angle_points(rays):
+def _per_angle_points(rays, signed=False):
+    """(x, y) of each ray's positive radii at the ray's angle, as curve_sample
+    returns them; with signed=True, of every real radius, as it returned them
+    before each ray kept its half-ray alone (the full_circle sums)."""
     pts = []
     for theta, roots in rays:
         for rho, _ in roots:
-            pts.append((float(rho) * math.cos(theta), float(rho) * math.sin(theta)))
+            if signed or rho > 0:
+                pts.append((float(rho) * math.cos(theta), float(rho) * math.sin(theta)))
     return pts
 
 
@@ -307,7 +377,7 @@ def test_curve_sample_golden_stays_near_the_product_phase(case, quartic_form, qu
     # the per-angle loop at the product phase still gives the old sums, kept
     # as product_phase_sha256
     form = _golden_form(case, quartic_form, quintic_form)
-    old = _per_angle_points(_per_angle_rays(form, 720, _product_phase))
+    old = _per_angle_points(_per_angle_rays(form, 720, _product_phase), signed=True)
     assert _float64_digest(old) == case["product_phase_sha256"]
     _assert_near_the_product_phase(form)
 
@@ -393,6 +463,28 @@ def test_curve_sample_solves_one_row_per_rotation_class(monkeypatch, n):
     calls = _counting_root_profiles(monkeypatch)
     assert repr(curve_sample(form, 720)) == repr(_per_angle_points(rays))
     assert sum(calls) <= period
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 18])
+def test_curve_sample_returns_each_point_once(n):
+    # for even m the point of radius -rho at theta_k is the point of radius
+    # rho at theta_k + pi: curve_sample is the signed-radius loop with its
+    # rho <= 0 entries dropped, bit for bit, and the dropped radii are the
+    # kept radii of the opposite ray
+    form = forward_matching(random_shift(np.random.default_rng(5400 + n), n))
+    for m in (8, 720):
+        rays = _per_angle_rays(form, m)
+        assert len(rays) == m
+        signed = _per_angle_points(rays, signed=True)
+        radii = [rho for _, roots in rays for rho, _ in roots]
+        got = curve_sample(form, m)
+        assert repr(got) == repr([p for p, rho in zip(signed, radii) if rho > 0])
+        assert len(set(got)) == len(got) == len(signed) // 2
+        for k in range(m):
+            dropped = sorted(-rho for rho, _ in rays[k][1] if rho < 0)
+            kept = sorted(rho for rho, _ in rays[(k + m // 2) % m][1] if rho > 0)
+            assert len(dropped) == len(kept)
+            assert np.allclose(dropped, kept, rtol=1e-9, atol=0.0)
 
 
 def test_curve_sample_solves_one_row_when_s_is_zero(monkeypatch):
