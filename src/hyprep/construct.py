@@ -18,19 +18,15 @@ n^2 entries and f are evaluated there in one batched pass
 every fit and holdout point comes from one stacked det and one stacked
 inv.  The entries below row one are fitted on the real curve: one
 least-squares fit per eigenspace class, with one column per entry, on the
-points of one root solve.  The construction runs at unit equal moduli, on
-the form rescaled by a power of two.
+points of one root solve.
 
-That is the direct route, the paper's construction.  The spectral route
-is the second one: the weights of a Hermitian slice H(theta*) whose
-spectrum is the root set of p, from a least-norm Levenberg-Marquardt solve
-for the moduli (s > 0) or from Lanczos on the spectrum (s = 0).  No step
-from equal moduli leaves them equal, so that start runs only when its line
-meets the target (equal-moduli images); seeded restarts follow.  represent
-tries the spectral route first on smooth forms and the direct route first
-on singular forms with s > 0.  Forms with s = 0 take the spectral route
-alone.  The direct route makes one attempt and draws nothing at random.
-represent returns the first result that certifies.
+That is the direct route, the paper's construction; it needs s > 0 and
+makes one attempt.  The spectral route is the second one: the weights of a
+Hermitian slice H(theta*) whose spectrum is the root set of p, from a
+least-norm Levenberg-Marquardt solve for the moduli (s > 0) or from
+Lanczos on the spectrum (s = 0).  Every route runs on the form's unit
+rescaling and returns its weights times 2^k, exactly; represent's routing
+and the acceptance gate read the form itself.
 """
 
 import cmath
@@ -332,31 +328,11 @@ def extract_shift(P: HermitianPencil) -> ShiftMatrix:
 # direct route
 
 
-def _at_unit_moduli(form: InvariantForm) -> tuple[InvariantForm, int]:
-    """(unit, k): the form of W / 2^k, where W represents this one and k is
-    the nearest integer to log2 of the equal moduli kappa = sqrt(-4 c_1 / n).
-    Its coefficients c_r 4^(-rk) and (c0, ct0) 2^(-nk) are exact, and so are
-    its critical points x 4^(-k), which it takes over from this form's
-    solve; at k = 0 it is this form, with what it has cached."""
-    n, c = form.n, form.c
-    k = round(0.5 * math.log2(-4.0 * c[0] / n)) if c[0] < 0.0 else 0
-    if k == 0:
-        return form, 0
-    unit = InvariantForm(n, [math.ldexp(cr, -2 * r * k) for r, cr in enumerate(c, 1)],
-                         math.ldexp(form.c0, -n * k), math.ldexp(form.ct0, -n * k))
-    critical = form._critical_points
-    if critical is not None:
-        critical = (critical[0] - 2 * k, critical[1])
-    object.__setattr__(unit, "_critical_points", critical)
-    return unit, k
-
-
 def _represent_direct(form: InvariantForm, tol_final: float) -> tuple[ShiftMatrix, float]:
     """The direct construction, one attempt, with its certified coefficient
-    error; an error above tol_final * max(1, scale) raises.  It runs at unit
-    equal moduli (_at_unit_moduli), and its weights, scaled back, are
-    checked against this form."""
-    unit, k = _at_unit_moduli(form)
+    error; an error above tol_final * max(1, scale) raises.  It runs on the
+    unit form, and its weights, scaled back, are checked against this form."""
+    unit, k = form._unit
     G = assemble_form_matrix(unit, compute_intersections(unit))
     W = extract_shift(normalize_pencil(pencil_from_adjugate(G, unit)))
     W = ShiftMatrix([w * 2.0 ** k for w in W.weights])
@@ -432,23 +408,24 @@ def _path_weights(form: InvariantForm) -> ShiftMatrix:
     A root sigma^2 of P of multiplicity m puts +/- sigma into m blocks, so
     each block has a simple spectrum, symmetric about zero, and is rebuilt
     by Lanczos; a zero weight closes every block, so the weight product,
-    and with it c0 and ct0, vanish exactly.
+    and with it c0 and ct0, vanish exactly.  It runs on the unit form.
     """
-    positive, zeros = _squared_spectrum(form)
+    unit, k = form._unit
+    positive, zeros = _squared_spectrum(unit)
     sigmas = [(math.sqrt(mu), m) for mu, m in positive]
     weights = []
     for layer in range(max([zeros] + [m for _, m in sigmas])):
         half = [sigma for sigma, m in sigmas if m > layer]
         middle = [0.0] if zeros > layer else []
         spectrum = np.array([-x for x in reversed(half)] + middle + half)
-        weights.extend(2.0 * _persymmetric_jacobi(spectrum))
+        weights.extend(2.0 ** (k + 1) * _persymmetric_jacobi(spectrum))
         weights.append(0.0)
     return ShiftMatrix(weights)
 
 
 def _modulus_system(form: InvariantForm):
     """s > 0: the residual map r -> (F, J) of the moduli in units of the
-    equal moduli kappa, with kappa and the unit product phase.
+    equal moduli kappa, with kappa and the product phase.
 
     The n + 1 residuals are the eigenvalue errors spec H(theta*) - roots of
     p and the product error (prod r - |T|) / max(1, |T|); Hellmann-Feynman
@@ -456,22 +433,21 @@ def _modulus_system(form: InvariantForm):
     """
     n = form.n
     top = complex(form.c0, form.ct0) / ((-1.0) ** (n - 1) * 2.0 ** (1 - n))
-    unit = top / abs(top)  # exactly +1 or -1 when ct0 = 0: the weights come out real
+    phase = top / abs(top)  # exactly +1 or -1 when ct0 = 0: the weights come out real
     theta = (math.atan2(form.ct0, form.c0) + 0.5 * math.pi) / n
     positive, zeros = _squared_spectrum(form)
     half = [math.sqrt(mu) for mu, m in positive for _ in range(m)]
     target = np.array([-x for x in reversed(half)] + [0.0] * zeros + half)
     # sum r_j^2 = 2 sum lambda_k^2 = -4 c_1, so the equal moduli are
-    # kappa = sqrt(-4 c_1 / n).  The solve runs in units of kappa, where the
-    # residual rows are of one size at every coefficient scale, and where
-    # |T| becomes size = |T| / kappa^n <= 1 (the geometric mean of the
-    # moduli is at most their quadratic mean), so max(1, |T|) is 1.
+    # kappa = sqrt(-4 c_1 / n).  In units of kappa |T| becomes
+    # size = |T| / kappa^n <= 1 (the geometric mean of the moduli is at most
+    # their quadratic mean), so max(1, |T|) is 1.
     kappa = math.sqrt(2.0 * float(target @ target) / n)
     target /= kappa
     size = math.exp(math.log(abs(top)) - n * math.log(kappa))
     nxt = np.roll(np.arange(n), -1)
     rot = np.full(n, cmath.exp(-1j * theta))
-    rot[-1] *= unit
+    rot[-1] *= phase
 
     def system(r):
         H = np.zeros((n, n), dtype=complex)
@@ -485,12 +461,12 @@ def _modulus_system(form: InvariantForm):
                     np.concatenate((np.cumprod(r[:0:-1])[::-1], [1.0])), out=J[n])
         return F, J
 
-    return system, kappa, unit
+    return system, kappa, phase
 
 
 def _modulus_weights(form: InvariantForm, rng):
     """s > 0: moduli r with spec H(theta*) = roots of p and prod r = |T|,
-    one candidate shift per start that runs.
+    one candidate shift per start that runs, on the unit form.
 
     The system is underdetermined (representations are not unique), so the
     steps are least-norm Levenberg-Marquardt steps (Friedland, Nocedal &
@@ -505,7 +481,8 @@ def _modulus_weights(form: InvariantForm, rng):
     call that certifies from equal moduli builds none.
     """
     n = form.n
-    system, kappa, unit = _modulus_system(form)
+    unit, k = form._unit
+    system, kappa, phase = _modulus_system(unit)
     for attempt in range(MAX_RETRIES):
         if attempt == 0:
             r = np.ones(n)
@@ -531,11 +508,16 @@ def _modulus_weights(form: InvariantForm, rng):
                 if res_new > LM_CONVERGED and res_new > (1.0 - LM_STALL) * res:
                     break       # a local minimum: restart
             elif res <= LM_CONVERGED or damp > 1e8:
+                # a start ends at a rejected step, not on reaching
+                # LM_CONVERGED: the accepted steps below it carry the last
+                # digits (ending there took perfbench's direct inputs, seed 1,
+                # ops 0-1799, from 15.26 to 13.38 mean digits and their worst
+                # error from 4.8e-15 to 9.5e-11)
                 break
             else:
                 damp *= 10.0
-        r = kappa * r
-        yield ShiftMatrix(list(r[:-1]) + [r[-1] * unit])
+        r = kappa * r * 2.0 ** k
+        yield ShiftMatrix(list(r[:-1]) + [r[-1] * phase])
 
 
 def _represent_spectral(form: InvariantForm, tol_final: float, rng) -> tuple[ShiftMatrix, float]:
@@ -562,14 +544,8 @@ def _represent_spectral(form: InvariantForm, tol_final: float, rng) -> tuple[Shi
 
 
 def represent(form: InvariantForm, config: Config = DEFAULT_CONFIG) -> ShiftMatrix:
-    """Cyclic weighted shift matrix whose pencil determinant equals the form.
-
-    Two routes build it.  The direct route is the paper's construction
-    (intersection points, vanishing forms, curve fit, pencil fit) in one
-    attempt; it needs s > 0.  The spectral route solves an inverse
-    eigenvalue problem for the Hermitian slice H(theta*) at which the
-    identity of shift.py reads det(tI + H(theta*)) = p(t).  Each route
-    returns certified weights or raises.
+    """Cyclic weighted shift matrix whose pencil determinant equals the form,
+    from the routes of this module; each returns certified weights or raises.
 
     Smooth forms try the spectral route first.  Singular forms with s > 0
     try the direct route first: an even-multiplicity self-conjugate orbit

@@ -4,14 +4,12 @@ For an invariant form with p(t) = t^n + sum_r c_r t^(n-2r) and
 s = sqrt(c0^2 + ct0^2), hyperbolicity collapses to p + s and p - s being
 real rooted: every local minimum of p is at most -s and every local
 maximum at least s.  A critical value at -s (or s) is a double root of
-p + s (or p - s), which makes the form singular, as s = 0 does; the
-representation pipeline routes on the kind and on s.  An error in a
-critical point moves its value only to second order, so the critical
-points are not clustered.  They are solved once per form, and the circle
-parameters of intersection.circle_factors are the same unclustered numbers.
-Whether the gap of p +/- s closes at each of them is decided once per form
-too (_gaps): classify and is_hyperbolic read the verdict, and
-intersection.compute_intersections reads its census off the same flags.
+p + s (or p - s), which makes the form singular, as s = 0 does.  The
+critical points are solved once per form, on its unit rescaling, and not
+clustered: an error in one moves its value only to second order.  Whether
+the gap of p +/- s closes at each is decided there once too (_gaps):
+classify and is_hyperbolic read the verdict, and intersection reads its
+circles and its census off the same numbers.
 """
 
 import dataclasses
@@ -201,41 +199,31 @@ def _gaps(form: InvariantForm):
     Returns (closed, plus, minus).  closed has one flag per point of
     form._critical_points, then one for t = 0 when n is even; plus and
     minus say whether p + s and p - s have a double root.  The critical
-    points are +/- sqrt(x) over the x of form._critical_points, each
-    evaluated where it was found, and t = 0 for even n; p is not real
-    rooted when that solve fails.  p is even or odd, so t >= 0 decides: from
-    the largest down, minima and maxima alternate (a multiple root is both),
-    starting with a minimum.  Each critical value is compared with s within
+    points are +/- sqrt(x) over the x of form._critical_points, and t = 0
+    for even n; p is not real rooted when that solve fails.  p is even or
+    odd, so t >= 0 decides: from the largest down, minima and maxima
+    alternate (a multiple root is both), starting with a minimum.  Each
+    critical value p(sqrt(x)) = sqrt(x)^e P(x) is compared with s within
     64 eps of its Horner bound.  For odd n a double root of p + s at t is one
     of p - s at -t; for s = 0 the two coincide.
     """
-    n, s = form.n, form.s
-    m, e = divmod(n, 2)
-    c = (1.0,) + form.c
-    if form._critical_points is None:
+    points, e, s = form._critical_points, form.n % 2, form.s
+    if points is None:
         return None
-    k, points = form._critical_points
     if not e:
         points += ((0.0, 1),)
-    # p(sqrt(2^k y)) = 2^K sqrt(2^(k mod 2) y)^e sum_j a_j y^(m-j), with
-    # a_j = c_j 2^(-jk) and K = km + e floor(k / 2)
-    try:
-        a = [math.ldexp(cj, -k * j) for j, cj in enumerate(c)]
-        s_scaled = math.ldexp(s, -k * m - e * (k // 2))
-    except OverflowError:       # c_m (even n) or s dwarfs every critical value
-        return None
     closed = []
     ends = {-1: False, 1: False}    # -1: a minimum at -s, 1: a maximum at s
     side = -1
-    for y, mult in points:
+    for x, mult in points:
         value = bound = 0.0
-        for aj in a:
-            value, bound = value * y + aj, bound * y + abs(aj)
-        root = math.sqrt(math.ldexp(y, k % 2)) if e else 1.0
+        for cj in (1.0,) + form.c:
+            value, bound = value * x + cj, bound * x + abs(cj)
+        root = math.sqrt(x) if e else 1.0
         value, tol = value * root, 64 * sys.float_info.epsilon * bound * root
         here = False
         for kind in (side, -side)[:mult]:
-            margin = kind * value - s_scaled    # the gap p +/- s keeps here
+            margin = kind * value - s    # the gap p +/- s keeps here
             if margin < -tol:
                 return None
             if margin <= tol:

@@ -12,10 +12,11 @@ settles the census.  An open gap gives two rotation orbits, each the
 conjugate of the other: one is kept in S, its mirror in Sbar.  A closed gap
 gives one self-conjugate orbit at the exact double root, its multiplicity
 split half to each.  Nothing is clustered or matched, and the count n(n-1)
-holds by construction.  Every stored point is checked against f and df/dt
-once, relative to the Horner bound of each value, and a single
-representative per kept orbit forms the working set used by the
-construction.
+holds by construction.  All of it runs on the form's unit rescaling, so a
+small form's circles do not overflow s_j^-n, and the points scale back
+exactly.  Every stored point is checked against f and df/dt once, relative
+to the Horner bound of each value, and a single representative per kept
+orbit forms the working set used by the construction.
 """
 
 import cmath
@@ -117,8 +118,7 @@ def _critical_points(form: InvariantForm) -> tuple:
 
 def circle_factors(form: InvariantForm) -> CircleFactorization:
     """Factor df/dt into circles: the s_j are the critical points of p in t^2."""
-    k, points = _critical_points(form)
-    s = tuple(math.ldexp(y, k) for y, mult in points for _ in range(mult))
+    s = tuple(x for x, mult in _critical_points(form) for _ in range(mult))
     return CircleFactorization(1 - form.n % 2, s)
 
 
@@ -153,9 +153,10 @@ def _trinomial_roots(A: complex, B: complex, C: complex, n: int,
     return out
 
 
-def _circle_orbits(form: InvariantForm, s_j: float, closed: bool = False) -> list[list[Point]]:
+def _circle_orbits(form: InvariantForm, s_j: float, closed: bool = False,
+                   back: float = 1.0) -> list[list[Point]]:
     """The common zeros of the form and one circle t^2 = s_j uv, one list per
-    rotation orbit.
+    rotation orbit, with u and v times back.
 
     In the chart t = 1 the circle forces v = 1/(s_j u), and clearing
     denominators from f(1, u, 1/(s_j u)) leaves A w^2 + B w + conj(A) s_j^-n
@@ -176,7 +177,7 @@ def _circle_orbits(form: InvariantForm, s_j: float, closed: bool = False) -> lis
         raise LeadingZero("circle solve needs a nonzero top coefficient")
     if not all(map(cmath.isfinite, (A, B, C))):
         raise SolveFailed("circle trinomial coefficients are not finite")
-    return [[Point(1.0 + 0j, u, 1.0 / (s_j * u)) for u in roots]
+    return [[Point(1.0 + 0j, u * back, back / (s_j * u)) for u in roots]
             for roots in _trinomial_roots(A, B, C, n, closed)]
 
 
@@ -209,7 +210,8 @@ def infinity_points(form: InvariantForm) -> list[tuple[Point, int]]:
     """Zeros of a hyperbolic form on the line t = 0, with multiplicities (n
     even): double exactly where the gap of p +/- s closes at t = 0."""
     closed = _closed_gaps(form)[-1]
-    return [(p, 2 if closed else 1) for orbit in _infinity_orbits(form, closed) for p in orbit]
+    return [(p, 2 if closed else 1)
+            for orbit in _infinity_orbits(form._unit[0], closed) for p in orbit]
 
 
 def _canonical_rep(p: Point, n: int) -> Point:
@@ -268,18 +270,22 @@ def compute_intersections(form: InvariantForm) -> IntersectionSet:
     conjugate, or one self-conjugate orbit where the gap of p +/- s closes.
     So are the points at infinity, at t = 0; there they carry the
     multiplicity 1 + 2 (critical points at 0).  The residuals of every
-    stored point are checked.
+    stored point are checked.  All is solved on the unit form, whose affine
+    points (1, u, v) are (1, u / 2^k, v / 2^k) here.
     """
     n = form.n
-    k, points = _critical_points(form)
-    closed = _closed_gaps(form)
+    if form._unit is None:
+        raise NotHyperbolic("form is not hyperbolic")
+    unit, k = form._unit
+    points = _critical_points(unit)
+    closed = _closed_gaps(unit)
     chosen = []
-    for (y, mult), shut in zip(points, closed):
-        if y > 0.0:
-            chosen.append(_kept_orbit(_circle_orbits(form, math.ldexp(y, k), shut), mult, n))
-    zero_circles = sum(mult for y, mult in points if y == 0.0)
+    for (x, mult), shut in zip(points, closed):
+        if x > 0.0:
+            chosen.append(_kept_orbit(_circle_orbits(unit, x, shut, 2.0 ** -k), mult, n))
+    zero_circles = sum(mult for x, mult in points if x == 0.0)
     if n % 2 == 0:
-        chosen.append(_kept_orbit(_infinity_orbits(form, closed[-1]), 1 + 2 * zero_circles, n))
+        chosen.append(_kept_orbit(_infinity_orbits(unit, closed[-1]), 1 + 2 * zero_circles, n))
     elif zero_circles:
         # a circle degenerated to t^2 on an odd-degree form: the
         # affine-points guarantee failed, so reroute
@@ -303,9 +309,11 @@ def compute_intersections(form: InvariantForm) -> IntersectionSet:
 def _check_residuals(form: InvariantForm, iset: IntersectionSet):
     """Every stored point is a zero of f and df/dt within 64 n eps of the
     value's Horner bound: the sum of |coefficient| |monomial| there, the
-    absolute coefficients at the absolute coordinates.  A nan fails."""
-    polys = [form.expand(), form._derivative]
-    points = np.array([p.coords() for p, _ in iset.S + iset.Sbar])
+    absolute coefficients at the absolute coordinates, on the unit form (u
+    and v times 2^k).  A nan fails."""
+    unit, k = form._unit
+    polys = [unit.expand(), unit._derivative]
+    points = np.array([p.coords() for p, _ in iset.S + iset.Sbar]) * [1.0, 2.0 ** k, 2.0 ** k]
     absolute = [TrivariatePoly._unchecked(p.degree, {e: abs(c) for e, c in p.terms.items()})
                 for p in polys]
     values = _evaluate_many(polys, points)

@@ -3,7 +3,8 @@
 A degree-n form invariant under u -> w u, v -> w^-1 v (w a primitive n-th
 root of unity) that is monic in t is determined by floor(n/2) + 3 real
 numbers: the coefficients c_r of t^(n-2r) (uv)^r, the coefficient c0 of
-(u^n + v^n)/2 and the coefficient ct0 of (u^n - v^n)/(2i).
+(u^n + v^n)/2 and the coefficient ct0 of (u^n - v^n)/(2i).  Every solve
+runs on a form's one exact unit rescaling, InvariantForm._unit.
 """
 
 import dataclasses
@@ -68,33 +69,59 @@ class InvariantForm:
         return self._expansion.dt()
 
     @functools.cached_property
-    def _critical_points(self):
-        """(k, ((y, multiplicity), ...)): the critical points x = 2^k y of p in
-        t^2, descending, solved once per form; None when one is non-real or
-        below -TOL_ROOT in y (one just below 0 is 0).
+    def _unit(self):
+        """(unit, k): the form of W / 2^k, where W represents this one, k the
+        nearest integer to log2 of the equal moduli sqrt(4 |c_1| / n); its
+        coefficients c_r 4^(-rk) and (c0, ct0) 2^(-nk) are exact.  None when
+        the size rules out hyperbolicity: the roots of p are real, with sum of
+        squares -2 c_1 <= n on the unit form, so by Maclaurin's inequality
+        the coefficient of t^(n-j) is at most binom(n, j) < 2^n there, and
+        c_1 = 0 leaves p = t^n, s = 0."""
+        n, c = self.n, self.c
+        coeffs = c + (self.c0, self.ct0)
+        if c[0] == 0.0:
+            return None if any(coeffs) else (self, 0)
+        k = round(0.5 * math.log2(4.0 * abs(c[0]) / n))
+        shifts = [2 * r * k for r in range(1, len(c) + 1)] + [n * k] * 2
+        if any(x and math.frexp(x)[1] - shift > n for x, shift in zip(coeffs, shifts)):
+            return None
+        if k == 0:
+            return self, 0
+        scaled = [math.ldexp(x, -shift) for x, shift in zip(coeffs, shifts)]
+        unit = InvariantForm(n, scaled[:-2], *scaled[-2:])
+        object.__setattr__(unit, "_unit", (unit, 0))
+        return unit, k
 
-        With P(x) = x^m + c_1 x^(m-1) + ... + c_m, m = n // 2, e = n mod 2,
-        p(t) = t^e P(t^2) and p'(t) = t^(1-e) Q(t^2), Q_j = (n - 2j) c_j: the
-        x are the roots of Q, solved monic in y = x / 2^k with 2^k above its
-        root bound.  They are not clustered: a radius in y is absolute near
-        0 and would merge the small critical points of a p whose roots span
-        decades.
-        """
+    @functools.cached_property
+    def _critical_points(self):
+        """((x, multiplicity), ...): the critical points x of p in t^2,
+        descending, 4^k times the unit form's, which are solved once; None
+        when one is non-real or below -TOL_ROOT there (one just below 0 is
+        0), or when there is no unit form.  With p(t) = t^e P(t^2), e = n
+        mod 2, and p'(t) = t^(1-e) Q(t^2), Q_j = (n - 2j) c_j, they are the
+        roots of Q, monic, as it stands on the unit form, where a hyperbolic
+        form's lie in [0, n].  They are not clustered: a radius is absolute
+        near 0 and would merge the small critical points of a p whose roots
+        span decades."""
         from .hyperbolicity import _root_profiles   # it imports this module
+        unit, k = self._unit or (None, 0)
+        if unit is not self:
+            points = unit and unit._critical_points
+            return points and tuple((math.ldexp(x, 2 * k), mult) for x, mult in points)
         n = self.n
         q = [1.0] + [(n - 2 * j) * cj / n for j, cj in enumerate(self.c[:(n - 1) // 2], start=1)]
-        k = math.frexp(max(abs(qj) ** (1.0 / j) for j, qj in enumerate(q) if j))[1]
-        profile = _root_profiles([[math.ldexp(qj, -k * j) for j, qj in enumerate(q)]], 0.0)[0]
+        profile = _root_profiles([q], 0.0)[0]
         if not profile.all_real or profile.roots[0][0] < -TOL_ROOT:
             return None
-        return k, tuple((max(float(y), 0.0), mult) for y, mult in reversed(profile.roots))
+        return tuple((max(float(x), 0.0), mult) for x, mult in reversed(profile.roots))
 
     @functools.cached_property
     def _gaps(self):
-        """hyperbolicity._gaps of the form, evaluated once per form: classify,
+        """hyperbolicity._gaps of the unit form, evaluated once: classify,
         is_hyperbolic and intersection.compute_intersections read it."""
         from .hyperbolicity import _gaps    # it imports this module
-        return _gaps(self)
+        unit = self._unit[0] if self._unit else self
+        return _gaps(self) if unit is self else unit._gaps
 
     def univariate(self) -> list:
         """Coefficients (leading first) of p(t) = t^n + sum_r c_r t^(n-2r)."""

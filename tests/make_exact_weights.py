@@ -1,8 +1,8 @@
 """Recompute the exact_weights of the forward cases of represent_golden.json.
 
 The direct route is run once in float64 on each case, and its inputs are
-kept: the form at unit equal moduli, the coefficients of row one of the form
-matrix, the curve points and the sample points of the pencil fit.  Taking
+kept: the unit form (InvariantForm._unit), the coefficients of row one of
+the form matrix, the curve points and the sample points of the pencil fit.  Taking
 those float64 numbers as exact, every later step runs again in 60 digits
 with mpmath: the curve fit of each eigenspace class (rows scaled to unit
 norm, as the float64 fit scales them; column scaling does not move an exact
@@ -11,11 +11,14 @@ the pencil fit, the normalization and the read-off of the weights, which are
 then scaled back by 2^k.  The result, rounded to float64, is stored as
 exact_weights; the distance of every stored weight list to it is printed.
 
-mpmath is not a dependency of the package or of its tests.  Run by hand from
-the repository root:
+mpmath is not a dependency of the package or of its tests.  Run from the
+repository root:
 
-    PYTHONPATH=src python tests/make_exact_weights.py            # print only
+    PYTHONPATH=src python tests/make_exact_weights.py            # print and check
     PYTHONPATH=src python tests/make_exact_weights.py --write    # store too
+
+Without --write it exits 1 when a stored exact_weights differs from the
+recomputed one.
 """
 
 import json
@@ -132,7 +135,7 @@ def exact_weights(form):
     lower = [(Mu[(j + 1) % n][j] + mp.conj(Mv[j][(j + 1) % n])) / 2 for j in range(n)]
     if all(d < 0 for d in diag):
         diag, lower = [-d for d in diag], [-x for x in lower]
-    scale = mp.mpf(2) ** construct._at_unit_moduli(form)[1]
+    scale = mp.mpf(2) ** form._unit[1]
     weights = [2 * mp.conj(lower[j]) / mp.sqrt(diag[j] * diag[(j + 1) % n]) * scale
                for j in range(n)]
     return [complex(float(mp.re(w)), float(mp.im(w))) for w in weights]
@@ -144,20 +147,30 @@ def distance(got, want):
 
 
 def main(write):
+    """Recompute every exact_weights; store them with write, and otherwise
+    return 1 when one differs from the stored list."""
     cases = json.loads(GOLDEN.read_text())
+    stale = []
     for case in cases:
         if case["kind"] != "forward":
             continue
         form = forward_matching(random_shift(np.random.default_rng(case["seed"]), case["n"]))
         want = exact_weights(form)
+        name = f"n{case['n']}-seed{case['seed']}"
+        if case.get("exact_weights") != [repr(w) for w in want]:
+            stale.append(name)
         case["exact_weights"] = [repr(w) for w in want]
         far = {key: distance([complex(w) for w in case[key]], want)
                for key in case if key.endswith("weights") and key != "exact_weights"}
-        print(f"n{case['n']}-seed{case['seed']}",
-              "  ".join(f"{key} {d:.1e}" for key, d in far.items()))
+        print(name, "  ".join(f"{key} {d:.1e}" for key, d in far.items()))
     if write:
         GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+        return 0
+    if stale:
+        print("stored exact_weights differ from the recomputed ones:", " ".join(stale))
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main("--write" in sys.argv[1:])
+    sys.exit(main("--write" in sys.argv[1:]))

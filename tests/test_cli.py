@@ -10,9 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, ShiftMatrix, construct,
-                    represent, verify)
+from hyprep import (DEFAULT_CONFIG, Config, InvariantForm, ShiftMatrix, classify, construct,
+                    is_hyperbolic, represent, verify)
 from hyprep.cli import _format_json, main
+from hyprep.errors import NotHyperbolic
 from hyprep.construct import _represent_direct
 from hyprep.forward import forward_interpolate, forward_matching
 from hyprep.hyperbolicity import _root_profiles
@@ -303,16 +304,47 @@ def test_points_on_a_negative_circle_parameter_is_numerical_failure(capsys, tmp_
 
 @pytest.mark.parametrize("k", range(3))
 def test_points_on_an_overflowing_circle_is_numerical_failure(capsys, tmp_path, k):
-    # the smallest circle of these forms overflows s_j^-n: exit 3, not an
-    # input error, and no numpy warning (warnings are errors here)
+    # the smallest circle of these forms overflowed s_j^-n while the points
+    # were solved on the raw form.  On the unit form it does not: with no
+    # zero weight (k = 0) every point is found, and no numpy warning shows
+    # (warnings are errors here).  With a zero weight s = 0, and the circle
+    # solve fails, typed: exit 3, not an input error
     form = _form_at_scale(24, k, 1e-12)
     path = write_json(tmp_path / "f.json", form.to_json())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["points", "--input", path])
     captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("numerical failure:")
+    if k == 0:
+        assert code == 0
+        out = json.loads(captured.out)
+        assert sum(e["mult"] for e in out["S"] + out["Sbar"]) == 24 * 23
+    else:
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("numerical failure:")
+
+
+def test_a_form_too_large_for_its_unit_scale_is_not_hyperbolic(capsys, tmp_path):
+    # c_2 = 1e300 is 4^996 times larger on the unit form (k = -498), where no
+    # hyperbolic form has a coefficient above 2^n: check reports it not
+    # hyperbolic, points and represent fail typed, with no traceback and no
+    # numpy warning (warnings are errors here)
+    data = {"n": 4, "c": [-1e-300, 1e300], "c0": 0.0, "ct0": 0.0}
+    form = InvariantForm.from_json(data)
+    assert form._unit is None and not is_hyperbolic(form)
+    with pytest.raises(NotHyperbolic):
+        classify(form)
+    path = write_json(tmp_path / "f.json", data)
+    for command, want in (("check", 1), ("points", 3), ("represent", 3)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--input", path])
+        captured = capsys.readouterr()
+        assert code == want and "Traceback" not in captured.err
+        if command == "check":
+            assert json.loads(captured.out) == {"hyperbolic": False}
+        else:
+            assert captured.err == "numerical failure: form is not hyperbolic\n"
 
 
 @pytest.mark.parametrize("scale", SWEEP_SCALES)
@@ -379,7 +411,10 @@ def test_realize_nondihedral_is_verification_failure(capsys, tmp_path):
 # The numrange and curve runs were recorded again when one eigh came to
 # serve theta and theta + pi and each curve ray came to keep its positive
 # radii alone: the support values moved in their last bits and the curve
-# counts halved; the earlier stdout is kept under "<name> full circle"
+# counts halved; the earlier stdout is kept under "<name> full circle".
+# "points quintic", "represent quintic" and "represent quintic direct route"
+# were recorded once more when every solve came to run on the unit form, the
+# quintic rescaled by 2^-2; the earlier stdout is kept under "<name> raw form"
 GOLDEN_PATH = pathlib.Path(__file__).with_name("cli_golden.json")
 S2, S3, S6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 GOLDEN_INPUTS = {
@@ -471,6 +506,8 @@ def test_golden_stdout_stays_near_the_companion_solve():
     pairs += [(name, name + suffix)
               for suffix in (" scalar evaluator", " curve division", " random sample box")
               for name in ("represent quartic", "represent quintic direct route")]
+    pairs += [(name, name + " raw form")
+              for name in ("points quintic", "represent quintic", "represent quintic direct route")]
     for name, old_name in pairs:
         new, old = json.loads(golden[name]), json.loads(golden[old_name])
         if name.startswith("points"):

@@ -1,6 +1,7 @@
 """The construction pipeline: vanishing forms, curve fit and division, pencil, weights."""
 
 import json
+import math
 import pathlib
 import warnings
 
@@ -486,9 +487,9 @@ def test_represent_falls_back_to_the_direct_route(monkeypatch, quintic_form):
 
 
 def test_represent_solves_for_the_critical_points_once(monkeypatch):
-    # an equal-moduli image at kappa = 1000 takes the direct route, which
-    # runs on the form rescaled by 2^-10: its critical points are this
-    # form's times 4^-10, exactly, carried over rather than solved again
+    # an equal-moduli image at kappa = 1000 takes the direct route; its
+    # critical points are solved once, on the unit form, the form rescaled
+    # by 2^-10, which classify and the direct route share
     phases = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, size=9)
     form = forward_matching(ShiftMatrix(1e3 * np.exp(1j * phases)))
     solves = []
@@ -505,7 +506,7 @@ def test_represent_solves_for_the_critical_points_once(monkeypatch):
     monkeypatch.setattr(construct, "_represent_direct", traced)
     assert_certified(form, represent(form))
     assert seen == [form] and solves == [(1, 5)]
-    assert construct._at_unit_moduli(form)[1] == 10
+    assert form._unit[1] == 10
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -530,15 +531,16 @@ def test_direct_route_certifies_sweep_forms_at_every_scale(n, scale):
 
 @pytest.mark.parametrize("n", range(4, 25))
 def test_represent_certifies_forward_images_of_high_degree(n):
-    # smooth forms: the spectral route runs first, its errors near roundoff,
-    # far inside the gate, and with no numpy RuntimeWarning on the way
+    # smooth forms: the spectral route runs first, its errors near roundoff
+    # (the worst is 5.3e-15 relative), far inside the gate, and with no
+    # numpy RuntimeWarning on the way
     for k in range(3):
         form = forward_matching(random_shift(np.random.default_rng(5000 + 100 * n + k), n))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             W = represent(form)
         assert not runtime_warnings(caught)
-        assert_certified(form, W, headroom=100.0)
+        assert coefficient_error(form, W) <= 1e-13 * max(1.0, form.coefficient_scale())
 
 
 def singular_form(kind, n, rng):
@@ -647,7 +649,10 @@ def test_represent_golden_weights(case):
     # equal moduli, with the weights of the division kept as division_weights.
     # The forward images were recorded again when the pencil fit's sample
     # points moved from a seeded random box to one fixed circle, with the
-    # weights of the box kept as random_box_weights
+    # weights of the box kept as random_box_weights.  The cases whose bits
+    # moved when every solve came to run on the unit form (the critical
+    # points, before, on the raw form) were recorded again, with the earlier
+    # weights kept as raw_form_weights
     rng = np.random.default_rng(case["seed"])
     W = random_shift(rng, case["n"])
     if case["kind"] == "zero_weight":
@@ -674,6 +679,19 @@ def test_golden_weights_stay_near_the_companion_solve(case):
 SPECTRAL_GOLDEN = pathlib.Path(__file__).with_name("spectral_golden.json")
 
 
+@pytest.mark.parametrize("case", [case for path in (GOLDEN_WEIGHTS, SPECTRAL_GOLDEN)
+                                  for case in json.loads(path.read_text())
+                                  if "raw_form_weights" in case],
+                         ids=lambda case: f"{case['kind']}-n{case['n']}")
+def test_golden_weights_stay_near_the_raw_form_solve(case):
+    # the unit form moves the direct route's weights by up to 1.8e-13
+    # relative (n = 12), and the spectral route's by up to 8.5e-16
+    new = np.array([complex(w) for w in case["weights"]])
+    old = np.array([complex(w) for w in case["raw_form_weights"]])
+    bound = 1e-12 if case["kind"] == "forward" else 1e-14
+    assert np.max(np.abs(new - old)) <= bound * np.max(np.abs(old))
+
+
 @pytest.mark.parametrize("case", json.loads(SPECTRAL_GOLDEN.read_text()),
                          ids=lambda case: f"{case['kind']}-n{case['n']}")
 def test_spectral_golden_weights(case):
@@ -681,7 +699,11 @@ def test_spectral_golden_weights(case):
     # image of a seeded shift (complex) or of its real parts (real), both
     # smooth, so the spectral route runs first; and the spectral route alone,
     # from represent's seeded generator, on equal-moduli images with s > 0,
-    # where represent tries the direct route first
+    # where represent tries the direct route first.  The forms with k != 0
+    # whose bits moved when the route came to run on the unit form, not in
+    # units of the equal moduli of the raw form, were recorded again, with the
+    # earlier weights kept as raw_form_weights; every form with k = 0 kept
+    # its bits
     rng = np.random.default_rng(case["seed"])
     if case["kind"] == "equal_moduli":
         form = singular_form("equal_moduli", case["n"], rng)
@@ -693,6 +715,49 @@ def test_spectral_golden_weights(case):
             W = ShiftMatrix([w.real for w in W.weights])
         W = represent(forward_matching(W))
     assert [repr(w) for w in W.weights] == case["weights"]
+
+
+def times_power_of_two(form, j):
+    """The form of 2^j W, where W represents this one: c_r 4^(rj) and
+    (c0, ct0) 2^(nj), exactly."""
+    n = form.n
+    return InvariantForm(n, [math.ldexp(cr, 2 * r * j) for r, cr in enumerate(form.c, 1)],
+                         math.ldexp(form.c0, n * j), math.ldexp(form.ct0, n * j))
+
+
+def exact_bits(values):
+    return [(float(z.real).hex(), float(z.imag).hex()) for z in values]
+
+
+@pytest.mark.parametrize("j", [-20, 3, 30])
+def test_outputs_scale_exactly_with_the_input(j, quartic_form, quintic_form):
+    # a form and the image of its weights times 2^j share one unit form, on
+    # which every solve runs: each route's weights come back times 2^j, bit
+    # for bit, and so do u and v of every affine intersection point, while
+    # the points at infinity stay as they are.  The equal moduli kappa of
+    # these forms are not powers of two, so this fails where a route works
+    # in units of kappa itself
+    smooth = forward_matching(random_shift(np.random.default_rng(5012), 12))
+    zero_weight = singular_form("zero_weight", 7, np.random.default_rng([7, 0, 11]))
+    routes = [
+        (smooth, lambda form: next(construct._modulus_weights(form, DEFAULT_CONFIG.seed))),
+        (quintic_form, lambda form: next(construct._modulus_weights(form, DEFAULT_CONFIG.seed))),
+        (zero_weight, construct._path_weights),
+        (quintic_form, direct_route),
+        (quartic_form, direct_route),
+    ]
+    for form, route in routes:
+        scaled = times_power_of_two(form, j)
+        assert scaled._unit[0] == form._unit[0] and scaled._unit[1] == form._unit[1] + j
+        want = [w * 2.0 ** j for w in route(form).weights]
+        assert exact_bits(route(scaled).weights) == exact_bits(want)
+    for form in (quartic_form, quintic_form, smooth):
+        iset, scaled = compute_intersections(form), compute_intersections(times_power_of_two(form, j))
+        assert (scaled.orbit_mult, scaled.at_infinity) == (iset.orbit_mult, iset.at_infinity)
+        for (p, m), (q, mq) in zip(iset.S + iset.Sbar, scaled.S + scaled.Sbar):
+            back = 1.0 if p.at_infinity else 2.0 ** -j
+            assert m == mq
+            assert exact_bits(q.coords()) == exact_bits((p.t, p.u * back, p.v * back))
 
 
 @pytest.mark.parametrize("n", range(3, 21))

@@ -384,9 +384,15 @@ def test_classify_solves_each_endpoint_once(monkeypatch, quintic_form):
     # degree (n - 1) // 2
     assert [len(rows) for rows in calls] == [1] and len(calls[0][0]) - 1 == 2
     calls.clear()
+    # p = t^3 - t has its minimum -0.38 above -s = -1
+    with pytest.raises(NotHyperbolic, match="form is not hyperbolic"):
+        classify(InvariantForm(3, [-1.0], 1.0, 0.0))
+    assert [len(rows) for rows in calls] == [1] and len(calls[0][0]) - 1 == 1
+    calls.clear()
+    # c_1 = 0 leaves only p = t^n with s = 0: the size alone decides
     with pytest.raises(NotHyperbolic, match="form is not hyperbolic"):
         classify(InvariantForm(3, [0.0], 1.0, 0.0))
-    assert [len(rows) for rows in calls] == [1] and len(calls[0][0]) - 1 == 1
+    assert calls == []
 
 
 def test_classify_solves_once_when_s_vanishes(monkeypatch):

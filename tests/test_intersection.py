@@ -229,13 +229,14 @@ def test_eigenclass_span_vanishing_extends_to_whole_orbit(quintic_form):
         assert worst < 1e-8
 
 
-@pytest.mark.parametrize("scale", [scale for scale in SWEEP_SCALES if scale >= 1e-3])
+@pytest.mark.parametrize("scale", SWEEP_SCALES)
 @pytest.mark.parametrize("n", [15, 18, 21, 24])
 def test_high_degree_points_certify_at_large_scales(n, scale):
     # the n-th roots of the quadratic's two roots are each circle's two
     # orbits, exactly, so every orbit has its full size at any degree, and
     # every stored point is within its residual budget, which is relative to
-    # the Horner bound of each value
+    # the Horner bound of each value.  The points are solved on the unit
+    # form, so no circle trinomial overflows, at small scales either
     iset = compute_intersections(_form_at_scale(n, 0, scale))
     assert iset.total_multiplicity() == n * (n - 1)
 
@@ -257,24 +258,21 @@ def test_a_moved_stored_point_fails_its_residual_budget(n):
 
 @pytest.mark.parametrize("n", range(6, 25, 3))
 def test_small_scale_circles_stay_apart(n):
-    # circle parameters of 1e-15 to 5e-13 are the critical points solved in
-    # units of a power of two above the largest of them, and not clustered,
-    # so they do not merge into one repeated circle.  Up to n = 18 the points
-    # pass their budget and the direct route certifies.  At n = 21 and 24 the
-    # circle trinomial overflows: the points of the form fail, typed.  The
-    # direct route, which runs at unit equal moduli, may fail there too, but
-    # only typed
+    # circle parameters of 1e-15 to 5e-13 are the critical points solved on
+    # the unit form and scaled back by 4^k, not clustered, so they do not
+    # merge into one repeated circle.  The points are solved on the unit
+    # form too, where no circle trinomial overflows: at every degree they
+    # pass their budget.  Up to n = 18 the direct route certifies; at n = 21
+    # and 24 it may fail, but only typed
     form = _form_at_scale(n, 0, 1e-12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fac = circle_factors(form)
+        assert compute_intersections(form).total_multiplicity() == n * (n - 1)
         if n <= 18:
-            assert compute_intersections(form).total_multiplicity() == n * (n - 1)
             _, err = _represent_direct(form, DEFAULT_CONFIG.tol_final)
             assert err <= DEFAULT_CONFIG.tol_final
         else:
-            with pytest.raises(SolveFailed, match="^circle trinomial"):
-                compute_intersections(form)
             try:
                 _represent_direct(form, DEFAULT_CONFIG.tol_final)
             except HyprepError:
@@ -375,16 +373,19 @@ def _bits(value):
 @pytest.mark.parametrize("n", range(3, 15))
 def test_census_equals_the_key_matching_split_on_open_gaps(n):
     # on forward images every gap is open: the closed-gap census is the
-    # key-matching one, bit for bit, and fails the residual budget with it
+    # key-matching one, bit for bit, and fails the residual budget with it.
+    # Both run on the unit form (test_outputs_scale_exactly_with_the_input
+    # holds the way back)
     for k in range(10):
         form = forward_matching(random_shift(np.random.default_rng(5000 + 100 * n + k), n))
+        unit = form._unit[0]
         assert not any(form._gaps[0])
-        want = _reference_split(_reference_points(form), n)
+        want = _reference_split(_reference_points(unit), n)
         try:
-            got = compute_intersections(form)
+            got = compute_intersections(unit)
         except SolveFailed:
             with pytest.raises(SolveFailed):
-                intersection._check_residuals(form, want)
+                intersection._check_residuals(unit, want)
         else:
             assert _bits(got) == _bits(want)
 
@@ -430,5 +431,5 @@ def test_classify_and_points_evaluate_the_critical_values_once(monkeypatch, quar
         classify(form)
         compute_intersections(form)
         assert is_hyperbolic(form)
-        assert calls == [form]
+        assert calls == [form._unit[0]]
         calls.clear()
