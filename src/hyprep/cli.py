@@ -99,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--against", help="second shift JSON: also report range equality")
 
     p = sub.add_parser("curve", help="real curve sample in the t=1 chart, "
-                                     "one point per half-ray")
+                                     "one point per half-ray; for odd n the rays "
+                                     "at theta and theta + pi share one solve")
     p.add_argument("--input", required=True)
     p.add_argument("--angles", type=int, default=720)
     p.add_argument("--csv")

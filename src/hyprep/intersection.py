@@ -130,20 +130,24 @@ def _trinomial_roots(A: complex, B: complex, C: complex, n: int,
     The two roots of the quadratic come from the cancellation-free formula,
     whatever decades A, B and C span.  On a closed gap the discriminant
     vanishes, and the one orbit is the n-th roots of the double root -B/(2A).
+    A root that overflows, where A is tiny against B, fails the solve.
     """
-    if closed:
-        zs = (-B / (2.0 * A),)
-    else:
-        disc = np.sqrt(B * B - 4.0 * A * C + 0j)
-        if abs(B - disc) > abs(B + disc):
-            q = -(B - disc) / 2.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if closed:
+            zs = (-B / (2.0 * A),)
         else:
-            q = -(B + disc) / 2.0
-        if abs(q) == 0.0:   # B = 0 and A C = 0 is excluded by the caller
-            z1 = np.sqrt(-C / A + 0j)
-            zs = (z1, -z1)
-        else:
-            zs = (q / A, C / q)
+            disc = np.sqrt(B * B - 4.0 * A * C + 0j)
+            if abs(B - disc) > abs(B + disc):
+                q = -(B - disc) / 2.0
+            else:
+                q = -(B + disc) / 2.0
+            if abs(q) == 0.0:   # B = 0 and A C = 0 is excluded by the caller
+                z1 = np.sqrt(-C / A + 0j)
+                zs = (z1, -z1)
+            else:
+                zs = (q / A, C / q)
+    if not all(map(cmath.isfinite, zs)):
+        raise SolveFailed("circle trinomial roots are not finite")
     out = []
     for z in zs:
         mag = abs(z) ** (1.0 / n)
@@ -177,8 +181,13 @@ def _circle_orbits(form: InvariantForm, s_j: float, closed: bool = False,
         raise LeadingZero("circle solve needs a nonzero top coefficient")
     if not all(map(cmath.isfinite, (A, B, C))):
         raise SolveFailed("circle trinomial coefficients are not finite")
-    return [[Point(1.0 + 0j, u * back, back / (s_j * u)) for u in roots]
-            for roots in _trinomial_roots(A, B, C, n, closed)]
+    roots = _trinomial_roots(A, B, C, n, closed)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        orbits = [[Point(1.0 + 0j, u * back, back / (s_j * u)) for u in orbit]
+                  for orbit in roots]
+    if not all(cmath.isfinite(x) for orbit in orbits for p in orbit for x in (p.u, p.v)):
+        raise SolveFailed("circle points are not finite")
+    return orbits
 
 
 def circle_intersect(form: InvariantForm, s_j: float) -> list[Point]:

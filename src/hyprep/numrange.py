@@ -16,8 +16,11 @@ by 2 pi / n, so the polynomial depends on the ray's angle only through
 n theta mod 2 pi; with that phase reduced exactly, the m grid rays fall
 into m / gcd(m, n) classes of equal rows, and one period of classes is
 solved as the rows of one batch, one stacked companion eigensolve per
-degree.  The rows are real, so their companion matrices are float64, as
-np.roots takes a real polynomial.  Points are returned as Python floats.
+degree.  For odd n the phase at theta + pi is the phase at theta plus pi,
+so that ray's row is the row at theta read at -rho: when the period is
+even, its first half is solved and the second half read off it.  The rows
+are real, so their companion matrices are float64, as np.roots takes a
+real polynomial.  Points are returned as Python floats.
 """
 
 import dataclasses
@@ -102,35 +105,41 @@ def curve_sample(form: InvariantForm, m: int = 720) -> list[tuple[float, float]]
     (c0 cos phi_k + ct0 sin phi_k) rho^n, with the phase phi_k = n theta_k
     reduced exactly to 2 pi ((n k) mod m) / m.  Rays k and k + m / gcd(m, n)
     then share a row bit for bit, so only one period of m / gcd(m, n) rows is
-    solved: rows equal bit for bit are solved once, and the rest share one
-    stacked real companion eigensolve per degree.  The point of radius -rho
-    at theta is the point of radius rho at theta + pi, so each ray keeps its
-    positive real roots alone, the points of its half-ray; for even m that
-    returns each point once.  They are emitted at the ray's own angle as
-    (x, y) pairs of Python floats, in angle order.
+    solved, as one stacked real companion eigensolve per degree; with
+    c0 = ct0 = 0 every ray has the same row, and one row is solved.  The
+    point of radius -rho at theta is the point of radius rho at theta + pi,
+    so each ray keeps its positive real roots alone, the points of its
+    half-ray; for even m that returns each point once.  For odd n and an
+    even period, ray k + period / 2 has the row of ray k at -rho: only the
+    first half of the period is solved, and ray k + period / 2 takes the
+    negated negative roots of ray k's row, in ascending order.  The points
+    are emitted at the ray's own angle as (x, y) pairs of Python floats, in
+    angle order.
     """
     if m < 1:
         return []
     n = form.n
-    period = m // math.gcd(m, n)
-    rows = np.zeros((period, n + 1))
-    phases = [2 * math.pi * (n * k % m) / m for k in range(period)]
+    # with c0 = ct0 = 0 every ray has the same row
+    period = m // math.gcd(m, n) if form.c0 or form.ct0 else 1
+    # for odd n the second half of an even period is the first turned by pi
+    half = period // 2 if n % 2 and period % 2 == 0 else period
+    rows = np.zeros((half, n + 1))
+    phases = [2 * math.pi * (n * k % m) / m for k in range(half)]
     rows[:, 0] = [form.c0 * math.cos(p) + form.ct0 * math.sin(p) for p in phases]
     for r, cr in enumerate(form.c, start=1):
         # for even n the r = n/2 term shares the rho^n slot with the top pair
         rows[:, n - 2 * r] += cr
     rows[:, n] = 1.0
-    # rows equal bit for bit are solved once, in order of first appearance, so
-    # that the first row that cannot be solved raises, as it would alone
-    keys = {k: rows[k].tobytes() for k in rows[:, :-1].any(axis=1).nonzero()[0].tolist()}
-    first = {}
-    for k, key in keys.items():
-        first.setdefault(key, k)
-    solved = dict(zip(first, _root_profiles(rows[list(first.values())])))
-    # a constant row has no points, and the constant term 1 no zero root; the
-    # period repeats m / period times around the circle
-    radii = [[r for r, _ in solved[keys[k]].roots if r > 0] if k in keys else []
-             for k in range(period)]
+    # a constant row has no points, and the constant term 1 no zero root
+    live = rows[:, :-1].any(axis=1).nonzero()[0].tolist()
+    roots = [()] * half
+    for k, profile in zip(live, _root_profiles(rows[live])):
+        roots[k] = [r for r, _ in profile.roots]
+    radii = [[r for r in ray if r > 0] for ray in roots]
+    if half < period:
+        # ray k + period / 2 has the row of ray k at -rho
+        radii += [sorted(-r for r in ray if r < 0) for ray in roots]
+    # the period repeats m / period times around the circle
     counts = [len(ray) for ray in radii] * (m // period)
     rho = np.tile(np.fromiter(itertools.chain.from_iterable(radii), float), m // period)
     # math.cos and math.sin of each ray's own angle, repeated over its radii;

@@ -347,6 +347,20 @@ def test_a_form_too_large_for_its_unit_scale_is_not_hyperbolic(capsys, tmp_path)
             assert captured.err == "numerical failure: form is not hyperbolic\n"
 
 
+def test_points_on_an_overflowing_circle_root_is_numerical_failure(capsys, tmp_path):
+    # the circle quadratic of this Singular cubic's unit form has an
+    # overflowing root: a numerical failure, exit 3, with no numpy warning
+    # shown and no traceback
+    path = write_json(tmp_path / "f.json",
+                      {"n": 3, "c": [-4.77e87], "c0": -1.11e-182, "ct0": -8.66e-216})
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter("always")
+        code = main(["points", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 3 and shown == [] and captured.out == ""
+    assert captured.err == "numerical failure: circle trinomial roots are not finite\n"
+
+
 @pytest.mark.parametrize("scale", SWEEP_SCALES)
 def test_every_command_fails_only_typed_across_scales(capsys, tmp_path, scale):
     # the CLI side of the exception-boundary sweep: check, represent, points
@@ -445,9 +459,16 @@ GOLDEN_RUNS = {     # name: (command, input, extra arguments)
 # moved in their last bits and their count did not (test_numrange holds the
 # complex-companion and product-phase references).  Recorded once more when
 # each ray came to keep its positive radii alone: the points that stayed
-# kept their bits
+# kept their bits.  The quintic's was recorded once more when, for odd n, a
+# ray at theta + pi came to take the row of the ray at theta read at -rho:
+# its points moved in their last bits, and the quartic kept its sum
 CURVE_CSV_SHA256 = {
     "curve quartic": "a3aa70b801f6947561ee930c697ec05ce0c606240d51773dec796e3a824c23cb",
+    "curve quintic": "10d2f0d65424564a959c9751411e64c200867d78ac2c64015bca0d241387b762",
+}
+# the quintic's sum before each ray solved its own row, which the per-angle
+# loop with own rows still gives
+CURVE_CSV_SHA256_OWN_ROW = {
     "curve quintic": "ae91ba074ee7f61725191dd8dec9296f68826a74116ac3effe9b7a4f9befdae5",
 }
 # the sums before each ray kept its half-ray alone, which the per-angle loop
@@ -535,10 +556,20 @@ def test_golden_curve_csv_at_the_product_phase(tmp_path, name):
     _, key, _, angles = GOLDEN_RUNS[name]
     form = InvariantForm.from_json(GOLDEN_INPUTS[key])
     csv_path = tmp_path / "curve.csv"
-    write_curve_csv(_per_angle_points(_per_angle_rays(form, int(angles), _product_phase),
+    write_curve_csv(_per_angle_points(_per_angle_rays(form, int(angles), _product_phase, twin=False),
                                       signed=True), str(csv_path))
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
         CURVE_CSV_SHA256_PRODUCT_PHASE[name]
+
+
+@pytest.mark.parametrize("name", sorted(CURVE_CSV_SHA256_OWN_ROW))
+def test_golden_curve_csv_with_own_rows(tmp_path, name):
+    _, key, _, angles = GOLDEN_RUNS[name]
+    form = InvariantForm.from_json(GOLDEN_INPUTS[key])
+    csv_path = tmp_path / "curve.csv"
+    write_curve_csv(_per_angle_points(_per_angle_rays(form, int(angles), twin=False)),
+                    str(csv_path))
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == CURVE_CSV_SHA256_OWN_ROW[name]
 
 
 @pytest.mark.parametrize("name", sorted(CURVE_CSV_SHA256_FULL_CIRCLE))
@@ -546,7 +577,7 @@ def test_golden_curve_csv_on_the_full_circle(tmp_path, name):
     _, key, _, angles = GOLDEN_RUNS[name]
     form = InvariantForm.from_json(GOLDEN_INPUTS[key])
     csv_path = tmp_path / "curve.csv"
-    write_curve_csv(_per_angle_points(_per_angle_rays(form, int(angles)), signed=True),
+    write_curve_csv(_per_angle_points(_per_angle_rays(form, int(angles), twin=False), signed=True),
                     str(csv_path))
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
         CURVE_CSV_SHA256_FULL_CIRCLE[name]

@@ -280,6 +280,29 @@ def test_small_scale_circles_stay_apart(n):
     assert len(set(fac.s)) == len(fac.s) == (n - 1) // 2
 
 
+def test_an_overflowing_circle_root_fails_typed():
+    # this Singular cubic's unit form has a subnormal top coefficient, 1.6e-314,
+    # against a middle coefficient of order 1: the root q / A of the circle
+    # quadratic overflows.  The solve fails typed, with no numpy warning
+    # (warnings are errors here)
+    form = InvariantForm(3, [-4.77e87], -1.11e-182, -8.66e-216)
+    assert classify(form).kind == Kind.SINGULAR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolveFailed, match="^circle trinomial roots are not finite$"):
+            compute_intersections(form)
+
+
+def test_an_overflowing_circle_point_fails_typed(quintic_form):
+    # the roots u of the circle at s_j = 0.01 have modulus 10, which a back
+    # scale of 2^1023 takes past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert intersection._circle_orbits(quintic_form, 0.01)
+        with pytest.raises(SolveFailed, match="^circle points are not finite$"):
+            intersection._circle_orbits(quintic_form, 0.01, back=2.0 ** 1023)
+
+
 # The census as it was read before it came from the closed-gap flags: every
 # circle's 2n points and the clustered points at infinity, grouped into
 # orbits by matching the keys u^n, v^n (or v^(n/2) at infinity) within 1e-6 n

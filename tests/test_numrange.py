@@ -242,12 +242,26 @@ def test_curve_sample_golden(case, quartic_form, quintic_form):
 
 @pytest.mark.parametrize("case", json.loads(GOLDEN_CURVES.read_text()),
                          ids=lambda case: f"{case['kind']}-n{case['n']}")
+def test_curve_sample_golden_with_own_rows(case, quartic_form, quintic_form):
+    # the odd-degree sums were recorded again when the ray at theta + pi came
+    # to take the row at theta read at -rho; the per-angle loop that solves
+    # every ray's own row still gives the old sums, kept as own_row_sha256,
+    # and the even-degree sums did not move
+    form = _golden_form(case, quartic_form, quintic_form)
+    own = _per_angle_points(_per_angle_rays(form, 720, twin=False))
+    assert hashlib.sha256(repr(own).encode()).hexdigest() == \
+        case.get("own_row_sha256", case["sha256"])
+    assert ("own_row_sha256" in case) == (case["n"] % 2 == 1)
+
+
+@pytest.mark.parametrize("case", json.loads(GOLDEN_CURVES.read_text()),
+                         ids=lambda case: f"{case['kind']}-n{case['n']}")
 def test_curve_sample_golden_on_the_full_circle(case, quartic_form, quintic_form):
     # the golden sums were recorded again when each ray came to keep its
     # positive radii alone; the per-angle loop that keeps every real radius
     # still gives the old sums, kept as full_circle_sha256
     form = _golden_form(case, quartic_form, quintic_form)
-    signed = _per_angle_points(_per_angle_rays(form, 720), signed=True)
+    signed = _per_angle_points(_per_angle_rays(form, 720, twin=False), signed=True)
     assert hashlib.sha256(repr(signed).encode()).hexdigest() == case["full_circle_sha256"]
 
 
@@ -330,15 +344,36 @@ def _ray_coeffs(form, phase):
     return coeffs
 
 
-def _per_angle_rays(form, m, phase=_reduced_phase):
-    """(theta, real roots) of each ray that is not constant, one solve per ray."""
+def _twin_of(form, k, m):
+    """The ray whose row, read at -rho, curve_sample gives ray k, or None when
+    ray k keeps its own row: for odd n with c0, ct0 not both 0 and an even
+    period m / gcd(m, n), ray k + period / 2 has the phase of ray k plus pi,
+    and so the row of ray k at -rho."""
+    n = form.n
+    period = m // math.gcd(m, n)
+    if n % 2 == 0 or period % 2 or not (form.c0 or form.ct0) or k % period < period // 2:
+        return None
+    return k - period // 2
+
+
+def _per_angle_rays(form, m, phase=_reduced_phase, twin=True):
+    """(theta, real roots) of each ray that is not constant, one solve per ray.
+
+    With twin=True, as curve_sample solves them, a ray that has a twin takes
+    the negated roots of the twin's row, in ascending order; with twin=False
+    every ray solves its own row, as curve_sample did before (the own_row
+    sums)."""
     rays = []
     for k in range(m):
         theta = 2 * math.pi * k / m
-        coeffs = _ray_coeffs(form, phase(form.n, k, m))
+        source = _twin_of(form, k, m) if twin else None
+        coeffs = _ray_coeffs(form, phase(form.n, k if source is None else source, m))
         if max(abs(c) for c in coeffs[:-1]) == 0.0:
             continue
-        rays.append((theta, _root_profiles([coeffs])[0].roots))
+        roots = _root_profiles([coeffs])[0].roots
+        if source is not None:
+            roots = tuple((-r, mult) for r, mult in reversed(roots))
+        rays.append((theta, roots))
     return rays
 
 
@@ -363,7 +398,7 @@ def _assert_near_the_product_phase(form, tol=1e-9):
     # the reduced phase moves each row's top coefficient by the rounding of
     # n theta_k: every ray keeps its point count, and every point moves by at
     # most tol of its radius
-    new, old = _per_angle_rays(form, 720), _per_angle_rays(form, 720, _product_phase)
+    new, old = _per_angle_rays(form, 720), _per_angle_rays(form, 720, _product_phase, twin=False)
     assert [(theta, len(roots)) for theta, roots in new] == \
         [(theta, len(roots)) for theta, roots in old]
     got, want = np.array(curve_sample(form, 720)), np.array(_per_angle_points(old))
@@ -377,7 +412,7 @@ def test_curve_sample_golden_stays_near_the_product_phase(case, quartic_form, qu
     # the per-angle loop at the product phase still gives the old sums, kept
     # as product_phase_sha256
     form = _golden_form(case, quartic_form, quintic_form)
-    old = _per_angle_points(_per_angle_rays(form, 720, _product_phase), signed=True)
+    old = _per_angle_points(_per_angle_rays(form, 720, _product_phase, twin=False), signed=True)
     assert _float64_digest(old) == case["product_phase_sha256"]
     _assert_near_the_product_phase(form)
 
@@ -450,10 +485,12 @@ def _counting_root_profiles(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [4, 6, 8, 9, 10, 12, 15, 16, 18])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 17, 18])
 def test_curve_sample_solves_one_row_per_rotation_class(monkeypatch, n):
-    # n divides 720: the rays fall into 720 / n classes; rays one period apart
-    # have equal radii bit for bit, and curve_sample matches the per-angle loop
+    # the rays fall into 720 / gcd(720, n) classes; rays one period apart
+    # have equal radii bit for bit, and curve_sample matches the per-angle
+    # loop.  For odd n the period is even, and its second half takes the rows
+    # of its first at -rho: one row per pair of classes
     form = forward_matching(random_shift(np.random.default_rng(5300 + n), n))
     period = 720 // math.gcd(720, n)
     rays = _per_angle_rays(form, 720)
@@ -462,7 +499,51 @@ def test_curve_sample_solves_one_row_per_rotation_class(monkeypatch, n):
         assert rays[k][1] == rays[(k + period) % 720][1]
     calls = _counting_root_profiles(monkeypatch)
     assert repr(curve_sample(form, 720)) == repr(_per_angle_points(rays))
-    assert sum(calls) <= period
+    assert calls == [period // 2 if n % 2 else period]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 13, 17, 23])
+def test_curve_sample_reads_the_opposite_ray_off_the_row_at_minus_rho(n):
+    # for odd n the phase of ray k + period / 2 is that of ray k plus pi, so
+    # its row is ray k's at -rho: its radii are the negated negative roots of
+    # ray k's row, in ascending order, and as many as its own row's positive
+    # roots
+    form = forward_matching(random_shift(np.random.default_rng(5500 + n), n))
+    for m in (8, 96, 720):
+        period = m // math.gcd(m, n)
+        half = period // 2
+        roots = [_root_profiles([_ray_coeffs(form, _reduced_phase(n, k, m))])[0].roots
+                 for k in range(period)]
+        radii = [[r for r, _ in ray if r > 0] for ray in roots[:half]]
+        radii += [sorted(-r for r, _ in ray if r < 0) for ray in roots[:half]]
+        assert [len(ray) for ray in radii] == \
+            [sum(r > 0 for r, _ in ray) for ray in roots]
+        thetas = [2 * math.pi * k / m for k in range(m)]
+        want = [(float(rho) * math.cos(theta), float(rho) * math.sin(theta))
+                for k, theta in enumerate(thetas) for rho in radii[k % period]]
+        assert repr(curve_sample(form, m)) == repr(want)
+
+
+# worst point move of the twin rows against the own-row solve, relative to the
+# radius, on the forward images below: 1.3e-13 at n <= 9, 2.7e-12 at n = 11,
+# 2.4e-11 at 13, 7.1e-12 at 15, 1.6e-10 at 17, 2.6e-9 at 19, 4.6e-10 at 21 and
+# 2.7e-8 at 23.  On the most-moved ray of each n = 17..23 a 60-digit solve of
+# the exact-phase row finds the own-row and the twin radii off by errors of
+# the size of the move, neither rule the more accurate.  Even n have no twin
+# rows, and keep their bits (test_curve_sample_matches_per_angle_reference)
+TWIN_ROW_BOUNDS = {3: 1e-12, 5: 1e-12, 7: 1e-12, 9: 1e-12, 11: 1e-10, 13: 1e-10,
+                   15: 1e-10, 17: 1e-9, 19: 1e-8, 21: 1e-8, 23: 1e-7}
+
+
+@pytest.mark.parametrize("n", sorted(TWIN_ROW_BOUNDS))
+def test_twin_rows_stay_near_the_own_rows(n):
+    # every point moves by at most the bound of its radius
+    for k in range(5):
+        form = forward_matching(random_shift(np.random.default_rng(5200 + 100 * n + k), n))
+        got = np.array(curve_sample(form, 720))
+        want = np.array(_per_angle_points(_per_angle_rays(form, 720, twin=False)))
+        assert got.shape == want.shape
+        assert np.all(np.hypot(*(got - want).T) <= TWIN_ROW_BOUNDS[n] * np.hypot(*want.T))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 8, 13, 18])
@@ -488,10 +569,16 @@ def test_curve_sample_returns_each_point_once(n):
 
 
 def test_curve_sample_solves_one_row_when_s_is_zero(monkeypatch):
-    form = forward_matching(random_shift(np.random.default_rng(5312), 12))
+    # c0 = ct0 = 0: every ray has the same row, and for odd n no twin rows
     calls = _counting_root_profiles(monkeypatch)
-    assert len(curve_sample(InvariantForm(12, form.c, 0.0, 0.0), 720)) % 720 == 0
-    assert calls == [1]
+    for n in (12, 13):
+        form = forward_matching(random_shift(np.random.default_rng(5300 + n), n))
+        zero = InvariantForm(n, form.c, 0.0, 0.0)
+        calls.clear()
+        points = curve_sample(zero, 720)
+        assert calls == [1]
+        assert len(points) % 720 == 0
+        assert repr(points) == repr(_per_angle_points(_per_angle_rays(zero, 720)))
 
 
 def test_curve_sample_solves_once_per_stripped_degree(monkeypatch):
