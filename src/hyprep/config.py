@@ -9,8 +9,10 @@ chooses only what `Config` holds.
 import dataclasses
 
 # root engine
-TOL_ROOT = 1e-8         # |Im| <= TOL_ROOT * (1 + |root|) counts as real
-CLUSTER_RADIUS = 1e-6   # multiplicity clustering, scaled by (1 + |root|)
+TOL_ROOT = 1e-8         # how far below 0 a critical point in t^2 may lie (it reads 0)
+# a conjugate pair with 2 |Im| <= CLUSTER_RADIUS (1 + |root|) is a double real
+# root, and real roots that close, scaled by (1 + the larger modulus), merge
+CLUSTER_RADIUS = 1e-6
 # numerical ranges
 TOL_RANGE = 1e-9        # support functions this close mean equal numerical ranges
 # construction stages

@@ -38,12 +38,12 @@ import numpy as np
 
 from .config import (CLUSTER_RADIUS, DEFAULT_CONFIG, LM_CONVERGED, LM_LINE,
                      LM_STALL, LM_STEPS, MAX_RETRIES, TOL_NOETHER, TOL_PATTERN,
-                     TOL_PENCIL, TOL_ROOT, TOL_VAN, Config)
+                     TOL_PENCIL, TOL_VAN, Config)
 from .errors import (AdjugateMismatch, ConvergenceFailed, HyprepError,
                      IndefiniteDiagonal, NoetherResidual, NotHyperbolic,
                      NoVanishingForm, PatternViolation)
 from .forward import coefficient_error
-from .hyperbolicity import Kind, _root_profiles, _s_vanishes, classify, cluster_roots
+from .hyperbolicity import Kind, _axis_roots, _root_profiles, _s_vanishes, classify
 from .intersection import IntersectionSet, compute_intersections
 from .invariants import InvariantForm, eigenspace_basis
 from .poly import TrivariatePoly, _evaluate_many, conj_involution
@@ -358,23 +358,17 @@ def _squared_spectrum(form: InvariantForm) -> tuple[list, int]:
     of p.
 
     P of a hyperbolic form is real rooted, so a conjugate pair is a
-    multiple root that roundoff split; it counts as one real root, at its
-    real part, with the multiplicity of both halves.  The solve runs in
-    real arithmetic, so the two halves are exact conjugates.
+    multiple root that roundoff split: the solve runs in real arithmetic,
+    so the two halves are exact conjugates, and _axis_roots reads every pair
+    as one double root at its real part, and neighbouring roots within
+    CLUSTER_RADIUS as one multiple root.
     """
     mult = {}
-    for z, m in cluster_roots(np.roots([1.0, *form.c]), CLUSTER_RADIUS):
-        if abs(z.imag) > TOL_ROOT * (1.0 + abs(z)):
-            if z.imag < 0.0:
-                continue
-            m *= 2
-        mu = max(z.real, 0.0)
+    for x, m in _axis_roots(np.roots([1.0, *form.c]).tolist(), CLUSTER_RADIUS, math.inf)[0]:
+        mu = max(x, 0.0)
         mult[mu] = mult.get(mu, 0) + m
     zeros = form.n % 2 + 2 * mult.pop(0.0, 0)
-    positive = sorted(mult.items())
-    if zeros + 2 * sum(m for _, m in positive) != form.n:
-        raise ConvergenceFailed("the even part has unpaired non-real roots")
-    return positive, zeros
+    return sorted(mult.items()), zeros
 
 
 def _persymmetric_jacobi(spectrum: np.ndarray) -> np.ndarray:

@@ -21,10 +21,6 @@ class HypothesisViolated(HyprepError):
     """An interlacing endpoint polynomial is not real rooted."""
 
 
-class NonrealCircle(HyprepError):
-    """A circle parameter came out non-real; the input slipped past the hyperbolicity check."""
-
-
 class SolveFailed(HyprepError):
     """Intersection points not found: non-finite circle coefficients, or a
     stored point whose residual is above budget."""

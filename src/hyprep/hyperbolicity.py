@@ -5,23 +5,26 @@ s = sqrt(c0^2 + ct0^2), hyperbolicity collapses to p + s and p - s being
 real rooted: every local minimum of p is at most -s and every local
 maximum at least s.  A critical value at -s (or s) is a double root of
 p + s (or p - s), which makes the form singular, as s = 0 does.  The
-critical points are solved once per form, on its unit rescaling, and not
-clustered: an error in one moves its value only to second order.  Whether
-the gap of p +/- s closes at each is decided there once too (_gaps):
-classify and is_hyperbolic read the verdict, and intersection reads its
-circles and its census off the same numbers.
+critical points are solved once per form, on its unit rescaling, and
+distinct real ones are never merged: an error in one moves its value only
+to second order.  Whether the gap of p +/- s closes at each is decided
+there once too (_gaps): classify and is_hyperbolic read the verdict, and
+intersection reads its circles and its census off the same numbers.
+
+Every polynomial solved here is real, and real rooted when the form is
+hyperbolic, so root multiplicities are read along the real axis alone
+(_axis_roots): a near-axis conjugate pair is one double root, any other
+non-real root is off the axis, and neighbouring real roots merge into runs.
 """
 
 import dataclasses
 import enum
-import functools
-import itertools
 import math
 import sys
 
 import numpy as np
 
-from .config import CLUSTER_RADIUS, DROP_TOL, TOL_ROOT
+from .config import CLUSTER_RADIUS, DROP_TOL
 from .errors import DegenerateInput, HypothesisViolated, NotHyperbolic
 from .invariants import InvariantForm
 
@@ -31,7 +34,7 @@ class RootProfile:
     """Real roots with multiplicities, and the count of non-real ones."""
 
     roots: tuple            # ((value, multiplicity), ...) sorted ascending
-    n_complex: int          # count of root clusters judged non-real
+    n_complex: int          # count of roots off the real axis (see _axis_roots)
 
     @property
     def all_real(self) -> bool:
@@ -53,67 +56,37 @@ class Classification:
     witnesses: dict  # {"plus": bool, "minus": bool} repeated-root flags
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-triangle index pairs (a, b), a < b, in row-major order."""
-    pairs = np.triu_indices(m, 1)
-    for index in pairs:
-        index.setflags(write=False)     # shared by every caller
-    return pairs
+def _axis_roots(roots, radius: float, pair: float = CLUSTER_RADIUS) -> tuple[list, int]:
+    """The real roots of one real polynomial's solve, as ascending (value,
+    multiplicity) pairs, and the count of its roots off the real axis.
 
-
-def _close_pairs(z: np.ndarray, radius: float) -> np.ndarray:
-    """Which pairs of _pairs(m) are close, along the last axis of z.
-
-    a and b are close when |a - b| <= radius (1 + max(|a|, |b|)).  Moduli come
-    from np.hypot, which equals Python's abs bit for bit (numpy's array abs
-    of a complex array does not).
+    The solve of a real polynomial gives each real root with Im exactly 0
+    and every other root in an exact conjugate pair, so a multiple real root
+    that roundoff split is a near-axis pair or neighbouring real roots.  A
+    pair with 2 |Im z| <= pair (1 + |z|) is one double root at Re z; any
+    other non-real root is off the axis.  The values on the axis, ascending,
+    merge into runs: a value within radius (1 + the larger modulus) of the
+    previous one joins its run, whose value is the multiplicity-weighted
+    mean (radius 0 merges only equal values).
     """
-    ia, ib = _pairs(z.shape[-1])
-    mod = np.hypot(z.real, z.imag)
-    d = z.take(ia, axis=-1) - z.take(ib, axis=-1)
-    far = np.maximum(mod.take(ia, axis=-1), mod.take(ib, axis=-1))
-    return np.hypot(d.real, d.imag) <= radius * (1.0 + far)
-
-
-def _link(roots, close: np.ndarray) -> list[tuple[complex, int]]:
-    """Single linkage of roots over the close pairs, as (centroid, multiplicity)."""
-    m = len(roots)
-    ia, ib = _pairs(m)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    # union-find over the close pairs only, in the order the pairs were tested
-    for a, b in zip(ia[close].tolist(), ib[close].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    groups: dict = {}
-    for a in range(m):
-        groups.setdefault(find(a), []).append(a)
-    out = []
-    for g in groups.values():
-        pts = [roots[i] for i in g]
-        out.append((sum(pts) / len(pts), len(pts)))
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return out
-
-
-def cluster_roots(roots: np.ndarray, radius: float) -> list[tuple[complex, int]]:
-    """Cluster raw solver output into (centroid, multiplicity) pairs by
-    single linkage over the close pairs of _close_pairs."""
-    return _link(roots, _close_pairs(np.asarray(roots, dtype=complex), radius))
-
-
-def _is_real(z, modulus):
-    """|Im z| <= TOL_ROOT (1 + |z|): the root cluster at z counts as real.  The
-    modulus is np.hypot(z.real, z.imag), or abs(z) on a scalar (the same bits)."""
-    return abs(z.imag) <= TOL_ROOT * (1.0 + modulus)
+    axis, off = [], 0
+    for z in roots:
+        if not z.imag:
+            axis.append((z.real, 1))
+        elif 2 * abs(z.imag) <= pair * (1.0 + abs(z)):
+            if z.imag > 0.0:        # its conjugate is the other half
+                axis.append((z.real, 2))
+        else:
+            off += 1
+    runs, prev = [], None       # [multiplicity-weighted sum, multiplicity]
+    for x, m in sorted(axis):
+        if runs and x - prev <= radius * (1.0 + max(abs(x), abs(prev))):
+            runs[-1][0] += x * m
+            runs[-1][1] += m
+        else:
+            runs.append([0 + x * m, m])     # from 0, so a value of -0.0 reads 0.0
+        prev = x
+    return [(total / m, m) for total, m in runs], off
 
 
 def _root_profiles(rows, radius: float = CLUSTER_RADIUS) -> list[RootProfile]:
@@ -121,11 +94,11 @@ def _root_profiles(rows, radius: float = CLUSTER_RADIUS) -> list[RootProfile]:
 
     Each row gets a float64 companion matrix, as in np.roots, so complex
     roots come in exact conjugate pairs; rows that keep the same columns
-    after stripping share one stacked eigensolve.  Roots within radius
-    (1 + larger modulus) of each other are clustered into multiplicities (a
-    row with no close pair skips the union-find; radius 0 merges only equal
-    roots), and a cluster is real when |Im| <= TOL_ROOT (1 + |root|) at its
-    centroid.
+    after stripping share one stacked eigensolve.  Each row's roots are read
+    by _axis_roots: a pair within CLUSTER_RADIUS is a double root, and the
+    values on the axis merge into runs within radius (radius 0 merges only
+    equal values).  Rows with no such pair and no such run, decided for the
+    whole stack at once, are read off the sorted solve directly.
     The first row that cannot be solved raises its DegenerateInput.
     """
     arr = np.asarray(rows, dtype=float)
@@ -171,22 +144,23 @@ def _root_profiles(rows, radius: float = CLUSTER_RADIUS) -> list[RootProfile]:
             failed.update((i, "root solve returned non-finite values")
                           for i, ok in zip(g, finite) if not ok)
             g, raw = [i for i, ok in zip(g, finite) if ok], raw[finite]
-        close = _close_pairs(raw, radius)
-        merged = close.any(axis=1).tolist()
-        if not all(merged):
-            # a singleton's centroid is (0 + z) / 1, which is z + 0 bit for bit;
-            # equal centroids are equal bit for bit, so the sort need not be stable
-            single = raw + 0
-            single.sort(axis=1)
-            on_axis = _is_real(single, np.hypot(single.real, single.imag))
+        # the values on the axis, ascending, padded with nan: nan - nan is
+        # quiet where inf - inf warns, and a nan gap merges nothing
+        axis = np.where(raw.imag == 0.0, raw.real + 0.0, np.nan)
+        axis.sort(axis=1)
+        gap = axis[:, 1:] - axis[:, :-1]
+        near = gap <= radius * (1.0 + np.maximum(np.abs(axis[:, 1:]), np.abs(axis[:, :-1])))
+        mod = np.hypot(raw.real, raw.imag)
+        paired = (raw.imag != 0.0) & (2 * np.abs(raw.imag) <= CLUSTER_RADIUS * (1.0 + mod))
+        slow = (near.any(axis=1) | paired.any(axis=1)).tolist()
+        counts = (raw.imag == 0.0).sum(axis=1).tolist()
         for j, i in enumerate(g):
-            if merged[j]:
-                clusters = _link(raw[j], close[j])
-                roots = tuple((z.real, m) for z, m in clusters if _is_real(z, abs(z)))
+            if slow[j]:
+                roots, off = _axis_roots(raw[j].tolist(), radius)
+                roots = tuple((np.float64(x), m) for x, m in roots)
             else:
-                clusters = single[j]
-                roots = tuple((x, 1) for x in itertools.compress(clusters.real, on_axis[j]))
-            profiles[i] = RootProfile(roots, len(clusters) - len(roots))
+                roots, off = tuple((x, 1) for x in axis[j, :counts[j]]), raw.shape[1] - counts[j]
+            profiles[i] = RootProfile(roots, off)
     if failed:
         raise DegenerateInput(failed[min(failed)])
     return profiles

@@ -26,8 +26,7 @@ import sys
 
 import numpy as np
 
-from .errors import (AmbiguousOrbit, LeadingZero, NonrealCircle, NotHyperbolic,
-                     SolveFailed)
+from .errors import AmbiguousOrbit, LeadingZero, NotHyperbolic, SolveFailed
 from .invariants import InvariantForm
 from .poly import TrivariatePoly, _evaluate_many
 
@@ -110,15 +109,12 @@ class IntersectionSet:
         }
 
 
-def _critical_points(form: InvariantForm) -> tuple:
-    if form._critical_points is None:
-        raise NonrealCircle("a circle parameter is non-real or negative")
-    return form._critical_points
-
-
 def circle_factors(form: InvariantForm) -> CircleFactorization:
-    """Factor df/dt into circles: the s_j are the critical points of p in t^2."""
-    s = tuple(x for x, mult in _critical_points(form) for _ in range(mult))
+    """Factor df/dt into circles: the s_j are the critical points of p in t^2.
+    Raises NotHyperbolic when they are not real and nonnegative."""
+    if form._critical_points is None:
+        raise NotHyperbolic("form is not hyperbolic")
+    s = tuple(x for x, mult in form._critical_points for _ in range(mult))
     return CircleFactorization(1 - form.n % 2, s)
 
 
@@ -283,11 +279,9 @@ def compute_intersections(form: InvariantForm) -> IntersectionSet:
     points (1, u, v) are (1, u / 2^k, v / 2^k) here.
     """
     n = form.n
-    if form._unit is None:
-        raise NotHyperbolic("form is not hyperbolic")
+    closed = _closed_gaps(form)     # raises NotHyperbolic, also with no unit form
     unit, k = form._unit
-    points = _critical_points(unit)
-    closed = _closed_gaps(unit)
+    points = unit._critical_points
     chosen = []
     for (x, mult), shut in zip(points, closed):
         if x > 0.0:

@@ -100,9 +100,10 @@ class InvariantForm:
         0), or when there is no unit form.  With p(t) = t^e P(t^2), e = n
         mod 2, and p'(t) = t^(1-e) Q(t^2), Q_j = (n - 2j) c_j, they are the
         roots of Q, monic, as it stands on the unit form, where a hyperbolic
-        form's lie in [0, n].  They are not clustered: a radius is absolute
-        near 0 and would merge the small critical points of a p whose roots
-        span decades."""
+        form's lie in [0, n].  They are solved at radius 0: a near-axis
+        conjugate pair is one double point, but distinct real roots never
+        merge, since a radius is absolute near 0 and would merge the small
+        critical points of a p whose roots span decades."""
         from .hyperbolicity import _root_profiles   # it imports this module
         unit, k = self._unit or (None, 0)
         if unit is not self:

@@ -1,4 +1,5 @@
-"""Shared fixtures: the two worked examples and their published matrices."""
+"""Shared fixtures: the two worked examples and their published matrices,
+and a pure-Python reference for root multiplicities."""
 
 import numpy as np
 import pytest
@@ -76,3 +77,42 @@ def random_shift(rng, n, lo=0.5, hi=2.0):
     mods = rng.uniform(lo, hi, size=n)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return ShiftMatrix(mods * np.exp(1j * phases))
+
+
+# A reference for root multiplicities that does not use the package: single
+# linkage in the complex plane, a pure-Python union-find over every pair of
+# roots with Python's abs, and each cluster's centroid.
+
+def _reference_cluster(points, radius_fn):
+    m = len(points)
+    parent = list(range(m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(m):
+        for b in range(a + 1, m):
+            if abs(points[a] - points[b]) <= radius_fn(points[a], points[b]):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[rb] = ra
+    groups = {}
+    for a in range(m):
+        groups.setdefault(find(a), []).append(a)
+    return list(groups.values())
+
+
+def _reference_cluster_roots(roots, radius):
+    if len(roots) == 0:
+        return []
+    groups = _reference_cluster(np.asarray(roots, dtype=complex),
+                                lambda a, b: radius * (1.0 + max(abs(a), abs(b))))
+    out = []
+    for g in groups:
+        pts = [roots[i] for i in g]
+        out.append((sum(pts) / len(pts), len(pts)))
+    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return out

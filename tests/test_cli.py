@@ -19,6 +19,7 @@ from hyprep.forward import forward_interpolate, forward_matching
 from hyprep.hyperbolicity import _root_profiles
 from hyprep.numrange import write_curve_csv
 from tests.conftest import random_shift
+from tests.test_construct import TRIPLE_ROOT_FORMS
 from tests.test_hyperbolicity import SWEEP_SCALES, _form_at_scale
 from tests.test_numrange import _per_angle_points, _per_angle_rays, _product_phase
 
@@ -278,6 +279,20 @@ def test_represent_nonhyperbolic_is_numerical_failure(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("n, c, a", TRIPLE_ROOT_FORMS)
+def test_triple_roots_of_the_even_part_check_singular_and_represent(capsys, tmp_path, n, c, a):
+    # hyperbolic forms whose critical-point solve splits a double point into
+    # a near-axis conjugate pair: check and represent both succeed
+    path = write_json(tmp_path / "f.json", {"n": n, "c": c, "c0": 0.0, "ct0": 0.0})
+    code, out = run_cli(capsys, "check", "--input", path)
+    assert code == 0
+    data = json.loads(out)
+    assert data["hyperbolic"] and data["kind"] == "Singular"
+    code, out = run_cli(capsys, "represent", "--input", path)
+    assert code == 0
+    assert json.loads(out)["verify"]["max_abs_err"] <= 1e-6
+
+
 def test_represent_with_every_spectral_start_skipped_is_numerical_failure(
         capsys, monkeypatch, tmp_path):
     # a generic smooth form on which the one spectral start is skipped and
@@ -293,7 +308,7 @@ def test_represent_with_every_spectral_start_skipped_is_numerical_failure(
 
 
 def test_points_on_a_negative_circle_parameter_is_numerical_failure(capsys, tmp_path):
-    # the critical point of p in t^2 is at -1: a typed NonrealCircle, not
+    # the critical point of p in t^2 is at -1: a typed NotHyperbolic, not
     # a census with a triple point at infinity
     path = write_json(tmp_path / "f.json", {"n": 4, "c": [2.0, 1.0], "c0": 0.5, "ct0": 0.0})
     code = main(["points", "--input", path])

@@ -591,6 +591,29 @@ def test_closed_gaps_read_singular_and_certify_to_n24(kind):
                     assert_certified(form, represent(form))
 
 
+# p = t^(n mod 2) P(t^2), s = 0, with a triple root a of P and dyadic roots,
+# so the float64 coefficients are exact and the form is hyperbolic: (n, c, a)
+TRIPLE_ROOT_FORMS = [
+    (8, [-7.5, 20.25, -23.625, 10.125], 1.5),          # (x - 1.5)^3 (x - 3)
+    (9, [-11.5, 48.75, -90.625, 62.5], 2.5),           # (x - 2.5)^3 (x - 4)
+    (11, [-9.5, 32.5, -50.5, 36.5, -10.0], 1.0),       # (x - 1)^3 (x - 2.5) (x - 4)
+]
+
+
+@pytest.mark.parametrize("n, c, a", TRIPLE_ROOT_FORMS)
+def test_triple_roots_of_the_even_part_read_singular_and_certify(n, c, a):
+    # a triple root of P is a double root of Q, which the critical-point
+    # solve splits into a conjugate pair about 1e-8 off the axis: that pair
+    # is one double critical point, not a form that is not hyperbolic
+    form = InvariantForm(n, c, 0.0, 0.0)
+    double = [x for x, mult in form._critical_points if mult == 2]
+    assert len(double) == 1 and abs(double[0] - a) <= 1e-12 * a
+    assert classify(form).kind is Kind.SINGULAR
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_certified(form, represent(form), headroom=10.0)
+
+
 def test_spectral_route_gives_real_weights_when_ct0_vanishes():
     # with ct0 = 0 the weight product is real, so the product phase the
     # spectral route puts on a_n is exactly 0 or pi (the dihedral case)

@@ -13,8 +13,8 @@ from hyprep import hyperbolicity
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
 from hyprep.errors import DegenerateInput, HyprepError, HypothesisViolated, NotHyperbolic
 from hyprep.forward import forward_matching
-from hyprep.hyperbolicity import _root_profiles, cluster_roots
-from tests.conftest import random_shift
+from hyprep.hyperbolicity import _root_profiles
+from tests.conftest import _reference_cluster_roots, random_shift
 
 
 def test_real_roots_simple_quartic():
@@ -156,46 +156,12 @@ def test_smooth_restrictions_have_positive_root_gap(quintic_form):
 
 
 # -- the root solver against a scalar reference ------------------------------
-# A scalar reference for _root_profiles and cluster_roots: np.roots, and a
-# pure-Python union-find over every pair with Python's abs.  The vectorised
-# solver must give the same roots and n_complex bit for bit.
+# A scalar reference for _root_profiles: np.roots, and single linkage in the
+# complex plane (tests/conftest.py) with a realness tolerance on each
+# centroid.  On these rows the pair rule and the runs along the real axis
+# must give the same roots and n_complex bit for bit.
 
-def _reference_cluster(points, radius_fn):
-    m = len(points)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in range(m):
-        for b in range(a + 1, m):
-            if abs(points[a] - points[b]) <= radius_fn(points[a], points[b]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    groups = {}
-    for a in range(m):
-        groups.setdefault(find(a), []).append(a)
-    return list(groups.values())
-
-
-def _reference_cluster_roots(roots, radius):
-    if len(roots) == 0:
-        return []
-    groups = _reference_cluster(np.asarray(roots, dtype=complex),
-                                lambda a, b: radius * (1.0 + max(abs(a), abs(b))))
-    out = []
-    for g in groups:
-        pts = [roots[i] for i in g]
-        out.append((sum(pts) / len(pts), len(pts)))
-    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    return out
-
-
-def _reference_root_profile(coeffs):
+def _reference_root_profile(coeffs, radius=CLUSTER_RADIUS):
     # np.roots of a real row, in real arithmetic
     arr = np.asarray(list(coeffs), dtype=float)
     if len(arr) == 0 or not np.all(np.isfinite(arr)):
@@ -213,7 +179,7 @@ def _reference_root_profile(coeffs):
     if np.any(~np.isfinite(raw)):
         raise DegenerateInput("root solve returned non-finite values")
     reals, n_complex = [], 0
-    for z, m in _reference_cluster_roots(raw, CLUSTER_RADIUS):
+    for z, m in _reference_cluster_roots(raw, radius):
         if abs(z.imag) <= TOL_ROOT * (1.0 + abs(z)):
             reals.append((z.real, m))
         else:
@@ -330,37 +296,47 @@ def test_root_profiles_of_mixed_rows_equal_per_row_solves():
         hyperbolicity._root_profiles(bad)
 
 
-def test_cluster_roots_is_bit_identical_to_the_scalar_reference():
-    rng = np.random.default_rng(2025)
-    radius = CLUSTER_RADIUS
-    for m in range(0, 25):
-        for _ in range(10):
-            pts = np.asarray(_clustered_roots(rng, m) if m else [], dtype=complex)
-            rng.shuffle(pts)
-            for roots in (pts, pts.real.copy()):
-                got = cluster_roots(roots, radius)
-                expect = _reference_cluster_roots(roots, radius)
-                assert got == expect
-                assert repr(got) == repr(expect)
-    # a pair just inside the threshold, and signed zeros in the centroids
-    a = 1.0 + 0j
-    edge = a + radius * (1.0 + abs(a + radius * 2))
-    for roots in (np.array([a, edge, -0.0 + 0j, complex(-0.0, -0.0)]),
-                  np.array([edge, a, a, complex(0.0, -0.0)])):
-        assert repr(cluster_roots(roots, radius)) == repr(_reference_cluster_roots(roots, radius))
-
-
-def test_cluster_roots_matches_the_reference_at_the_threshold():
-    # radii one ulp below, at and above the distance of each pair, so that a
-    # last-bit difference in either modulus or in |a - b| flips the merge
+def test_root_profiles_merge_real_neighbours_as_the_reference_does():
+    # two neighbouring real roots of a real-rooted row, their gap within a
+    # part in 1e3 of the CLUSTER_RADIUS threshold, and the same row read at
+    # radii one ulp below, at and above the gap, so that a last-bit
+    # difference in either modulus or in the gap flips the merge
     rng = np.random.default_rng(7)
-    for _ in range(1500):
-        roots = 10.0 ** rng.uniform(-3, 6, 2) * np.exp(1j * rng.uniform(0, 2 * np.pi, 2))
-        a, b = roots.tolist()
-        exact = abs(a - b) / (1.0 + max(abs(a), abs(b)))
+    merged, at_radius = set(), set()
+    for _ in range(300):
+        a = float(rng.uniform(-4.0, 4.0))
+        gap = CLUSTER_RADIUS * (1.0 + abs(a)) * float(rng.uniform(1.0 - 1e-3, 1.0 + 1e-3))
+        others = list(rng.uniform(-4.0, 4.0, int(rng.integers(0, 5))) + 20.0)
+        row = np.poly([a, a + gap] + others)
+        raw = np.roots(row)
+        assert not raw.imag.any()
+        prof = _root_profiles([row])[0]
+        assert repr((prof.roots, prof.n_complex)) == repr(_reference_root_profile(row))
+        at_radius.add(prof.roots[0][1])
+        x, y = sorted(raw.real.tolist())[:2]
+        exact = (y - x) / (1.0 + max(abs(x), abs(y)))
         for radius in (np.nextafter(exact, 0.0), exact, np.nextafter(exact, np.inf)):
-            got = cluster_roots(roots, float(radius))
-            assert repr(got) == repr(_reference_cluster_roots(roots, float(radius)))
+            prof = _root_profiles([row], float(radius))[0]
+            assert repr((prof.roots, prof.n_complex)) == repr(_reference_root_profile(row, float(radius)))
+            merged.add(prof.roots[0][1])
+    assert merged == at_radius == {1, 2}
+
+
+def test_root_profiles_read_near_axis_pairs_as_the_reference_does():
+    # a double root that roundoff split into a conjugate pair: one double
+    # root when 2 |Im| <= CLUSTER_RADIUS (1 + |z|), two roots off the axis
+    # above; the pairs straddle that threshold within a part in 1e4
+    rng = np.random.default_rng(8)
+    doubled = set()
+    for _ in range(400):
+        a = float(rng.uniform(-4.0, 4.0))
+        eps = 0.5 * CLUSTER_RADIUS * (1.0 + abs(a)) * float(rng.uniform(1.0 - 1e-4, 1.0 + 1e-4))
+        others = list(rng.uniform(-4.0, 4.0, int(rng.integers(0, 5))) + 20.0)
+        row = np.polymul([1.0, -2.0 * a, a * a + eps * eps], np.poly(others))
+        prof = _root_profiles([row])[0]
+        assert repr((prof.roots, prof.n_complex)) == repr(_reference_root_profile(row))
+        doubled.add(prof.n_complex)
+    assert doubled == {0, 2}
 
 
 def test_hypot_equals_python_abs_on_complex_values():

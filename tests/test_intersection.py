@@ -12,13 +12,12 @@ from hyprep import (DEFAULT_CONFIG, InvariantForm, circle_factors, circle_inters
                     is_hyperbolic)
 from hyprep.construct import _represent_direct
 from hyprep.config import CLUSTER_RADIUS
-from hyprep.errors import (AmbiguousOrbit, HyprepError, LeadingZero, NonrealCircle,
-                           NotHyperbolic, SolveFailed)
+from hyprep.errors import AmbiguousOrbit, HyprepError, LeadingZero, NotHyperbolic, SolveFailed
 from hyprep.forward import forward_matching
-from hyprep.hyperbolicity import Kind, classify, cluster_roots
+from hyprep.hyperbolicity import Kind, classify
 from hyprep.invariants import eigenspace_basis
 from hyprep.poly import TrivariatePoly
-from tests.conftest import random_shift
+from tests.conftest import _reference_cluster_roots, random_shift
 from tests.test_construct import singular_form
 from tests.test_hyperbolicity import SWEEP_SCALES, _form_at_scale
 
@@ -82,12 +81,13 @@ def test_circle_factors_reuse_the_classify_solve(monkeypatch, quartic_form, quin
 
 
 def test_negative_circle_parameter_is_nonreal_circle():
-    # p = t^4 + 2 t^2 + 1 has its critical point in t^2 at x = -1: not a
-    # circle, and not clamped to one at infinity
+    # p = t^4 + 2 t^2 + 1 has its critical point in t^2 at x = -1: a circle
+    # with no real points, not clamped to one at infinity; the form is not
+    # hyperbolic, and both calls say so
     form = InvariantForm(4, [2.0, 1.0], 0.5, 0.0)
-    with pytest.raises(NonrealCircle):
+    with pytest.raises(NotHyperbolic):
         circle_factors(form)
-    with pytest.raises(NonrealCircle):
+    with pytest.raises(NotHyperbolic):
         compute_intersections(form)
 
 
@@ -98,7 +98,7 @@ def _reference_circle_parameters(form):
     n, m = form.n, (form.n - 1) // 2
     raw = np.roots([1.0] + [(n - 2 * r) * cr / n for r, cr in enumerate(form.c[:m], start=1)])
     unit = 2.0 ** math.frexp(float(np.max(np.abs(raw))))[1]
-    return sorted((z.real * unit for z, mult in cluster_roots(raw / unit, CLUSTER_RADIUS)
+    return sorted((z.real * unit for z, mult in _reference_cluster_roots(raw / unit, CLUSTER_RADIUS)
                    for _ in range(mult)), reverse=True)
 
 
@@ -315,7 +315,7 @@ def _reference_points(form):
         A = complex(form.c0, -form.ct0) / 2
         roots = intersection._trinomial_roots(A, form.c[-1], A.conjugate(), n // 2, False)
         pts += [(intersection._normalize(0j, u, 1.0 + 0j), m)
-                for u, m in cluster_roots(np.concatenate(roots), CLUSTER_RADIUS)]
+                for u, m in _reference_cluster_roots(np.concatenate(roots), CLUSTER_RADIUS)]
     return pts
 
 

@@ -14,9 +14,9 @@ from hyprep.numrange import samples_agree
 from hyprep.errors import DegenerateInput
 from hyprep.forward import forward_matching
 from hyprep.config import CLUSTER_RADIUS, TOL_ROOT
-from hyprep.hyperbolicity import _root_profiles, cluster_roots
+from hyprep.hyperbolicity import _root_profiles
 from hyprep.shift import hermitian_slices
-from tests.conftest import random_shift
+from tests.conftest import _reference_cluster_roots, random_shift
 from tests.test_construct import singular_form
 
 
@@ -291,7 +291,7 @@ def _complex_companion_rays(form, m):
         if size[:-1].max() == 0.0:
             continue
         raw = np.roots(coeffs[np.argmax(size > 1e-14 * size.max()):])
-        rays.append((theta, [(z.real, mult) for z, mult in cluster_roots(raw, CLUSTER_RADIUS)
+        rays.append((theta, [(z.real, mult) for z, mult in _reference_cluster_roots(raw, CLUSTER_RADIUS)
                              if abs(z.imag) <= TOL_ROOT * (1.0 + abs(z))]))
     return rays
 
