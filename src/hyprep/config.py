@@ -9,7 +9,9 @@ chooses only what `Config` holds.
 import dataclasses
 
 # root engine
-TOL_ROOT = 1e-8         # how far below 0 a critical point in t^2 may lie (it reads 0)
+# how far below 0 a critical point in t^2 may lie (it reads 0); a multiple one
+# that close to 0 needs no Horner test of the critical-point polynomial
+TOL_ROOT = 1e-8
 # a conjugate pair with 2 |Im| <= CLUSTER_RADIUS (1 + |root|) is a double real
 # root, and real roots that close, scaled by (1 + the larger modulus), merge
 CLUSTER_RADIUS = 1e-6

@@ -10,6 +10,7 @@ runs on a form's one exact unit rescaling, InvariantForm._unit.
 import dataclasses
 import functools
 import math
+import sys
 
 from .config import TOL_ROOT
 from .poly import TrivariatePoly, monomials_of_degree
@@ -100,11 +101,17 @@ class InvariantForm:
         0), or when there is no unit form.  With p(t) = t^e P(t^2), e = n
         mod 2, and p'(t) = t^(1-e) Q(t^2), Q_j = (n - 2j) c_j, they are the
         roots of Q, monic, as it stands on the unit form, where a hyperbolic
-        form's lie in [0, n].  They are solved at radius 0: a near-axis
-        conjugate pair is one double point, but distinct real roots never
-        merge, since a radius is absolute near 0 and would merge the small
-        critical points of a p whose roots span decades."""
-        from .hyperbolicity import _root_profiles   # it imports this module
+        form's lie in [0, n].  They are solved at radius 0: distinct real
+        roots never merge, since a radius is absolute near 0 and would merge
+        the small critical points of a p whose roots span decades.  A
+        multiple point, such as a near-axis conjugate pair, stands only
+        where |Q| <= deg eps sum |q_j| |x|^j, its Horner rounding bound: a
+        double root that roundoff split leaves Q at a fraction of that bound,
+        a non-real pair at its squared distance from the axis times the rest
+        of Q.  Within TOL_ROOT of 0 the tolerance is absolute: a negligible
+        constant term of Q puts two roots at +/- its square root, which the
+        solve returns as a double 0."""
+        from .hyperbolicity import _horner, _root_profiles   # it imports this module
         unit, k = self._unit or (None, 0)
         if unit is not self:
             points = unit and unit._critical_points
@@ -114,6 +121,12 @@ class InvariantForm:
         profile = _root_profiles([q], 0.0)[0]
         if not profile.all_real or profile.roots[0][0] < -TOL_ROOT:
             return None
+        tol = (len(q) - 1) * sys.float_info.epsilon
+        for x, mult in profile.roots:
+            if mult > 1 and abs(x) > TOL_ROOT:
+                value, bound = _horner(q, x)
+                if abs(value) > tol * bound:
+                    return None
         return tuple((max(float(x), 0.0), mult) for x, mult in reversed(profile.roots))
 
     @functools.cached_property

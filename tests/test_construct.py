@@ -603,8 +603,9 @@ TRIPLE_ROOT_FORMS = [
 @pytest.mark.parametrize("n, c, a", TRIPLE_ROOT_FORMS)
 def test_triple_roots_of_the_even_part_read_singular_and_certify(n, c, a):
     # a triple root of P is a double root of Q, which the critical-point
-    # solve splits into a conjugate pair about 1e-8 off the axis: that pair
-    # is one double critical point, not a form that is not hyperbolic
+    # solve splits into a conjugate pair about 1e-8 off the axis: Q vanishes
+    # at its real part within a fraction of the Horner rounding bound, so the
+    # pair is one double critical point, not a form that is not hyperbolic
     form = InvariantForm(n, c, 0.0, 0.0)
     double = [x for x, mult in form._critical_points if mult == 2]
     assert len(double) == 1 and abs(double[0] - a) <= 1e-12 * a

@@ -339,6 +339,31 @@ def test_root_profiles_read_near_axis_pairs_as_the_reference_does():
     assert doubled == {0, 2}
 
 
+@pytest.mark.parametrize("e", [40, 42, 44, 46])
+def test_near_axis_critical_pair_off_a_root_of_q_is_not_hyperbolic(e):
+    # P = (x - 1)((x - 1)^2 + 2^-e), exact, has the real root 1 and the
+    # non-real pair 1 +/- i 2^(-e/2); Q ~ P' has a pair about 1 +/- i 2^(-e/2)
+    # / sqrt(3), within CLUSTER_RADIUS of the axis, read as a double point at
+    # 1, where P(1) = 0.  It is a double critical point only if Q vanishes
+    # there within its Horner rounding bound, and Q(1) is 2^-e (5 ulps of
+    # that bound at e = 46, 341 at e = 40)
+    form = InvariantForm(6, [-3.0, 3.0 + 2.0 ** -e, -(1.0 + 2.0 ** -e)], 0.0, 0.0)
+    q = [1.0] + [(6 - 2 * j) * cj / 6 for j, cj in enumerate(form.c[:2], start=1)]
+    assert [m for _, m in _root_profiles([q], 0.0)[0].roots] == [2]
+    assert form._critical_points is None and not is_hyperbolic(form)
+    with pytest.raises(NotHyperbolic):
+        classify(form)
+
+
+def test_double_critical_point_at_zero_stands_without_the_horner_test():
+    # Q = x^3 - 0.678 x^2 + 1.4e-265 has roots at +/- 4.5e-133, which the
+    # solve returns as a double 0: Q(0) is its whole Horner bound there, but
+    # within TOL_ROOT of 0 the tolerance is absolute
+    form = InvariantForm(7, [-0.9495521837844181, -0.0, 9.606790286994652e-265], 0.0, 0.0)
+    assert form._critical_points[-1] == (0.0, 2)
+    assert classify(form).kind is Kind.SINGULAR
+
+
 def test_hypot_equals_python_abs_on_complex_values():
     rng = np.random.default_rng(99)
     z = 10.0 ** rng.uniform(-300, 300, size=10**6) * np.exp(1j * rng.uniform(0, 2 * np.pi, 10**6))
